@@ -10,11 +10,9 @@ from .graphs import (
     TriangularGrid,
     WeightedGraph,
     bent_linear_2tree,
-    laplacian,
     read_edge_list,
     straight_linear_2tree,
     straight_linear_ktree,
-    triangle_count,
     triangular_grid,
     write_edge_list,
 )
@@ -29,7 +27,6 @@ from .engine import (
     reduce_straight,
     replay_trace,
     resistance_det,
-    resistance_exact,
     resistance_float,
     series_step,
     spanning_tree_count,

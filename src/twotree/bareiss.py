@@ -1,13 +1,10 @@
 """Exact determinants by fraction-free (Bareiss) elimination.
 
-Every intermediate division is exact, so results are exact integers or
-Fractions no matter how large the entries grow. Banded matrices (all the
-Laplacian minors in this package are banded) are eliminated inside a sliding
-window for O(n * bw^2) work instead of O(n^3).
+Every intermediate division is exact, so results are exact integers no
+matter how large the entries grow. Banded matrices (all the Laplacian
+minors in this package are banded) are eliminated inside a sliding window
+for O(n * bw^2) work instead of O(n^3).
 """
-
-from fractions import Fraction
-from math import lcm
 
 
 def _bandwidth(a, n):
@@ -95,26 +92,6 @@ def det_int(rows) -> int:
             rowr[k] = 0
         prev = piv
     return a[n - 1][n - 1]
-
-
-def det_fraction(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions.
-
-    Clears each row to integers (tracking the scale), then runs det_int.
-    """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        scale /= mult
-        int_rows.append([int(f * mult) for f in fr])
-    return det_int(int_rows) * scale
 
 
 def strike(rows, drop):

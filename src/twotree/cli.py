@@ -3,7 +3,16 @@
 Subcommands: gen, res, formula, rank, trees, verify, conjecture. Exact
 values always print as integer numerator/denominator; floats only appear
 where a method is explicitly floating point. JSON documents carry
-"schema": 1. Exit codes: 0 success, 1 verification failure, 2 usage error.
+"schema": 1.
+
+Every subcommand exits with the same codes, and any error is one
+"error: ..." line on stderr, never a traceback:
+  0  success;
+  1  a check failed: a verify criterion, an internal cross-check
+     (AssertionError), or a float solve whose residual exceeds --tol
+     (RuntimeError);
+  2  usage error or bad input: bad arguments, an invalid graph, family or
+     pair, an unreadable file (ValueError, OSError).
 """
 
 import argparse
@@ -350,12 +359,12 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args, sys.stdout)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

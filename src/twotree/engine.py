@@ -11,11 +11,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from .bareiss import det_int, strike
-from .graphs import WeightedGraph, format_resistance, straight_linear_2tree
+from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
 
@@ -123,16 +123,6 @@ class _Network:
         for nb in list(nbrs):
             self.adj[nb][new] = self.adj[nb].pop(old)
 
-    def component(self, start, skip=None):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in self.adj[stack.pop()]:
-                if nb != skip and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return seen
-
 
 # === Rewrite steps ===
 
@@ -209,7 +199,7 @@ def _parallel(net: _Network, u, v) -> ReductionStep:
 
 
 def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
-    keep_side = net.component(keep, skip=cut_vertex)
+    keep_side = reachable(net.adj, keep, skip=cut_vertex)
     removed = sorted(v for v in net.adj if v != cut_vertex and v not in keep_side)
     if not removed:
         raise ValueError(f"nothing to cut away at {cut_vertex}")
@@ -272,49 +262,23 @@ def parallel_step(g: WeightedGraph, pair):
 # === Straight-strip reduction schedule ===
 
 
-def _left_phase(net, steps, a):
-    # Eliminate vertices 1..a-1. Each step works the leftmost triangle; the
-    # freed middle vertex merges rightward through its chord until the last
-    # step, after which the dangling tail is cut and the star folds into a
-    # single edge {a, a+1}.
-    for p in range(1, a):
-        step = _delta_y(net, p + 2, p + 1, p)
+def _sweep(net, steps, start, d, count, keep=None):
+    # `count` delta-y steps walking from `start` in direction d (+1 or -1).
+    # Each step works the triangle (c+2d, c+d, c); the freed middle vertex
+    # c+d merges onward through its chord under the star's name. After the
+    # last step, if `keep` is given, the dangling tail is cut away on the
+    # far side of the star and the star folds into a single edge at `keep`.
+    for t in range(count):
+        c = start + d * t
+        step = _delta_y(net, c + 2 * d, c + d, c)
         steps.append(step)
         star = step.vertices[3]
-        if p < a - 1:
-            steps.append(_series(net, p + 1))
-            steps.append(_rename(net, star, p + 1))
-        else:
-            steps.append(_cut(net, star, a))
+        if t < count - 1:
+            steps.append(_series(net, c + d))
+            steps.append(_rename(net, star, c + d))
+        elif keep is not None:
+            steps.append(_cut(net, star, keep))
             steps.append(_series(net, star))
-
-
-def _right_phase(net, steps, b, n):
-    # Mirror image of the left phase: eliminate vertices b+1..n, folding the
-    # last star into a single edge {b, b+1}.
-    count = n - 1 - b
-    for q in range(1, count + 1):
-        u = n - q + 1
-        step = _delta_y(net, u - 2, u - 1, u)
-        steps.append(step)
-        star = step.vertices[3]
-        if q < count:
-            steps.append(_series(net, u - 1))
-            steps.append(_rename(net, star, u - 1))
-        else:
-            steps.append(_cut(net, star, b))
-            steps.append(_series(net, star))
-
-
-def _inner_phase(net, steps, a, count):
-    for i in range(1, count + 1):
-        c = a + i - 1
-        step = _delta_y(net, c + 2, c + 1, c)
-        steps.append(step)
-        star = step.vertices[3]
-        if i < count:
-            steps.append(_series(net, c + 1))
-            steps.append(_rename(net, star, c + 1))
 
 
 def _cleanup(net, steps, a, b):
@@ -397,13 +361,11 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
         a, b = 1, n - a + 1
     net = _Network(g)
     steps = []
-    if a > 1:
-        _left_phase(net, steps, a)
-    if b <= n - 2:
-        _right_phase(net, steps, b, n)
-    inner = (n - 3) if b == n else (b - a - 1)
-    if inner > 0:
-        _inner_phase(net, steps, a, inner)
+    # Left of a: eliminate 1..a-1, folding into the edge {a, a+1}. Right of
+    # b: eliminate b+1..n, folding into {b, b+1}. Then sweep between them.
+    _sweep(net, steps, 1, 1, a - 1, keep=a)
+    _sweep(net, steps, n, -1, n - 1 - b, keep=b)
+    _sweep(net, steps, a, 1, (n - 3) if b == n else (b - a - 1))
     _cleanup(net, steps, a, b)
     value = net.edge_items()[0][2]
     trace = ReductionTrace(
@@ -461,64 +423,43 @@ def replay_trace(trace: ReductionTrace) -> WeightedGraph:
 # === Determinant oracle ===
 
 
-def _component_of(g: WeightedGraph, i):
-    adj = g.adjacency()
-    seen = {i}
-    stack = [i]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return sorted(seen)
-
-
 @lru_cache(maxsize=64)
 def _graph_facts(g: WeightedGraph):
     """Per-component integer Laplacian data, cached per graph.
 
-    Scaling row r of the exact Laplacian by scale[r] makes it integral;
-    minor determinants divide back out by the kept rows' scales.
+    The one exact Laplacian assembly: conductances of parallel edges add.
+    Scaling row r of the exact Laplacian by scale[r] (the lcm of that row's
+    denominators) makes it integral; minor determinants divide back out by
+    the kept rows' scales.
     Returns (comp_of, comps) with comps[cid] = (verts, int_rows, scales).
     """
-    adj = g.adjacency()
+    cond = {v: {} for v in g.vertices}
+    for u, v, r in g.edges:
+        c = 1 / r
+        cond[u][v] = cond[u].get(v, 0) + c
+        cond[v][u] = cond[v].get(u, 0) + c
     comp_of = {}
     comps = []
     for start in g.vertices:
         if start in comp_of:
             continue
         cid = len(comps)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        verts = tuple(sorted(seen))
-        for v in verts:
+        verts = tuple(sorted(reachable(cond, start)))
+        pos = {}
+        for idx, v in enumerate(verts):
             comp_of[v] = cid
-        pos = {v: idx for idx, v in enumerate(verts)}
-        k = len(verts)
-        lap = [[Fraction(0)] * k for _ in range(k)]
-        for u, v, r in g.edges:
-            if u in pos:
-                c = 1 / r
-                ui, vi = pos[u], pos[v]
-                lap[ui][ui] += c
-                lap[vi][vi] += c
-                lap[ui][vi] -= c
-                lap[vi][ui] -= c
+            pos[v] = idx
         scales = []
         int_rows = []
-        for row in lap:
-            mult = 1
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    mult = mult * d // gcd(mult, d)
+        for v in verts:
+            entries = [(pos[v], sum(cond[v].values()))]
+            entries += [(pos[nb], -c) for nb, c in cond[v].items()]
+            mult = lcm(*(x.denominator for _, x in entries))
+            row = [0] * len(verts)
+            for idx, x in entries:
+                row[idx] = x.numerator * (mult // x.denominator)
             scales.append(mult)
-            int_rows.append(tuple(int(x * mult) for x in row))
+            int_rows.append(tuple(row))
         comps.append((verts, tuple(int_rows), tuple(scales)))
     return comp_of, tuple(comps)
 
@@ -550,26 +491,18 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
-def resistance_exact(g: WeightedGraph, i: int, j: int) -> Fraction:
-    return resistance_det(g, i, j).value
+def _unit_comps(g: WeightedGraph, what):
+    if any(r != 1 for _, _, r in g.edges):
+        raise ValueError(f"{what} counting needs unit resistances")
+    return _graph_facts(g)[1]
 
 
 def spanning_tree_count(g: WeightedGraph) -> int:
     """Number of spanning trees (matrix-tree): unit resistances only."""
-    if any(r != 1 for _, _, r in g.edges):
-        raise ValueError("spanning tree counting needs unit resistances")
-    if g.vertex_count == 1:
-        return 1
-    if not g.is_connected():
+    comps = _unit_comps(g, "spanning tree")
+    if len(comps) > 1:
         return 0
-    n = g.vertex_count
-    lap = [[0] * n for _ in range(n)]
-    for u, v, _ in g.edges:
-        lap[u - 1][u - 1] += 1
-        lap[v - 1][v - 1] += 1
-        lap[u - 1][v - 1] -= 1
-        lap[v - 1][u - 1] -= 1
-    return det_int(strike(lap, (0,)))
+    return det_int(strike(comps[0][1], (0,)))
 
 
 def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
@@ -578,8 +511,7 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
     Computed as the Laplacian minor with rows/columns i and j struck, and
     cross-checked against resistance * tree count, which must be integral.
     """
-    if any(r != 1 for _, _, r in g.edges):
-        raise ValueError("two-forest counting needs unit resistances")
+    comps = _unit_comps(g, "two-forest")
     report = resistance_det(g, i, j)
     trees = spanning_tree_count(g)
     product = report.value * trees
@@ -587,14 +519,12 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
         raise AssertionError(
             f"resistance * tree count = {product} is not an integer"
         )
-    n = g.vertex_count
-    lap = [[0] * n for _ in range(n)]
-    for u, v, _ in g.edges:
-        lap[u - 1][u - 1] += 1
-        lap[v - 1][v - 1] += 1
-        lap[u - 1][v - 1] -= 1
-        lap[v - 1][u - 1] -= 1
-    direct = det_int(strike(lap, (i - 1, j - 1)))
+    # With a second component the whole-graph minor keeps that component's
+    # singular Laplacian block, so it vanishes.
+    if len(comps) > 1:
+        direct = 0
+    else:
+        direct = det_int(strike(comps[0][1], (i - 1, j - 1)))
     if direct != product:
         raise AssertionError(
             f"minor count {direct} != resistance * trees {product}"
@@ -651,81 +581,45 @@ def brute_force_two_forest_count(g: WeightedGraph, i, j, limit: int = 10) -> int
 
 # === Float path ===
 
-DENSE_LIMIT = 2000
-
 
 def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> ResistanceReport:
     """r(i, j) in floating point: ground j, inject unit current at i.
 
-    Dense solve below DENSE_LIMIT vertices, conjugate gradient above. The
-    returned value's linear-system residual is checked against tol.
+    The grounded Laplacian of the component of i (without j) is assembled
+    once as a sparse CSC matrix and solved directly by sparse LU
+    (scipy.sparse.linalg.splu). The returned value's linear-system residual
+    is checked against tol.
     """
     import numpy as np
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
 
     n = g.vertex_count
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"pair ({i},{j}) out of range 1..{n}")
     if i == j:
         raise ValueError("terminals must be distinct")
-    comp = _component_of(g, i)
+    comp = reachable(g.adjacency(), i)
     if j not in comp:
         raise ValueError(f"vertices {i} and {j} are disconnected")
-    pos = {v: idx for idx, v in enumerate(comp)}
-    m = len(comp)
-    keep = [idx for idx in range(m) if idx != pos[j]]
-    row_of = {idx: r for r, idx in enumerate(keep)}
-
-    if m <= DENSE_LIMIT:
-        lap = np.zeros((m, m))
-        for u, v, r in g.edges:
-            if u not in pos:
-                continue
-            c = 1.0 / float(r)
-            ui, vi = pos[u], pos[v]
-            lap[ui, ui] += c
-            lap[vi, vi] += c
-            lap[ui, vi] -= c
-            lap[vi, ui] -= c
-        reduced = lap[np.ix_(keep, keep)]
-        rhs = np.zeros(m - 1)
-        rhs[row_of[pos[i]]] = 1.0
-        x = np.linalg.solve(reduced, rhs)
-        residual = float(np.linalg.norm(reduced @ x - rhs))
-    else:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.linalg import cg
-
-        rows, cols, vals = [], [], []
-        diag = [0.0] * m
-        for u, v, r in g.edges:
-            if u not in pos:
-                continue
-            c = 1.0 / float(r)
-            ui, vi = pos[u], pos[v]
-            diag[ui] += c
-            diag[vi] += c
-            if ui != pos[j] and vi != pos[j]:
-                rows.append(row_of[ui])
-                cols.append(row_of[vi])
-                vals.append(-c)
-                rows.append(row_of[vi])
-                cols.append(row_of[ui])
-                vals.append(-c)
-        for idx in keep:
-            rows.append(row_of[idx])
-            cols.append(row_of[idx])
-            vals.append(diag[idx])
-        reduced = coo_matrix((vals, (rows, cols)), shape=(m - 1, m - 1)).tocsr()
-        rhs = np.zeros(m - 1)
-        rhs[row_of[pos[i]]] = 1.0
-        try:
-            x, info = cg(reduced, rhs, rtol=tol / 10.0, atol=0.0, maxiter=20000)
-        except TypeError:
-            x, info = cg(reduced, rhs, tol=tol / 10.0, atol=0.0, maxiter=20000)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-        residual = float(np.linalg.norm(reduced @ x - rhs))
+    comp.discard(j)
+    row_of = {v: idx for idx, v in enumerate(sorted(comp))}
+    # Laplacian entries whose row and column are both kept; duplicates add.
+    rows, cols, vals = [], [], []
+    for u, v, r in g.edges:
+        c = 1.0 / float(r)
+        for a, b, x in ((u, u, c), (v, v, c), (u, v, -c), (v, u, -c)):
+            if a in row_of and b in row_of:
+                rows.append(row_of[a])
+                cols.append(row_of[b])
+                vals.append(x)
+    m = len(row_of)
+    reduced = csc_matrix((vals, (rows, cols)), shape=(m, m))
+    rhs = np.zeros(m)
+    rhs[row_of[i]] = 1.0
+    x = splu(reduced).solve(rhs)
+    residual = float(np.linalg.norm(reduced @ x - rhs))
     if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
         raise RuntimeError(f"residual {residual} exceeds tolerance {tol}")
-    value = float(x[row_of[pos[i]]])
+    value = float(x[row_of[i]])
     return ResistanceReport(pair=(i, j), value=value, method="float")

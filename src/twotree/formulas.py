@@ -40,14 +40,18 @@ class StraightParams:
         return (self.j, self.j + self.k)
 
 
-def r_sum(m: int, j: int, k: int) -> Fraction:
-    """r(j, j+k) on the straight strip, summation form."""
-    StraightParams(m, j, k)
+def _sum_numerator(m, j, k):
     total = 0
     for i in range(1, k + 1):
         coeff = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
         total += coeff * fib(2 * m - 2 * i - 2 * j + 5)
-    return Fraction(total, fib(2 * m + 2))
+    return total
+
+
+def r_sum(m: int, j: int, k: int) -> Fraction:
+    """r(j, j+k) on the straight strip, summation form."""
+    StraightParams(m, j, k)
+    return Fraction(_sum_numerator(m, j, k), fib(2 * m + 2))
 
 
 def _closed_numerator(m, j, k):
@@ -125,10 +129,7 @@ def forest_closed(m: int, j: int, k: int) -> int:
     Computes the summation form and the closed form and asserts they agree.
     """
     StraightParams(m, j, k)
-    total = 0
-    for i in range(1, k + 1):
-        coeff = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
-        total += coeff * fib(2 * m - 2 * i - 2 * j + 5)
+    total = _sum_numerator(m, j, k)
     closed = _closed_numerator(m, j, k)
     if total != closed:
         raise AssertionError(

@@ -44,15 +44,6 @@ class WeightedGraph:
     def degree(self, v) -> int:
         return sum(1 for u, w, _ in self.edges if v in (u, w))
 
-    def neighbors(self, v):
-        out = set()
-        for u, w, _ in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return out
-
     def has_edge(self, u, v) -> bool:
         if u > v:
             u, v = v, u
@@ -67,38 +58,23 @@ class WeightedGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.vertex_count
-
-    def relabel(self, mapping) -> "WeightedGraph":
-        """New graph with every vertex v replaced by mapping[v].
-
-        The mapping must permute the vertex set; collisions would
-        silently merge vertices, so they are rejected.
-        """
-        if {mapping[v] for v in self.vertices} != set(self.vertices):
-            raise ValueError("relabel mapping must be a bijection on the vertex set")
-        return WeightedGraph(
-            self.vertex_count,
-            [(mapping[u], mapping[v], r) for u, v, r in self.edges],
-        )
+        return len(reachable(self.adjacency(), 1)) == self.vertex_count
 
 
-def triangle_count(g: WeightedGraph) -> int:
-    adj = g.adjacency()
-    count = 0
-    for u, v, _ in {(u, v, None) for u, v, _ in g.edges}:
-        count += sum(1 for w in adj[u] & adj[v] if w > v)
-    return count
+def reachable(adj, start, skip=None) -> set:
+    """Vertices reachable from `start` without entering `skip`.
+
+    `adj` maps each vertex to an iterable of its neighbours, so both
+    WeightedGraph.adjacency() and a vertex -> {neighbour: ...} dict work.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb != skip and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 def straight_linear_2tree(n: int) -> WeightedGraph:
@@ -180,19 +156,6 @@ def triangular_grid(rows: int) -> TriangularGrid:
         cell_rows=rows - 1,
         cells=(rows - 1) ** 2,
     )
-
-
-def laplacian(g: WeightedGraph):
-    """Dense exact Laplacian as a nested list of Fractions (conductances add)."""
-    n = g.vertex_count
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, r in g.edges:
-        c = 1 / r
-        mat[u - 1][u - 1] += c
-        mat[v - 1][v - 1] += c
-        mat[u - 1][v - 1] -= c
-        mat[v - 1][u - 1] -= c
-    return mat
 
 
 # === Edge-list text format ===

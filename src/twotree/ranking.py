@@ -41,6 +41,18 @@ def _structural_groups(n):
     return groups
 
 
+def _tie_groups(values):
+    """TieGroups of the pairs in `values` (pair -> exact value): equal values
+    share a group, ordered by (value, pair)."""
+    groups = []
+    for pair in sorted(values, key=lambda p: (values[p], p)):
+        if groups and values[groups[-1][0]] == values[pair]:
+            groups[-1].append(pair)
+        else:
+            groups.append([pair])
+    return [TieGroup(value=values[g[0]], pairs=tuple(g)) for g in groups]
+
+
 def rank_nonedges(n: int):
     """Tie groups of non-edges of the straight strip, most likely link first.
 
@@ -56,21 +68,14 @@ def rank_nonedges(n: int):
     for k in range(3, n):
         for j in range(1, n - k + 1):
             values[(j, j + k)] = r_closed(m, j, k)
-    by_value = sorted(values, key=lambda p: (values[p], p))
-    grouped = []
-    for pair in by_value:
-        if grouped and values[grouped[-1][0]] == values[pair]:
-            grouped[-1].append(pair)
-        else:
-            grouped.append([pair])
-    value_order = [tuple(g) for g in grouped]
-
+    groups = _tie_groups(values)
+    value_order = [g.pairs for g in groups]
     if structural != value_order:
         raise AssertionError(
             f"structural and value orders disagree for n={n}: "
             f"{structural} vs {value_order}"
         )
-    return [TieGroup(value=values[g[0]], pairs=g) for g in structural]
+    return groups
 
 
 def render_ranking(groups) -> str:
@@ -121,12 +126,4 @@ def rank_nonedges_graph(g: WeightedGraph):
         for v in range(u + 1, g.vertex_count + 1)
         if v not in adj[u]
     ]
-    values = {p: resistance_det(g, *p).value for p in nonedges}
-    by_value = sorted(values, key=lambda p: (values[p], p))
-    groups = []
-    for pair in by_value:
-        if groups and values[groups[-1][0]] == values[pair]:
-            groups[-1].append(pair)
-        else:
-            groups.append([pair])
-    return [TieGroup(value=values[g0[0]], pairs=tuple(g0)) for g0 in groups]
+    return _tie_groups({p: resistance_det(g, *p).value for p in nonedges})

@@ -6,13 +6,12 @@ dense fraction-free fallback, plus a handful of determinants known in
 closed form.
 """
 
-from fractions import Fraction
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import _det_dense, det_fraction, det_int, strike
+from twotree.bareiss import _det_dense, det_int, strike
 
 
 def test_empty_matrix():
@@ -66,20 +65,6 @@ def test_strike_removes_row_and_column():
     assert strike(mat, (1,)) == [[1, 3], [7, 9]]
     assert strike(mat, (0,)) == [[5, 6], [8, 9]]
     assert strike(mat, (0, 2)) == [[5]]
-
-
-def test_det_fraction_clears_denominators():
-    mat = [
-        [Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 4), Fraction(1, 5)],
-    ]
-    assert det_fraction(mat) == Fraction(1, 2) * Fraction(1, 5) - Fraction(
-        1, 3
-    ) * Fraction(1, 4)
-
-
-def test_det_fraction_integer_entries():
-    assert det_fraction([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]) == 3
 
 
 def _random_banded(rng, n, bw):

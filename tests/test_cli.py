@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from twotree import cli
 from twotree.cli import main
 from twotree.engine import STEP_KINDS, two_forest_count
 from twotree.graphs import read_edge_list, straight_linear_2tree
@@ -122,6 +123,37 @@ def test_res_trace_without_dy_exits_two(capsys, tmp_path):
 def test_res_missing_pair_exits_two(capsys):
     code, _, _ = run_cli(capsys, "res", "--family", "straight", "--n", "6")
     assert code == 2
+
+
+def _raises(exc):
+    def engine_call(*args, **kwargs):
+        raise exc
+
+    return engine_call
+
+
+def test_float_residual_failure_exits_one_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "resistance_float", _raises(RuntimeError("residual 3.6e-09 exceeds tolerance 1e-09"))
+    )
+    code, out, err = run_cli(
+        capsys, "res", "--family", "straight", "--n", "9", "--pair", "1", "9", "--method", "float"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: residual 3.6e-09 exceeds tolerance 1e-09\n"
+    assert "Traceback" not in err
+
+
+def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "two_forest_count", _raises(AssertionError("minor count 7 != resistance * trees 8"))
+    )
+    code, out, err = run_cli(
+        capsys, "trees", "--family", "straight", "--m", "3", "--pair", "1", "5"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: minor count 7 != resistance * trees 8\n"
+    assert "Traceback" not in err
 
 
 # === formula ===

@@ -12,6 +12,7 @@ import pytest
 
 from twotree.engine import (
     STEP_KINDS,
+    _graph_facts,
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
     delta_y_step,
@@ -19,13 +20,13 @@ from twotree.engine import (
     reduce_straight,
     replay_trace,
     resistance_det,
-    resistance_exact,
     resistance_float,
     series_step,
     spanning_tree_count,
     two_forest_count,
 )
 from twotree.fib import fib, lucas
+from twotree.formulas import r_closed
 from twotree.graphs import (
     WeightedGraph,
     bent_linear_2tree,
@@ -300,8 +301,20 @@ def test_det_validation():
         resistance_det(split, 1, 3)
 
 
-def test_resistance_exact_is_a_plain_fraction():
-    assert resistance_exact(straight_linear_2tree(7), 1, 7) == Fraction(14, 9)
+def test_det_on_two_weighted_components_with_different_row_scales():
+    # {1,2,3}: 1/5 parallel to (1/2 + 1/3). {4,5,6}: (2/7 parallel 3) + 3/4.
+    g = WeightedGraph(6, [
+        (1, 2, "1/2"), (2, 3, "1/3"), (1, 3, "1/5"),
+        (4, 5, "2/7"), (4, 5, 3), (5, 6, "3/4"),
+    ])
+    comp_of, comps = _graph_facts(g)
+    assert comp_of == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
+    assert comps[0][2] == (1, 1, 1) and comps[1][2] == (6, 6, 3)
+    assert resistance_det(g, 1, 3).value == Fraction(5, 31)
+    assert resistance_det(g, 6, 4).value == Fraction(93, 92)
+    assert resistance_det(g, 5, 4).value == Fraction(6, 23)
+    with pytest.raises(ValueError, match="disconnected"):
+        resistance_det(g, 3, 4)
 
 
 def test_cut_vertex_additivity():
@@ -354,6 +367,18 @@ def test_spanning_tree_count_rejects_weights():
         spanning_tree_count(WeightedGraph(2, [(1, 2, "1/2")]))
 
 
+def test_spanning_tree_count_on_multigraph():
+    # parallel unit edges count as distinct edges of distinct trees
+    g = WeightedGraph(4, [(1, 2, 1), (1, 2, 1), (2, 3, 1), (2, 3, 1), (2, 3, 1),
+                          (3, 4, 1), (1, 4, 1), (1, 3, 1)])
+    assert spanning_tree_count(g) == brute_force_tree_enumeration(g) == 27
+
+
+def test_two_forest_count_with_isolated_vertex_is_zero():
+    g = WeightedGraph(4, [(1, 2, 1), (2, 3, 1)])
+    assert two_forest_count(g, 1, 3) == brute_force_two_forest_count(g, 1, 3) == 0
+
+
 def test_tree_enumeration_agrees():
     for n in range(3, 8):
         g = straight_linear_2tree(n)
@@ -393,11 +418,20 @@ def test_float_on_grid():
     assert abs(got - exact) < 1e-9
 
 
-def test_float_iterative_above_dense_limit():
-    # 2200 vertices forces the sparse solver; the path graph answer is n-1
+def test_float_on_long_path_graph():
+    # on the path graph the answer is n-1
     n = 2200
     g = straight_linear_ktree(n, 1)
     assert abs(resistance_float(g, 1, n).value - (n - 1)) < 1e-6 * n
+
+
+def test_float_on_20000_vertex_strip():
+    n = 20000
+    got = resistance_float(straight_linear_2tree(n), 1, n).value
+    # r(1, n) by the closed form; r_endpoints gives the same value but also
+    # sums its 20 000-term series, which takes over a minute
+    want = float(r_closed(n - 2, 1, n - 1))
+    assert abs(got - want) <= 1e-9 * want
 
 
 def test_float_validation():

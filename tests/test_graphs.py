@@ -3,18 +3,23 @@ import io
 
 import pytest
 
+from twotree.engine import _graph_facts
 from twotree.graphs import (
     WeightedGraph,
     bent_linear_2tree,
     format_resistance,
-    laplacian,
+    reachable,
     read_edge_list,
     straight_linear_2tree,
     straight_linear_ktree,
-    triangle_count,
     triangular_grid,
     write_edge_list,
 )
+
+
+def _triangles(g):
+    adj = g.adjacency()
+    return sum(1 for u, v in {(u, v) for u, v, _ in g.edges} for w in adj[u] & adj[v] if w > v)
 
 
 # === WeightedGraph basics ===
@@ -48,7 +53,7 @@ def test_degree_and_neighbors_count_multiplicity():
     g = WeightedGraph(3, [(1, 2, 1), (1, 2, 1), (2, 3, 1)])
     assert g.degree(1) == 2
     assert g.degree(2) == 3
-    assert g.neighbors(1) == {2}
+    assert g.adjacency()[1] == {2}
     assert g.has_edge(1, 2) and not g.has_edge(1, 3)
 
 
@@ -58,10 +63,14 @@ def test_connectivity():
     assert WeightedGraph(1, []).is_connected()
 
 
-def test_relabel_must_be_a_bijection():
-    g = straight_linear_2tree(4)
-    with pytest.raises(ValueError, match="bijection"):
-        g.relabel({1: 1, 2: 1, 3: 3, 4: 4})
+def test_reachable_skips_the_cut_vertex():
+    # two triangles sharing vertex 3, plus an isolated vertex 6
+    adj = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]).adjacency()
+    assert reachable(adj, 1) == {1, 2, 3, 4, 5}
+    assert reachable(adj, 1, skip=3) == {1, 2}
+    assert reachable(adj, 6) == {6}
+    # any vertex -> iterable-of-neighbours mapping works
+    assert reachable({1: {2: "x"}, 2: {1: "x"}, 3: {}}, 2) == {1, 2}
 
 
 # === Family generators ===
@@ -72,7 +81,7 @@ def test_straight_shape(n):
     g = straight_linear_2tree(n)
     assert g.vertex_count == n
     assert len(g.edges) == 2 * n - 3, f"n={n} edge count"
-    assert triangle_count(g) == n - 2, f"n={n} triangle count"
+    assert _triangles(g) == n - 2, f"n={n} triangle count"
     deg2 = tuple(v for v in g.vertices if g.degree(v) == 2)
     # the lone triangle is all degree-2; from n=4 on only the strip ends are
     assert deg2 == ((1, 2, 3) if n == 3 else (1, n)), f"n={n} degree-2 set {deg2}"
@@ -87,7 +96,7 @@ def test_straight_rejects_small_n():
 @pytest.mark.parametrize("n", range(4, 13))
 def test_straight_reflection_invariance(n):
     g = straight_linear_2tree(n)
-    mirrored = g.relabel({v: n - v + 1 for v in g.vertices})
+    mirrored = WeightedGraph(n, [(n - u + 1, n - v + 1, r) for u, v, r in g.edges])
     assert mirrored.edges == g.edges, f"n={n} not mirror symmetric"
 
 
@@ -102,7 +111,7 @@ def test_bent_frozen_example():
 def test_bent_shape(n, k):
     g = bent_linear_2tree(n, k)
     assert len(g.edges) == 2 * n - 3
-    assert triangle_count(g) == n - 2
+    assert _triangles(g) == n - 2
     assert tuple(v for v in g.vertices if g.degree(v) == 2) == (1, n)
     assert g.has_edge(k, k + 3)
     assert not g.has_edge(k + 1, k + 3)
@@ -170,12 +179,16 @@ def test_grid_rejects_single_row():
 
 
 def test_laplacian_rows_sum_to_zero():
+    # the exact Laplacian, each row scaled to integers by its own scale
     g = WeightedGraph(3, [(1, 2, "1/2"), (1, 2, 1), (2, 3, 3)])
-    lap = laplacian(g)
-    for row in lap:
+    comp_of, comps = _graph_facts(g)
+    verts, rows, scales = comps[0]
+    assert comp_of == {1: 0, 2: 0, 3: 0} and verts == (1, 2, 3)
+    for row in rows:
         assert sum(row) == 0
-    assert lap[0][1] == -3  # parallel conductances 2 + 1 add up
-    assert lap[1][2] == Fraction(-1, 3)
+    assert rows[0][1] == -3  # parallel conductances 2 + 1 add up
+    assert Fraction(rows[1][2], scales[1]) == Fraction(-1, 3)
+    assert scales == (1, 3, 3)
 
 
 def test_format_resistance():
