@@ -127,6 +127,15 @@ class _Network:
 # === Rewrite steps ===
 
 
+@lru_cache(maxsize=1024)
+def _star(ra, rb, rc):
+    # Star resistances of a triangle whose sides ra, rb, rc lie opposite
+    # its vertices n1, n2, n3. A strip reduction meets few distinct side
+    # triples (703 over every pair with n <= 40), so each is computed once.
+    s = ra + rb + rc
+    return rb * rc / s, ra * rc / s, ra * rb / s
+
+
 def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
     if len({n1, n2, n3}) != 3:
         raise ValueError(f"triangle vertices must be distinct, got ({n1},{n2},{n3})")
@@ -136,10 +145,7 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
     ra = net.single_edge(n2, n3)
     rb = net.single_edge(n1, n3)
     rc = net.single_edge(n1, n2)
-    s = ra + rb + rc
-    r1 = rb * rc / s
-    r2 = ra * rc / s
-    r3 = ra * rb / s
+    r1, r2, r3 = _star(ra, rb, rc)
     net.unlink(n2, n3, ra)
     net.unlink(n1, n3, rb)
     net.unlink(n1, n2, rc)
@@ -262,6 +268,14 @@ def parallel_step(g: WeightedGraph, pair):
 # === Straight-strip reduction schedule ===
 
 
+@lru_cache(maxsize=8)
+def _strip(n):
+    # Initial strips for reduce_straight, shared by the pairs of one n.
+    # Callers sweep the pairs of one n together, so a few entries suffice,
+    # and a large strip reduced once is not held for long.
+    return straight_linear_2tree(n)
+
+
 def _sweep(net, steps, start, d, count, keep=None):
     # `count` delta-y steps walking from `start` in direction d (+1 or -1).
     # Each step works the triangle (c+2d, c+d, c); the freed middle vertex
@@ -351,7 +365,7 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     (other than (1, n)) reduce through the reflection v -> n-v+1, which
     leaves the edge set unchanged.
     """
-    g = straight_linear_2tree(n)
+    g = _strip(n)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"pair ({i},{j}) out of range 1..{n}")
     if i == j:
@@ -430,8 +444,13 @@ def _graph_facts(g: WeightedGraph):
     The one exact Laplacian assembly: conductances of parallel edges add.
     Scaling row r of the exact Laplacian by scale[r] (the lcm of that row's
     denominators) makes it integral; minor determinants divide back out by
-    the kept rows' scales.
-    Returns (comp_of, comps) with comps[cid] = (verts, int_rows, scales).
+    the kept rows' scales. Rows are sparse dicts (position -> value) for
+    det_int's banded elimination; treat them as read-only. Each component's
+    tree minor, det with its first vertex struck, is computed here once:
+    by the matrix-tree theorem it is the product of the other rows' scales
+    times the weighted spanning tree count.
+    Returns (comp_of, comps) with
+    comps[cid] = (verts, int_rows, scales, tree_minor).
     """
     cond = {v: {} for v in g.vertices}
     for u, v, r in g.edges:
@@ -455,20 +474,20 @@ def _graph_facts(g: WeightedGraph):
             entries = [(pos[v], sum(cond[v].values()))]
             entries += [(pos[nb], -c) for nb, c in cond[v].items()]
             mult = lcm(*(x.denominator for _, x in entries))
-            row = [0] * len(verts)
-            for idx, x in entries:
-                row[idx] = x.numerator * (mult // x.denominator)
             scales.append(mult)
-            int_rows.append(tuple(row))
-        comps.append((verts, tuple(int_rows), tuple(scales)))
+            int_rows.append({idx: x.numerator * (mult // x.denominator) for idx, x in entries})
+        tree_minor = det_int(strike(int_rows, (0,)))
+        comps.append((verts, tuple(int_rows), tuple(scales), tree_minor))
     return comp_of, tuple(comps)
 
 
 def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Exact r(i, j) as a ratio of Laplacian minors.
 
-    Numerator: Laplacian with rows/columns i and j struck. Denominator:
-    row/column i struck (the weighted spanning tree sum). Vertices outside
+    Numerator: Laplacian with rows/columns i and j struck, the one minor
+    computed per pair. Denominator: row/column i struck (the weighted
+    spanning tree sum), read from the component's cached tree minor by
+    rescaling, since every such minor is the same tree sum. Vertices outside
     the component of i are ignored; a pair in different components raises.
     """
     n = g.vertex_count
@@ -479,11 +498,17 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     comp_of, comps = _graph_facts(g)
     if comp_of.get(i) != comp_of.get(j):
         raise ValueError(f"vertices {i} and {j} are disconnected")
-    verts, int_rows, scales = comps[comp_of[i]]
+    verts, int_rows, scales, tree_minor = comps[comp_of[i]]
     pos = {v: idx for idx, v in enumerate(verts)}
     pi, pj = pos[i], pos[j]
     num = det_int(strike(int_rows, (pi, pj)))
-    den = det_int(strike(int_rows, (pi,)))
+    # The tree minor lacks row 0, this one row pi; both equal the product
+    # of all scales but the struck one times the tree sum.
+    den, rem = divmod(tree_minor * scales[0], scales[pi])
+    if rem:
+        raise AssertionError(
+            f"tree minor {tree_minor} does not rescale from row 0 to row {pi}"
+        )
     if den == 0:
         raise ValueError(f"vertices {i} and {j} are disconnected")
     # num lacks rows pi and pj; den lacks row pi: the ratio regains scale[pj]
@@ -502,7 +527,8 @@ def spanning_tree_count(g: WeightedGraph) -> int:
     comps = _unit_comps(g, "spanning tree")
     if len(comps) > 1:
         return 0
-    return det_int(strike(comps[0][1], (0,)))
+    # unit resistances leave every row scale at 1
+    return comps[0][3]
 
 
 def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:

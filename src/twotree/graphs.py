@@ -34,8 +34,15 @@ class WeightedGraph:
                 u, v = v, u
             canon.append((u, v, _as_resistance(r)))
         canon.sort()
+        edges = tuple(canon)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", edges)
+        # The dataclass hash of the same fields, computed once: graphs key
+        # caches, and hashing every Fraction per lookup adds up.
+        object.__setattr__(self, "_hash", hash((vertex_count, edges)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def vertices(self):

@@ -65,6 +65,18 @@ def test_strike_removes_row_and_column():
     assert strike(mat, (1,)) == [[1, 3], [7, 9]]
     assert strike(mat, (0,)) == [[5, 6], [8, 9]]
     assert strike(mat, (0, 2)) == [[5]]
+    # sparse rows stay sparse, with the kept columns renumbered
+    rows = [{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2, 3: -1}, {2: -1, 3: 1}]
+    assert strike(rows, (1,)) == [{0: 2}, {1: 2, 2: -1}, {1: -1, 2: 1}]
+    assert strike(rows, (0, 3)) == [{0: 2, 1: -1}, {0: -1, 1: 2}]
+    assert det_int(strike(rows, (0,))) == 1
+
+
+def test_sparse_rows_must_fit_the_square():
+    with pytest.raises(ValueError, match="square"):
+        det_int([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(ValueError, match="square"):
+        det_int([[1, 2], [3]])
 
 
 def _random_banded(rng, n, bw):
@@ -79,11 +91,20 @@ def _random_banded(rng, n, bw):
 @pytest.mark.parametrize("bw", [0, 1, 2, 3, 5])
 def test_banded_agrees_with_dense_seeded(bw):
     rng = random.Random(1000 + bw)
-    for _ in range(40):
-        n = rng.randint(1, 8)
-        mat = _random_banded(rng, n, bw)
-        expect = _det_dense([row[:] for row in mat])
-        assert det_int(mat) == expect, f"bw={bw} disagreement on {mat}"
+    # Short matrices, then long ones that slide the window well past bw.
+    # Every other long one has row k zeroed up to the diagonal: its leading
+    # minor of order k+1 vanishes, so step k meets a zero pivot.
+    for n_max, count in ((8, 40), (40, 20)):
+        for t in range(count):
+            n = rng.randint(1, n_max)
+            mat = _random_banded(rng, n, bw)
+            if n_max > 8 and t % 2:
+                k = rng.randrange(n)
+                mat[k][: k + 1] = [0] * (k + 1)
+            expect = _det_dense([row[:] for row in mat])
+            assert det_int(mat) == expect, f"bw={bw} disagreement on {mat}"
+            sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
+            assert det_int(sparse) == expect, f"bw={bw} sparse disagreement on {mat}"
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from twotree import engine
 from twotree.engine import (
     STEP_KINDS,
     _graph_facts,
@@ -281,7 +282,51 @@ def test_replay_detects_tampering():
         replay_trace(doctored)
 
 
+def test_traces_do_not_depend_on_call_order():
+    # The star, strip and Laplacian caches are shared across calls; a trace
+    # must come out the same whichever pairs ran before it.
+    pairs = [
+        (n, i, j)
+        for n in range(3, 13)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+
+    def traces(order):
+        for cached in (engine._graph_facts, engine._star, engine._strip):
+            cached.cache_clear()
+        return {p: reduce_straight(*p).trace for p in order}
+
+    forward = traces(pairs)
+    backward = traces(pairs[::-1])
+    for p in pairs:
+        trace = forward[p]
+        assert trace.to_dicts() == backward[p].to_dicts(), f"trace of {p} moved"
+        assert (trace.value, trace.terminals) == (backward[p].value, backward[p].terminals)
+        (a, b, r), = replay_trace(trace).edges
+        assert (a, b, r) == trace.terminals + (trace.value,), f"replay of {p}"
+
+
 # === Determinant path ===
+
+
+def test_one_minor_per_pair_once_facts_are_warm(monkeypatch):
+    # The tree minor is cached per component, so a pair needs only its
+    # numerator minor, a tree count none and a 2-forest count two.
+    calls = []
+    real = engine.det_int
+    monkeypatch.setattr(engine, "det_int", lambda rows: calls.append(len(rows)) or real(rows))
+    g = straight_linear_2tree(12)
+    resistance_det(g, 1, 12)
+    for func, args, want in (
+        (resistance_det, (g, 3, 9), 1),
+        (spanning_tree_count, (g,), 0),
+        (two_forest_count, (g, 2, 7), 2),
+    ):
+        calls.clear()
+        func(*args)
+        assert len(calls) == want, f"{func.__name__} made {len(calls)} det_int calls"
 
 
 def test_det_on_weighted_parallel_network():

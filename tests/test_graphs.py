@@ -57,6 +57,16 @@ def test_degree_and_neighbors_count_multiplicity():
     assert g.has_edge(1, 2) and not g.has_edge(1, 3)
 
 
+def test_equal_graphs_hash_alike_and_share_cached_facts():
+    edges = [(1, 2, "1/2"), (2, 3, 3), (1, 3, 1)]
+    g, h = WeightedGraph(3, edges), WeightedGraph(3, edges[::-1])
+    assert g is not h and g == h
+    assert hash(g) == hash(h) == hash((g.vertex_count, g.edges))
+    _graph_facts.cache_clear()
+    assert _graph_facts(g) is _graph_facts(h)
+    assert _graph_facts.cache_info().misses == 1
+
+
 def test_connectivity():
     assert WeightedGraph(3, [(1, 2, 1), (2, 3, 1)]).is_connected()
     assert not WeightedGraph(4, [(1, 2, 1), (3, 4, 1)]).is_connected()
@@ -182,13 +192,15 @@ def test_laplacian_rows_sum_to_zero():
     # the exact Laplacian, each row scaled to integers by its own scale
     g = WeightedGraph(3, [(1, 2, "1/2"), (1, 2, 1), (2, 3, 3)])
     comp_of, comps = _graph_facts(g)
-    verts, rows, scales = comps[0]
+    verts, rows, scales, tree_minor = comps[0]
     assert comp_of == {1: 0, 2: 0, 3: 0} and verts == (1, 2, 3)
     for row in rows:
-        assert sum(row) == 0
+        assert sum(row.values()) == 0
     assert rows[0][1] == -3  # parallel conductances 2 + 1 add up
     assert Fraction(rows[1][2], scales[1]) == Fraction(-1, 3)
     assert scales == (1, 3, 3)
+    # rows 2 and 3 kept: scales 3 * 3 times the tree sum 3 * 1/3
+    assert tree_minor == 9
 
 
 def test_format_resistance():
