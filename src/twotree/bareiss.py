@@ -66,13 +66,9 @@ def det_int(rows) -> int:
     if n == 0:
         return 1
     a0, bw = _sparse_rows(rows, n)
-    if bw == 0:
-        out = 1
-        for i, row in enumerate(a0):
-            out *= row.get(i, 0)
-        return out
-    if bw >= n - 1:
-        return _det_dense(_dense(a0, n))
+    # A window of at least one row below the pivot also serves diagonal
+    # matrices, and bw = n - 1 is the dense case in the same loop.
+    bw = max(bw, 1)
     # The window holds rows k..k+bw, each as a dict over columns within bw
     # of its own index; an entry joins it once the larger of its two
     # indices is k+bw. Until then its virtual Bareiss value is its original

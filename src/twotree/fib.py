@@ -30,22 +30,16 @@ def _fib_pair(n):
 
 
 def _nonneg_fib(n):
-    # Small indices come up constantly in the closed-form sweeps; a plain
-    # loop beats doubling there. The cache is per-thread so concurrent
-    # callers never share mutable state.
+    # Small indices come up constantly in the closed-form sweeps, so values
+    # are cached; a miss costs O(log n) doubling steps. The cache is
+    # per-thread so concurrent callers never share mutable state.
     cache = getattr(_local, "fib_cache", None)
     if cache is None:
         cache = _local.fib_cache = {0: 0, 1: 1}
     hit = cache.get(n)
     if hit is not None:
         return hit
-    if n < 512:
-        a, b = 0, 1
-        for _ in range(n):
-            a, b = b, a + b
-        value = a
-    else:
-        value = _fib_pair(n)[0]
+    value = _fib_pair(n)[0]
     if len(cache) < 4096:
         cache[n] = value
     return value

@@ -146,13 +146,13 @@ def test_float_residual_failure_exits_one_without_traceback(capsys, monkeypatch)
 
 def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "two_forest_count", _raises(AssertionError("minor count 7 != resistance * trees 8"))
+        cli, "two_forest_count", _raises(AssertionError("resistance * tree count = 7/2 is not an integer"))
     )
     code, out, err = run_cli(
         capsys, "trees", "--family", "straight", "--m", "3", "--pair", "1", "5"
     )
     assert code == 1 and out == ""
-    assert err == "error: minor count 7 != resistance * trees 8\n"
+    assert err == "error: resistance * tree count = 7/2 is not an integer\n"
     assert "Traceback" not in err
 
 

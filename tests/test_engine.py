@@ -282,6 +282,90 @@ def test_replay_detects_tampering():
         replay_trace(doctored)
 
 
+# Frozen step order of two reductions; together they take every step kind:
+# delta-y, merge-rename and cut-vertex in the sweeps, then the endgame's
+# series chain, its one parallel step and the final series on the star.
+# Each line is "kind vertices | consumed | produced", edges as u-v:r.
+GOLDEN_TRACES = {
+    (8, 4, 6): [
+        "delta-y 3,2,1,9 | 1-2:1 1-3:1 2-3:1 | 3-9:1/3 2-9:1/3 1-9:1/3",
+        "series 4,2,9 | 2-4:1 2-9:1/3 | 4-9:4/3",
+        "merge-rename 9,2 |  | ",
+        "delta-y 4,3,2,10 | 2-3:1/3 2-4:4/3 3-4:1 | 4-10:1/2 3-10:1/8 2-10:1/6",
+        "series 5,3,10 | 3-5:1 3-10:1/8 | 5-10:9/8",
+        "merge-rename 10,3 |  | ",
+        "delta-y 5,4,3,11 | 3-4:1/2 3-5:9/8 4-5:1 | 5-11:3/7 4-11:4/21 3-11:3/14",
+        "cut-vertex 11,4,1,2,3 | 1-2:1/3 2-3:1/6 3-11:3/14 | ",
+        "series 4,11,5 | 4-11:4/21 5-11:3/7 | 4-5:13/21",
+        "delta-y 6,7,8,12 | 7-8:1 6-8:1 6-7:1 | 6-12:1/3 7-12:1/3 8-12:1/3",
+        "cut-vertex 12,6,8 | 8-12:1/3 | ",
+        "series 6,12,7 | 6-12:1/3 7-12:1/3 | 6-7:2/3",
+        "delta-y 6,5,4,13 | 4-5:13/21 4-6:1 5-6:1 | 6-13:21/55 5-13:13/55 4-13:13/55",
+        "series 7,5,13 | 5-7:1 5-13:13/55 | 7-13:68/55",
+        "series 6,7,13 | 6-7:2/3 7-13:68/55 | 6-13:314/165",
+        "parallel 6,13 | 6-13:21/55 6-13:314/165 | 6-13:6594/20735",
+        "series 4,13,6 | 4-13:13/55 6-13:6594/20735 | 4-6:209/377",
+    ],
+    (9, 2, 5): [
+        "delta-y 3,2,1,10 | 1-2:1 1-3:1 2-3:1 | 3-10:1/3 2-10:1/3 1-10:1/3",
+        "cut-vertex 10,2,1 | 1-10:1/3 | ",
+        "series 2,10,3 | 2-10:1/3 3-10:1/3 | 2-3:2/3",
+        "delta-y 7,8,9,11 | 8-9:1 7-9:1 7-8:1 | 7-11:1/3 8-11:1/3 9-11:1/3",
+        "series 6,8,11 | 6-8:1 8-11:1/3 | 6-11:4/3",
+        "merge-rename 11,8 |  | ",
+        "delta-y 6,7,8,12 | 7-8:1/3 6-8:4/3 6-7:1 | 6-12:1/2 7-12:1/8 8-12:1/6",
+        "series 5,7,12 | 5-7:1 7-12:1/8 | 5-12:9/8",
+        "merge-rename 12,7 |  | ",
+        "delta-y 5,6,7,13 | 6-7:1/2 5-7:9/8 5-6:1 | 5-13:3/7 6-13:4/21 7-13:3/14",
+        "cut-vertex 13,5,7,8,9 | 7-8:1/6 7-13:3/14 8-9:1/3 | ",
+        "series 5,13,6 | 5-13:3/7 6-13:4/21 | 5-6:13/21",
+        "delta-y 4,3,2,14 | 2-3:2/3 2-4:1 3-4:1 | 4-14:3/8 3-14:1/4 2-14:1/4",
+        "series 5,3,14 | 3-5:1 3-14:1/4 | 5-14:5/4",
+        "merge-rename 14,3 |  | ",
+        "delta-y 5,4,3,15 | 3-4:3/8 3-5:5/4 4-5:1 | 5-15:10/21 4-15:1/7 3-15:5/28",
+        "series 2,3,15 | 2-3:1/4 3-15:5/28 | 2-15:3/7",
+        "series 6,4,15 | 4-6:1 4-15:1/7 | 6-15:8/7",
+        "series 5,6,15 | 5-6:13/21 6-15:8/7 | 5-15:37/21",
+        "parallel 5,15 | 5-15:10/21 5-15:37/21 | 5-15:370/987",
+        "series 2,15,5 | 2-15:3/7 5-15:370/987 | 2-5:793/987",
+    ],
+}
+
+
+def _trace_line(row):
+    def edges(es):
+        return " ".join(f"{u}-{v}:{r}" for u, v, r in es)
+
+    head = row["kind"] + " " + ",".join(map(str, row["vertices"]))
+    return " | ".join([head, edges(row["consumed"]), edges(row["produced"])])
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN_TRACES))
+def test_trace_steps_are_frozen(pair):
+    rows = reduce_straight(*pair).trace.to_dicts()
+    assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
+    assert set(rows[0]) == {"kind", "vertices", "consumed", "produced", "step"}
+    assert [_trace_line(row) for row in rows] == GOLDEN_TRACES[pair]
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [
+        # K4: vertex 3 has degree 3 at its turn
+        (4, [(1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)]),
+        # vertex 3 has degree 2, but both edges go to vertex 1
+        (3, [(1, 2, 1), (1, 3, 1), (1, 3, 2)]),
+        # nothing to eliminate, and no single edge joins the terminals
+        (2, []),
+        (2, [(1, 2, 1), (1, 2, 2)]),
+    ],
+)
+def test_cleanup_failure_is_an_assertion(vertex_count, edges):
+    net = engine._Network(WeightedGraph(vertex_count, edges))
+    with pytest.raises(AssertionError):
+        engine._cleanup(net, [], 1, 2)
+
+
 def test_traces_do_not_depend_on_call_order():
     # The star, strip and Laplacian caches are shared across calls; a trace
     # must come out the same whichever pairs ran before it.
@@ -313,7 +397,8 @@ def test_traces_do_not_depend_on_call_order():
 
 def test_one_minor_per_pair_once_facts_are_warm(monkeypatch):
     # The tree minor is cached per component, so a pair needs only its
-    # numerator minor, a tree count none and a 2-forest count two.
+    # numerator minor, a tree count none and a 2-forest count one (the
+    # same numerator minor, read back as resistance * trees).
     calls = []
     real = engine.det_int
     monkeypatch.setattr(engine, "det_int", lambda rows: calls.append(len(rows)) or real(rows))
@@ -322,7 +407,7 @@ def test_one_minor_per_pair_once_facts_are_warm(monkeypatch):
     for func, args, want in (
         (resistance_det, (g, 3, 9), 1),
         (spanning_tree_count, (g,), 0),
-        (two_forest_count, (g, 2, 7), 2),
+        (two_forest_count, (g, 2, 7), 1),
     ):
         calls.clear()
         func(*args)
