@@ -2,16 +2,18 @@
 Laplacian-minor determinants, and spanning tree / two-forest counting.
 
 The reduction path rewrites the circuit step by step and records every
-rewrite, so a trace can be replayed mechanically and audited. The
-determinant path is the independent oracle: r(i,j) equals the ratio of two
-Laplacian minors. Both are exact over Fractions.
+rewrite, so a trace can be replayed mechanically and audited. Each rewrite
+is planned as a step and carried out by _apply, which replay runs too; a
+step that does not apply raises ValueError. The determinant path is the
+independent oracle: r(i,j) equals the ratio of two Laplacian minors. Both
+are exact over Fractions.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Optional
 
 from .bareiss import det_int, strike
@@ -45,12 +47,7 @@ class ReductionTrace:
     value: Fraction
 
     def to_dicts(self):
-        out = []
-        for i, step in enumerate(self.steps, start=1):
-            d = step.to_dict()
-            d["step"] = i
-            out.append(d)
-        return out
+        return [{**step.to_dict(), "step": i} for i, step in enumerate(self.steps, start=1)]
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,8 @@ class _Network:
     """Mutable multigraph the reduction engine rewrites in place.
 
     adj[u][v] is a list of parallel resistances; adj[u][v] and adj[v][u]
-    are the same list object.
+    are the same list object. next_id is one past the largest id seen, the
+    id the next delta-y star takes. Only _apply rewrites a network.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -75,25 +73,26 @@ class _Network:
             self.link(u, v, r)
 
     def link(self, u, v, r):
-        lst = self.adj[u].get(v)
+        try:
+            nbrs_u, nbrs_v = self.adj[u], self.adj[v]
+        except KeyError as exc:
+            raise ValueError(f"edge ({u},{v}) touches missing vertex {exc.args[0]}") from None
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        lst = nbrs_u.get(v)
         if lst is None:
-            lst = []
-            self.adj[u][v] = lst
-            self.adj[v][u] = lst
+            lst = nbrs_u[v] = nbrs_v[u] = []
         lst.append(r)
 
     def unlink(self, u, v, r):
-        lst = self.adj[u][v]
-        lst.remove(r)
+        try:
+            lst = self.adj[u][v]
+            lst.remove(r)
+        except (KeyError, ValueError):
+            raise ValueError(f"edge ({u},{v},{r}) not present") from None
         if not lst:
             del self.adj[u][v]
             del self.adj[v][u]
-
-    def fresh_vertex(self):
-        v = self.next_id
-        self.next_id += 1
-        self.adj[v] = {}
-        return v
 
     def single_edge(self, u, v):
         lst = self.adj[u].get(v)
@@ -102,9 +101,6 @@ class _Network:
         if len(lst) != 1:
             raise ValueError(f"parallel edges between {u} and {v}; combine them first")
         return lst[0]
-
-    def degree(self, v):
-        return sum(len(lst) for lst in self.adj[v].values())
 
     def edge_items(self):
         out = []
@@ -115,13 +111,52 @@ class _Network:
         out.sort()
         return out
 
-    def rename(self, old, new):
-        if new in self.adj:
+
+def _apply(net: _Network, step: ReductionStep):
+    """Apply one step: the only code that rewrites a network, in the
+    reduction and in replay alike. A merge-rename renames its vertex; then
+    each consumed edge is unlinked, a delta-y adds its star, a series or
+    cut-vertex step drops the vertices it frees (which must have no edges
+    left), and each produced edge is linked. A step that does not apply
+    raises ValueError."""
+    kind = step.kind
+    adj = net.adj
+    if kind == "merge-rename":
+        old, new = step.vertices
+        if new in adj:
             raise ValueError(f"vertex {new} already present")
-        nbrs = self.adj.pop(old)
-        self.adj[new] = nbrs
-        for nb in list(nbrs):
-            self.adj[nb][new] = self.adj[nb].pop(old)
+        nbrs = adj.pop(old, None)
+        if nbrs is None:
+            raise ValueError(f"vertex {old} not in graph")
+        adj[new] = nbrs
+        for nb in nbrs:
+            adj[nb][new] = adj[nb].pop(old)
+    elif kind not in STEP_KINDS:
+        raise ValueError(f"unknown step kind {kind!r}")
+    for u, v, r in step.consumed:
+        net.unlink(u, v, r)
+    if kind == "delta-y":
+        _, _, _, star = step.vertices
+        if star in adj:
+            raise ValueError(f"star id {star} already present")
+        adj[star] = {}
+        net.next_id = max(net.next_id, star + 1)
+    elif kind == "series":
+        _, middle, _ = step.vertices
+        _drop(adj, middle)
+    elif kind == "cut-vertex":
+        for v in step.vertices[2:]:
+            _drop(adj, v)
+    for u, v, r in step.produced:
+        net.link(u, v, r)
+
+
+def _drop(adj, v):
+    nbrs = adj.pop(v, None)
+    if nbrs is None:
+        raise ValueError(f"vertex {v} not in graph")
+    if nbrs:
+        raise ValueError(f"vertex {v} still has edges")
 
 
 def _check_pair(n, i, j):
@@ -132,6 +167,9 @@ def _check_pair(n, i, j):
 
 
 # === Rewrite steps ===
+#
+# The four rewrite ops only read the network: each validates one rewrite
+# and returns its step, which _apply then carries out.
 
 
 @lru_cache(maxsize=1024)
@@ -153,18 +191,12 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
     rb = net.single_edge(n1, n3)
     rc = net.single_edge(n1, n2)
     r1, r2, r3 = _star(ra, rb, rc)
-    net.unlink(n2, n3, ra)
-    net.unlink(n1, n3, rb)
-    net.unlink(n1, n2, rc)
-    star = net.fresh_vertex()
-    net.link(n1, star, r1)
-    net.link(n2, star, r2)
-    net.link(n3, star, r3)
+    star = net.next_id
     return ReductionStep(
         kind="delta-y",
         vertices=(n1, n2, n3, star),
         consumed=((min(n2, n3), max(n2, n3), ra), (min(n1, n3), max(n1, n3), rb), (min(n1, n2), max(n1, n2), rc)),
-        produced=((min(n1, star), max(n1, star), r1), (min(n2, star), max(n2, star), r2), (min(n3, star), max(n3, star), r3)),
+        produced=((n1, star, r1), (n2, star, r2), (n3, star, r3)),
     )
 
 
@@ -177,18 +209,13 @@ def _series(net: _Network, middle) -> ReductionStep:
     (a, ra), (b, rb) = incident
     if a == b:
         raise ValueError(f"edges at {middle} are parallel (both to {a}), not series")
-    net.unlink(middle, a, ra)
-    net.unlink(middle, b, rb)
-    del net.adj[middle]
-    combined = ra + rb
     if a > b:
         a, b, ra, rb = b, a, rb, ra
-    net.link(a, b, combined)
     return ReductionStep(
         kind="series",
         vertices=(a, middle, b),
         consumed=((min(a, middle), max(a, middle), ra), (min(b, middle), max(b, middle), rb)),
-        produced=((a, b, combined),),
+        produced=((a, b, ra + rb),),
     )
 
 
@@ -200,9 +227,6 @@ def _parallel(net: _Network, u, v) -> ReductionStep:
         raise ValueError(f"no parallel edges between {u} and {v}")
     resistances = sorted(lst)
     combined = 1 / sum(1 / r for r in resistances)
-    for r in resistances:
-        net.unlink(u, v, r)
-    net.link(u, v, combined)
     return ReductionStep(
         kind="parallel",
         vertices=(u, v),
@@ -216,37 +240,25 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
     removed = sorted(v for v in net.adj if v != cut_vertex and v not in keep_side)
     if not removed:
         raise ValueError(f"nothing to cut away at {cut_vertex}")
-    gone = set(removed)
-    consumed = []
-    for u in removed:
-        for v, lst in list(net.adj[u].items()):
-            for r in list(lst):
-                if u < v or v not in gone:
-                    consumed.append((min(u, v), max(u, v), r))
-                    net.unlink(u, v, r)
-        del net.adj[u]
-    consumed.sort()
     return ReductionStep(
         kind="cut-vertex",
         vertices=(cut_vertex, keep) + tuple(removed),
-        consumed=tuple(consumed),
+        # A removed vertex has only removed neighbours and the cut vertex;
+        # each edge is taken once, from its smaller end or its removed end.
+        consumed=tuple(sorted(
+            (min(u, v), max(u, v), r)
+            for u in removed for v, lst in net.adj[u].items() for r in lst
+            if u < v or v == cut_vertex
+        )),
         produced=(),
-    )
-
-
-def _rename(net: _Network, old, new) -> ReductionStep:
-    net.rename(old, new)
-    return ReductionStep(
-        kind="merge-rename", vertices=(old, new), consumed=(), produced=()
     )
 
 
 def _pure(g, op, *args):
     net = _Network(g)
     step = op(net, *args)
-    n = max(net.adj, default=g.vertex_count)
-    out = WeightedGraph(max(n, g.vertex_count), net.edge_items())
-    return out, step
+    _apply(net, step)
+    return WeightedGraph(max(g.vertex_count, *net.adj), net.edge_items()), step
 
 
 def delta_y_step(g: WeightedGraph, triangle):
@@ -283,6 +295,12 @@ def _strip(n):
     return straight_linear_2tree(n)
 
 
+def _commit(net, steps, step):
+    _apply(net, step)
+    steps.append(step)
+    return step
+
+
 def _sweep(net, steps, start, d, count, keep=None):
     # `count` delta-y steps walking from `start` in direction d (+1 or -1).
     # Each step works the triangle (c+2d, c+d, c); the freed middle vertex
@@ -291,15 +309,13 @@ def _sweep(net, steps, start, d, count, keep=None):
     # far side of the star and the star folds into a single edge at `keep`.
     for t in range(count):
         c = start + d * t
-        step = _delta_y(net, c + 2 * d, c + d, c)
-        steps.append(step)
-        star = step.vertices[3]
+        star = _commit(net, steps, _delta_y(net, c + 2 * d, c + d, c)).vertices[3]
         if t < count - 1:
-            steps.append(_series(net, c + d))
-            steps.append(_rename(net, star, c + d))
+            _commit(net, steps, _series(net, c + d))
+            _commit(net, steps, ReductionStep("merge-rename", (star, c + d), (), ()))
         elif keep is not None:
-            steps.append(_cut(net, star, keep))
-            steps.append(_series(net, star))
+            _commit(net, steps, _cut(net, star, keep))
+            _commit(net, steps, _series(net, star))
 
 
 def _cleanup(net, steps, a, b):
@@ -310,13 +326,13 @@ def _cleanup(net, steps, a, b):
     for v in sorted(net.adj):
         if v in (a, b):
             continue
-        if net.degree(v) != 2 or len(net.adj[v]) != 2:
-            raise AssertionError(f"reduction stuck: vertex {v} is not a series vertex")
-        step = _series(net, v)
-        steps.append(step)
-        u, w = step.vertices[0], step.vertices[2]
+        try:
+            step = _series(net, v)
+        except ValueError as exc:
+            raise AssertionError(f"reduction stuck: {exc}") from None
+        u, _, w = _commit(net, steps, step).vertices
         if len(net.adj[u][w]) > 1:
-            steps.append(_parallel(net, u, w))
+            _commit(net, steps, _parallel(net, u, w))
     if len(net.adj) != 2 or len(net.adj[a].get(b, ())) != 1:
         raise AssertionError("reduction did not converge to one edge between the terminals")
 
@@ -359,43 +375,15 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
 def replay_trace(trace: ReductionTrace) -> WeightedGraph:
     """Re-apply a trace mechanically and return the final graph.
 
-    Raises if any step consumes an edge that is not present, so a passing
-    replay certifies the trace is self-consistent from the initial graph.
+    Each step goes through _apply, the same code the reduction rewrites its
+    network with, so any step that does not apply raises ValueError, and a
+    passing replay certifies the trace is self-consistent from the initial
+    graph.
     """
     net = _Network(trace.initial)
     for step in trace.steps:
-        if step.kind == "merge-rename":
-            old, new = step.vertices
-            net.rename(old, new)
-            continue
-        for u, v, r in step.consumed:
-            if v not in net.adj.get(u, {}) or r not in net.adj[u][v]:
-                raise ValueError(f"replay: edge ({u},{v},{r}) missing at {step.kind}")
-            net.unlink(u, v, r)
-        if step.kind == "delta-y":
-            star = step.vertices[3]
-            if star in net.adj:
-                raise ValueError(f"replay: star id {star} already present")
-            net.adj[star] = {}
-            net.next_id = max(net.next_id, star + 1)
-        if step.kind == "series":
-            mid = step.vertices[1]
-            if net.degree(mid):
-                raise ValueError(f"replay: vertex {mid} still has edges")
-            del net.adj[mid]
-        elif step.kind == "cut-vertex":
-            for v in step.vertices[2:]:
-                if net.degree(v):
-                    raise ValueError(f"replay: cut vertex {v} still has edges")
-                del net.adj[v]
-        for u, v, r in step.produced:
-            for w in (u, v):
-                if w not in net.adj:
-                    raise ValueError(f"replay: produced edge touches missing vertex {w}")
-            net.link(u, v, r)
-    edges = net.edge_items()
-    n = max(net.adj)
-    return WeightedGraph(n, edges)
+        _apply(net, step)
+    return WeightedGraph(max(net.adj), net.edge_items())
 
 
 # === Determinant oracle ===
@@ -566,12 +554,15 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     The grounded Laplacian of the component of i (without j) is assembled
     once as a sparse CSC matrix and solved directly by sparse LU
     (scipy.sparse.linalg.splu). The returned value's linear-system residual
-    is checked against tol.
+    is checked against tol, which must be positive and finite. Every edge's
+    conductance must be a positive finite float.
     """
     import numpy as np
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_pair(g.vertex_count, i, j)
     comp = reachable(g.adjacency(), i)
     if j not in comp:
@@ -581,7 +572,12 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     # Laplacian entries whose row and column are both kept; duplicates add.
     rows, cols, vals = [], [], []
     for u, v, r in g.edges:
-        c = 1.0 / float(r)
+        try:
+            c = 1.0 / float(r)
+        except (OverflowError, ZeroDivisionError):
+            c = 0.0
+        if not 0 < c < inf:
+            raise ValueError(f"edge ({u},{v}): conductance is not a positive finite float")
         for a, b, x in ((u, u, c), (v, v, c), (u, v, -c), (v, u, -c)):
             if a in row_of and b in row_of:
                 rows.append(row_of[a])

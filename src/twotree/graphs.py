@@ -10,7 +10,10 @@ from typing import Iterable, TextIO
 
 
 def _as_resistance(r):
-    r = Fraction(r)
+    try:
+        r = Fraction(r)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"resistance must be a positive rational, got {r!r}") from None
     if r <= 0:
         raise ValueError(f"resistance must be positive, got {r}")
     return r
@@ -200,7 +203,10 @@ def read_edge_list(inp: TextIO) -> WeightedGraph:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'u v resistance', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1]), Fraction(parts[2])))
+        try:
+            edges.append((int(parts[0]), int(parts[1]), _as_resistance(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ValueError("missing 'vertices N' header")
     return WeightedGraph(header, edges)

@@ -7,7 +7,7 @@ gated either through pytest or through the CLI.
 
 import pytest
 
-from twotree import verify
+from twotree import engine, verify
 
 
 @pytest.mark.parametrize(
@@ -35,3 +35,15 @@ def test_every_criterion_is_gated():
         "conjecture-probes",
     }
     assert set(names) == expected
+
+
+def test_bent_reading_builds_each_bent_graph_once():
+    # 77 bent strips, each graph's Laplacian facts built once: the evidence
+    # table comes out of the criterion's own pass.
+    engine._graph_facts.cache_clear()
+    lines = []
+    assert verify.run_all(only=["bent-reading"], out=lines.append) == 0
+    assert engine._graph_facts.cache_info().misses == 77
+    out = "\n".join(lines).split("\n")
+    assert out[0].startswith("PASS  bent-reading: additive reading matches the oracle on all 77")
+    assert len(out) == 2 + 77

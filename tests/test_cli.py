@@ -125,6 +125,41 @@ def test_res_missing_pair_exits_two(capsys):
     assert code == 2
 
 
+def _edge_file(tmp_path, *edges):
+    target = tmp_path / "g.edges"
+    target.write_text("\n".join(("vertices 3",) + edges) + "\n")
+    return str(target)
+
+
+@pytest.mark.parametrize("token", ["1/0", "inf", "-1", "0", "one"])
+def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, token):
+    path = _edge_file(tmp_path, "1 2 1", f"2 3 {token}")
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("resistance", ["1e400", "1.5e-400"])
+def test_res_conductance_out_of_float_range_exits_two(capsys, tmp_path, resistance):
+    path = _edge_file(tmp_path, "1 2 1", f"2 3 {resistance}")
+    code, out, err = run_cli(
+        capsys, "res", "--graph", path, "--pair", "1", "3", "--method", "float"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: edge (2,3): conductance is not a positive finite float\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_res_bad_tol_exits_two(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "res", "--family", "straight", "--n", "6", "--pair", "1", "6",
+        "--method", "float", "--tol", tol,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: tol must be positive and finite, got {float(tol)}\n"
+
+
 def _raises(exc):
     def engine_call(*args, **kwargs):
         raise exc

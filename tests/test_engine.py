@@ -5,7 +5,9 @@ per-step invariants, trace replay, the determinant path, counting,
 and the floating-point solver.
 """
 
+import dataclasses
 from fractions import Fraction
+import hashlib
 import json
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from twotree import engine
 from twotree.engine import (
     STEP_KINDS,
+    ReductionStep,
     _graph_facts,
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
@@ -282,6 +285,36 @@ def test_replay_detects_tampering():
         replay_trace(doctored)
 
 
+_LOOP = ((3, 3, Fraction(1)),)
+
+
+@pytest.mark.parametrize(
+    "inserted, message",
+    [
+        ([ReductionStep("merge-rename", (99, 100), (), ())], "vertex 99 not in graph"),
+        ([ReductionStep("series", (1, 77, 2), (), ())], "vertex 77 not in graph"),
+        ([ReductionStep("swap", (1, 2), (), ())], "unknown step kind 'swap'"),
+        # the trace's first step made star 7
+        ([ReductionStep("delta-y", (4, 5, 6, 7), (), ())], "star id 7 already present"),
+        ([ReductionStep("parallel", (1, 99), (), ((1, 99, Fraction(1)),))], "missing vertex 99"),
+        (
+            [ReductionStep("parallel", (3, 3), (), _LOOP), ReductionStep("parallel", (3, 3), _LOOP, ())],
+            "self-loop at vertex 3",
+        ),
+    ],
+    ids=[
+        "rename-missing-vertex", "series-missing-middle", "unknown-kind", "reused-star",
+        "produced-at-missing-vertex", "self-loop-made-and-taken",
+    ],
+)
+def test_replay_rejects_a_step_that_does_not_apply(inserted, message):
+    trace = reduce_straight(6, 1, 6).trace
+    assert trace.steps[0].vertices == (3, 2, 1, 7)
+    doctored = dataclasses.replace(trace, steps=trace.steps[:1] + tuple(inserted) + trace.steps[1:])
+    with pytest.raises(ValueError, match=message):
+        replay_trace(doctored)
+
+
 # Frozen step order of two reductions; together they take every step kind:
 # delta-y, merge-rename and cut-vertex in the sweeps, then the endgame's
 # series chain, its one parallel step and the final series on the star.
@@ -364,6 +397,23 @@ def test_cleanup_failure_is_an_assertion(vertex_count, edges):
     net = engine._Network(WeightedGraph(vertex_count, edges))
     with pytest.raises(AssertionError):
         engine._cleanup(net, [], 1, 2)
+
+
+# sha256 of the steps, value and terminals of the traces of every ordered
+# pair with 3 <= n <= 16 (1358 traces): a change to any of them moves it.
+TRACE_DIGEST = "dbb8bdad890422f9ea62d414dc9d4388b0ae8652dd674d5cefbb1d2c36a370ec"
+
+
+def test_trace_digest_is_frozen():
+    digest = hashlib.sha256()
+    for n in range(3, 17):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    t = reduce_straight(n, i, j).trace
+                    row = [t.to_dicts(), str(t.value), list(t.terminals)]
+                    digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == TRACE_DIGEST
 
 
 def test_traces_do_not_depend_on_call_order():
