@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import conjectures, formulas, ranking, verify
@@ -80,13 +81,30 @@ def _frac_fields(value):
     return {"value_num": f.numerator, "value_den": f.denominator}
 
 
+@contextmanager
+def _any_int_digits():
+    # Exact answers may pass Python's 4300-digit limit on int -> str; lift
+    # it while output is rendered only, not while input is parsed.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _emit_json(doc, out):
     def default(obj):
         if isinstance(obj, Fraction):
             return {"num": obj.numerator, "den": obj.denominator}
         raise TypeError(f"not JSON serializable: {type(obj)}")
 
-    out.write(json.dumps(doc, indent=2, default=default) + "\n")
+    with _any_int_digits():
+        out.write(json.dumps(doc, indent=2, default=default) + "\n")
 
 
 def _cmd_gen(args, out):
@@ -203,14 +221,15 @@ def _cmd_rank(args, out):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "group_id", "u", "v", "value_num", "value_den"])
     rank = 0
-    for gid, group in enumerate(groups, start=1):
-        for u, v in group.pairs:
-            rank += 1
-            if limit is not None and rank > limit:
-                return 0
-            writer.writerow(
-                [rank, gid, u, v, group.value.numerator, group.value.denominator]
-            )
+    with _any_int_digits():
+        for gid, group in enumerate(groups, start=1):
+            for u, v in group.pairs:
+                rank += 1
+                if limit is not None and rank > limit:
+                    return 0
+                writer.writerow(
+                    [rank, gid, u, v, group.value.numerator, group.value.denominator]
+                )
     return 0
 
 
@@ -272,9 +291,10 @@ def _cmd_conjecture(args, out):
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in table["rows"]:
-        record = [show(row.get(col)) for col in header[:-1]]
-        writer.writerow(record + [table["label"]])
+    with _any_int_digits():
+        for row in table["rows"]:
+            record = [show(row.get(col)) for col in header[:-1]]
+            writer.writerow(record + [table["label"]])
     return 0
 
 

@@ -19,6 +19,15 @@ def _as_resistance(r):
     return r
 
 
+def _edge(vertex_count, u, v, r):
+    # One edge in canonical form (u < v), checked against the vertex range.
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+        raise ValueError(f"edge ({u},{v}) out of range 1..{vertex_count}")
+    return (u, v, _as_resistance(r)) if u < v else (v, u, _as_resistance(r))
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     vertex_count: int
@@ -27,17 +36,7 @@ class WeightedGraph:
     def __init__(self, vertex_count: int, edges: Iterable):
         if vertex_count < 1:
             raise ValueError(f"vertex_count must be >= 1, got {vertex_count}")
-        canon = []
-        for u, v, r in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{vertex_count}")
-            if u > v:
-                u, v = v, u
-            canon.append((u, v, _as_resistance(r)))
-        canon.sort()
-        edges = tuple(canon)
+        edges = tuple(sorted(_edge(vertex_count, *e) for e in edges))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         # The dataclass hash of the same fields, computed once: graphs key
@@ -194,17 +193,18 @@ def read_edge_list(inp: TextIO) -> WeightedGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "vertices":
-                raise ValueError(f"line {lineno}: expected 'vertices N', got {line!r}")
-            header = int(parts[1])
-            continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'u v resistance', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1]), _as_resistance(parts[2])))
+            if header is None:
+                if len(parts) != 2 or parts[0] != "vertices":
+                    raise ValueError(f"expected 'vertices N', got {line!r}")
+                header = int(parts[1])
+                if header < 1:
+                    raise ValueError(f"vertex count must be >= 1, got {header}")
+            elif len(parts) != 3:
+                raise ValueError(f"expected 'u v resistance', got {line!r}")
+            else:
+                edges.append(_edge(header, int(parts[0]), int(parts[1]), parts[2]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if header is None:

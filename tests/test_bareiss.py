@@ -1,17 +1,55 @@
 """Determinant kernel checks.
 
 The banded elimination is the workhorse behind every resistance and
-count in the package, so it gets an independent referee here: the
-dense fraction-free fallback, plus a handful of determinants known in
-closed form.
+count in the package, so it gets an independent referee here: a dense
+fraction-free elimination with row pivoting that works for any square
+matrix, plus a handful of determinants known in closed form. det_int
+itself takes only matrices whose leading principal minors are positive,
+so it is fed minors of row-scaled Laplacians and strictly diagonally
+dominant matrices, and must refuse anything else.
 """
 
+from fractions import Fraction
+from math import lcm
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import _det_dense, det_int, strike
+from twotree.bareiss import det_int, strike
+
+NOT_PD = "not positive definite"
+
+
+def _det_ref(rows):
+    """Bareiss with row pivoting on a dense copy of dict rows."""
+    n = len(rows)
+    a = [[row.get(c, 0) for c in range(n)] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[k][k]
+        rowk = a[k]
+        for r in range(k + 1, n):
+            rowr = a[r]
+            mult = rowr[k]
+            for c in range(k + 1, n):
+                rowr[c] = (rowr[c] * piv - mult * rowk[c]) // prev
+            rowr[k] = 0
+        prev = piv
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _sparse(mat):
+    return [{c: x for c, x in enumerate(row) if x} for row in mat]
 
 
 def test_empty_matrix():
@@ -19,52 +57,51 @@ def test_empty_matrix():
 
 
 def test_one_by_one():
-    assert det_int([[7]]) == 7
+    assert det_int([{0: 7}]) == 7
+    for bad in ([{0: -7}], [{}]):
+        with pytest.raises(AssertionError, match=NOT_PD):
+            det_int(bad)
 
 
 def test_identity_and_permutation():
-    eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    eye = [{i: 1} for i in range(5)]
     assert det_int(eye) == 1
-    swap = [row[:] for row in eye]
-    swap[0], swap[1] = swap[1], swap[0]
-    assert det_int(swap) == -1
+    swap = [{1: 1}, {0: 1}] + eye[2:]
+    with pytest.raises(AssertionError, match=NOT_PD):
+        det_int(swap)
 
 
 def test_known_dense_values():
-    assert det_int([[1, 2], [3, 4]]) == -2
-    assert det_int([[2, 0, 1], [1, 3, 2], [1, 1, 2]]) == 6
-    assert det_int([[2, 0, 1], [1, 3, 2], [1, 1, 1]]) == 0
+    assert det_int(_sparse([[2, 0, 1], [1, 3, 2], [1, 1, 2]])) == 6
+    # negative last pivot, then a zero one: both are the determinant
+    for mat in ([[1, 2], [3, 4]], [[2, 0, 1], [1, 3, 2], [1, 1, 1]]):
+        with pytest.raises(AssertionError, match=NOT_PD):
+            det_int(_sparse(mat))
 
 
 def test_singular_matrices():
-    assert det_int([[1, 2], [2, 4]]) == 0
-    assert det_int([[0, 0], [1, 5]]) == 0
+    for mat in ([[1, 2], [2, 4]], [[0, 0], [1, 5]]):
+        with pytest.raises(AssertionError, match=NOT_PD):
+            det_int(_sparse(mat))
 
 
 def test_zero_pivot_needs_row_swap():
-    # leading entry zero but matrix regular: banded path must fall back
-    assert det_int([[0, 1], [1, 0]]) == -1
-    assert det_int([[0, 2, 1], [1, 0, 0], [0, 1, 1]]) == -1
+    # leading entry zero but matrix regular: only a row swap could go on
+    for mat in ([[0, 1], [1, 0]], [[0, 2, 1], [1, 0, 0], [0, 1, 1]]):
+        with pytest.raises(AssertionError, match="pivot 0 of"):
+            det_int(_sparse(mat))
 
 
 def test_tridiagonal_continuant():
     # det of the n-by-n tridiagonal with 2 on the diagonal and -1 off it
     # is n + 1 (path-graph spanning tree count)
     for n in range(1, 12):
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = 2
-            if i + 1 < n:
-                mat[i][i + 1] = -1
-                mat[i + 1][i] = -1
-        assert det_int(mat) == n + 1, f"continuant wrong at n={n}"
+        rows = [{c: 2 if c == i else -1 for c in (i - 1, i, i + 1) if 0 <= c < n}
+                for i in range(n)]
+        assert det_int(rows) == n + 1, f"continuant wrong at n={n}"
 
 
 def test_strike_removes_row_and_column():
-    mat = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert strike(mat, (1,)) == [[1, 3], [7, 9]]
-    assert strike(mat, (0,)) == [[5, 6], [8, 9]]
-    assert strike(mat, (0, 2)) == [[5]]
     # sparse rows stay sparse, with the kept columns renumbered
     rows = [{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2, 3: -1}, {2: -1, 3: 1}]
     assert strike(rows, (1,)) == [{0: 2}, {1: 2, 2: -1}, {1: -1, 2: 1}]
@@ -75,53 +112,71 @@ def test_strike_removes_row_and_column():
 def test_sparse_rows_must_fit_the_square():
     with pytest.raises(ValueError, match="square"):
         det_int([{0: 1, 2: 1}, {1: 1}])
-    with pytest.raises(ValueError, match="square"):
-        det_int([[1, 2], [3]])
 
 
-def _random_banded(rng, n, bw):
-    mat = [[0] * n for _ in range(n)]
+def _dominant(randint, n, bw):
+    """Strictly diagonally dominant banded matrix with a positive diagonal,
+    so every leading principal minor is positive."""
+    rows = []
     for i in range(n):
-        for j in range(n):
-            if abs(i - j) <= bw:
-                mat[i][j] = rng.randint(-9, 9)
-    return mat
+        row = {j: randint(-9, 9) for j in range(max(0, i - bw), min(n, i + bw + 1)) if j != i}
+        row[i] = sum(map(abs, row.values())) + randint(1, 9)
+        rows.append({j: x for j, x in row.items() if x})
+    return rows
+
+
+def _laplacian_minor(randint, n, bw):
+    """Row-scaled integer Laplacian of a connected weighted multigraph on
+    vertices 0..n, with vertex 0 struck. Edges among 1..n join vertices at
+    most bw apart; a path 1..n (when bw > 0) and edges to vertex 0 keep the
+    graph connected. Rational resistances make the row scales differ."""
+    edges = [(0, v) for v in range(1, n + 1) if bw == 0 or v == 1 or randint(0, 2) == 0]
+    if bw:
+        edges += [(v, v + 1) for v in range(1, n)]
+    for _ in range(randint(0, 2 * n)):
+        u = randint(1, n)
+        v = randint(max(1, u - bw), min(n, u + bw))
+        if u != v:
+            edges.append((u, v))
+    cond = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for u, v in edges:
+        c = Fraction(randint(1, 6), randint(1, 6))
+        cond[u][v] += c
+        cond[v][u] += c
+    rows = []
+    for u in range(1, n + 1):
+        lap = {v - 1: -cond[u][v] for v in range(1, n + 1) if cond[u][v]}
+        lap[u - 1] = sum(cond[u])
+        scale = lcm(*(x.denominator for x in lap.values()))
+        rows.append({c: int(x * scale) for c, x in lap.items()})
+    return rows
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3, 5])
 def test_banded_agrees_with_dense_seeded(bw):
     rng = random.Random(1000 + bw)
-    # Short matrices, then long ones that slide the window well past bw.
-    # Every other long one has row k zeroed up to the diagonal: its leading
-    # minor of order k+1 vanishes, so step k meets a zero pivot.
+    # Short matrices, then long ones that slide the window well past bw,
+    # the two kinds in turn. Every other long one is then checked again
+    # with row k zeroed up to the diagonal: its leading minor of order k+1
+    # vanishes, so step k meets a zero pivot, which det_int must refuse.
     for n_max, count in ((8, 40), (40, 20)):
         for t in range(count):
             n = rng.randint(1, n_max)
-            mat = _random_banded(rng, n, bw)
+            rows = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
+            expect = _det_ref(rows)
+            assert expect > 0 and det_int(rows) == expect, f"bw={bw} disagreement on {rows}"
             if n_max > 8 and t % 2:
                 k = rng.randrange(n)
-                mat[k][: k + 1] = [0] * (k + 1)
-            expect = _det_dense([row[:] for row in mat])
-            assert det_int(mat) == expect, f"bw={bw} disagreement on {mat}"
-            sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
-            assert det_int(sparse) == expect, f"bw={bw} sparse disagreement on {mat}"
+                rows[k] = {c: x for c, x in rows[k].items() if c > k}
+                with pytest.raises(AssertionError, match=f"pivot {k} of"):
+                    det_int(rows)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 7).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.integers(0, n),
-            st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n),
-        )
-    )
-)
-def test_banded_agrees_with_dense(case):
-    n, bw, flat = case
-    mat = [
-        [flat[i * n + j] if abs(i - j) <= bw else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    expect = _det_dense([row[:] for row in mat])
-    assert det_int(mat) == expect
+@given(st.data())
+def test_banded_agrees_with_dense(data):
+    n = data.draw(st.integers(1, 8))
+    bw = data.draw(st.integers(0, n))
+    make = data.draw(st.sampled_from([_laplacian_minor, _dominant]))
+    rows = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
+    assert det_int(rows) == _det_ref(rows)

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
-from twotree import cli
+from twotree import cli, engine, formulas
 from twotree.cli import main
 from twotree.engine import STEP_KINDS, two_forest_count
 from twotree.graphs import read_edge_list, straight_linear_2tree
@@ -125,18 +126,27 @@ def test_res_missing_pair_exits_two(capsys):
     assert code == 2
 
 
-def _edge_file(tmp_path, *edges):
+def _edge_file(tmp_path, *edges, header="vertices 3"):
     target = tmp_path / "g.edges"
-    target.write_text("\n".join(("vertices 3",) + edges) + "\n")
+    target.write_text("\n".join((header,) + edges) + "\n")
     return str(target)
 
 
-@pytest.mark.parametrize("token", ["1/0", "inf", "-1", "0", "one"])
-def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, token):
-    path = _edge_file(tmp_path, "1 2 1", f"2 3 {token}")
+@pytest.mark.parametrize("header, edge, lineno", [
+    *(pytest.param("vertices 3", f"2 3 {token}", 3, id=token)
+      for token in ["1/0", "inf", "-1", "0", "one"]),
+    pytest.param("vertices x", "2 3 1", 1, id="count-x"),
+    pytest.param("vertices 0", "2 3 1", 1, id="count-0"),
+    pytest.param("vertices 3", "1 9 1", 3, id="out-of-range"),
+    pytest.param("vertices 3", "1 1 1", 3, id="self-loop"),
+])
+def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, header, edge, lineno):
+    # Every fault in an edge file names its line, the resistance faults
+    # (the ids that are tokens) and the vertex faults alike.
+    path = _edge_file(tmp_path, "1 2 1", edge, header=header)
     code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3")
     assert code == 2 and out == ""
-    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -191,6 +201,21 @@ def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_minor_that_is_not_positive_definite_exits_one(capsys, monkeypatch):
+    # det_int refuses a minor with a pivot <= 0 instead of eliminating it
+    # some other way; negated, every minor the engine builds is one.
+    real = engine.strike
+    monkeypatch.setattr(
+        engine, "strike", lambda rows, drop: [{c: -x for c, x in row.items()} for row in real(rows, drop)]
+    )
+    code, out, err = run_cli(
+        capsys, "res", "--family", "straight", "--n", "7", "--pair", "2", "6", "--method", "det"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: minor is not positive definite: pivot 0 of ")
+    assert err.count("\n") == 1
+
+
 # === formula ===
 
 
@@ -228,6 +253,32 @@ def test_formula_sbt_three_weights(capsys):
     assert doc["values"]["s"] == {"num": 1, "den": 3}
     assert doc["values"]["b"] == {"num": 1, "den": 3}
     assert doc["values"]["t"] == {"num": 1, "den": 3}
+
+
+@pytest.mark.parametrize("argv, path, want", [
+    (("closed", "--m", "200000", "--j", "1", "--k", "3"), ("value_num",),
+     lambda: formulas.r_closed(200000, 1, 3).numerator),
+    (("trees", "--m", "12000"), ("value_num",),
+     lambda: formulas.spanning_closed(12000).numerator),
+    (("sbt", "--i", "12000", "--p", "1"), ("values", "b", "num"),
+     lambda: formulas.sbt(12000, 1)[1].numerator),
+], ids=["closed", "trees", "sbt"])
+def test_formula_prints_exact_answers_past_the_int_digit_limit(capsys, argv, path, want):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int -> str digits")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "formula", "--which", *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit, "digit limit not restored"
+    doc = json.loads(out, parse_int=str)
+    for key in path:
+        doc = doc[key]
+    assert len(doc) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc == str(want())
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_formula_missing_params_exit_two(capsys):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import hashlib
 import json
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from twotree import engine
@@ -497,6 +498,33 @@ def test_det_on_two_weighted_components_with_different_row_scales():
         resistance_det(g, 3, 4)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
+    # A connected multigraph on at most 8 vertices: a random tree plus up
+    # to 6 more edges, parallel ones allowed. Every minor det_int sees here
+    # must pass its positive-pivot check.
+    n = data.draw(st.integers(2, 8))
+    pairs = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += data.draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
+        max_size=6,
+    ))
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    # Unit resistances: r(i, j) is 2-forests separating i and j over trees.
+    g = WeightedGraph(n, [(u, v, 1) for u, v in pairs])
+    r = resistance_det(g, i, j).value
+    assert r * brute_force_tree_enumeration(g) == brute_force_two_forest_count(g, i, j)
+    # Rational resistances make the Laplacian's row scales differ from 1.
+    weights = data.draw(st.lists(
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+    r = resistance_det(g, i, j).value
+    assert abs(resistance_float(g, i, j).value - r) <= 1e-9 * r
+
+
 def test_cut_vertex_additivity():
     # two strips glued at a single shared vertex: resistance adds
     left = straight_linear_2tree(6)
@@ -585,7 +613,7 @@ def test_two_forest_frozen_values():
 # === Floating-point solver ===
 
 
-def test_float_matches_exact_on_dense_path():
+def test_float_matches_exact_on_strip_30():
     g = straight_linear_2tree(30)
     exact = float(reduce_straight(30, 1, 30).value)
     assert abs(resistance_float(g, 1, 30).value - exact) < 1e-9

@@ -228,5 +228,12 @@ def test_edge_list_bad_header():
 
 
 def test_edge_list_bad_line_reports_number():
-    with pytest.raises(ValueError, match="line 3"):
-        read_edge_list(io.StringIO("vertices 3\n1 2 1\n1 2\n"))
+    for text, message in (
+        ("vertices 3\n1 2 1\n1 2\n", "line 3: expected 'u v resistance'"),
+        ("vertices x\n1 2 1\n", "line 1: invalid literal for int"),
+        ("# empty\nvertices 0\n", "line 2: vertex count must be >= 1, got 0"),
+        ("vertices 3\n1 2 1\n1 9 1\n", r"line 3: edge \(1,9\) out of range 1..3"),
+        ("vertices 3\n\n1 1 1\n", "line 3: self-loop at vertex 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(io.StringIO(text))
