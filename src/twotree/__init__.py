@@ -50,7 +50,6 @@ from .ranking import TieGroup, predict_links, rank_nonedges, rank_nonedges_graph
 from .conjectures import (
     bent_diameter_growth,
     ktree_increments,
-    max_exact_vertices,
     triangle_grid_growth,
 )
 

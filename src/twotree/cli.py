@@ -46,25 +46,36 @@ class UsageError(Exception):
     pass
 
 
-def _build_family(args):
-    family = args.family
-    if family == "straight":
-        if args.n is None:
-            raise UsageError("--family straight needs --n")
-        return straight_linear_2tree(args.n)
-    if family == "bent":
-        if args.n is None or args.bend_k is None:
-            raise UsageError("--family bent needs --n and --bend-k")
-        return bent_linear_2tree(args.n, args.bend_k)
-    if family == "ktree":
-        if args.n is None or args.k is None:
-            raise UsageError("--family ktree needs --n and --k")
-        return straight_linear_ktree(args.n, args.k)
-    if family == "grid":
-        if args.rows is None:
-            raise UsageError("--family grid needs --rows")
-        return triangular_grid(args.rows).graph
-    raise UsageError(f"unknown family {family!r}")
+FORMULAS = {
+    "sum": (formulas.r_sum, ("m", "j", "k")),
+    "closed": (formulas.r_closed, ("m", "j", "k")),
+    "endpoints": (formulas.r_endpoints, ("m",)),
+    "min": (formulas.min_resistance, ("n",)),
+    "bent": (formulas.r_bent, ("m", "bend_k")),
+    "trees": (formulas.spanning_closed, ("m",)),
+    "forests": (formulas.forest_closed, ("m", "j", "k")),
+    "sbt": (formulas.sbt, ("i", "p")),
+    "diff": (formulas.r_diff, ("m", "j", "k")),
+}
+
+FAMILIES = {
+    "straight": (straight_linear_2tree, ("n",)),
+    "bent": (bent_linear_2tree, ("n", "bend_k")),
+    "ktree": (straight_linear_ktree, ("n", "k")),
+    "grid": (lambda rows: triangular_grid(rows).graph, ("rows",)),
+}
+
+
+def _call_entry(table, flag, args):
+    """Call the table entry that args.<flag> names with its parameters from args."""
+    name = getattr(args, flag)
+    if name is None:
+        raise UsageError(f"{args.command} needs --{flag}")
+    func, params = table[name]
+    missing = ["--" + p.replace("_", "-") for p in params if getattr(args, p) is None]
+    if missing:
+        raise UsageError(f"--{flag} {name} needs " + " ".join(missing))
+    return func(*(getattr(args, p) for p in params))
 
 
 def _load_graph(args):
@@ -72,7 +83,7 @@ def _load_graph(args):
         with open(args.graph) as fh:
             return read_edge_list(fh)
     if getattr(args, "family", None):
-        return _build_family(args)
+        return _call_entry(FAMILIES, "family", args)
     raise UsageError("need either --graph FILE or --family ...")
 
 
@@ -108,7 +119,7 @@ def _emit_json(doc, out):
 
 
 def _cmd_gen(args, out):
-    g = _build_family(args)
+    g = _call_entry(FAMILIES, "family", args)
     if args.out:
         with open(args.out, "w") as fh:
             write_edge_list(g, fh)
@@ -152,72 +163,29 @@ def _cmd_res(args, out):
 
 
 def _cmd_formula(args, out):
-    which = args.which
-    doc = {"schema": SCHEMA, "which": which}
-
-    def need(*names):
-        missing = [x for x in names if getattr(args, x) is None]
-        if missing:
-            raise UsageError(f"--which {which} needs --" + " --".join(missing))
-
-    if which == "sum":
-        need("m", "j", "k")
-        doc["params"] = {"m": args.m, "j": args.j, "k": args.k}
-        doc.update(_frac_fields(formulas.r_sum(args.m, args.j, args.k)))
-    elif which == "closed":
-        need("m", "j", "k")
-        doc["params"] = {"m": args.m, "j": args.j, "k": args.k}
-        doc.update(_frac_fields(formulas.r_closed(args.m, args.j, args.k)))
-    elif which == "endpoints":
-        need("m")
-        doc["params"] = {"m": args.m}
-        doc.update(_frac_fields(formulas.r_endpoints(args.m)))
-    elif which == "min":
-        need("n")
-        value, edges = formulas.min_resistance(args.n)
-        doc["params"] = {"n": args.n}
-        doc.update(_frac_fields(value))
-        doc["edges"] = [list(e) for e in edges]
-    elif which == "bent":
-        need("m", "bend_k")
-        doc["params"] = {"m": args.m, "bend_k": args.bend_k}
-        doc.update(_frac_fields(formulas.r_bent(args.m, args.bend_k)))
-    elif which == "trees":
-        need("m")
-        doc["params"] = {"m": args.m}
-        doc.update(_frac_fields(formulas.spanning_closed(args.m)))
-    elif which == "forests":
-        need("m", "j", "k")
-        doc["params"] = {"m": args.m, "j": args.j, "k": args.k}
-        doc.update(_frac_fields(formulas.forest_closed(args.m, args.j, args.k)))
-    elif which == "sbt":
-        need("i", "p")
-        s, b, t = formulas.sbt(args.i, args.p)
-        doc["params"] = {"i": args.i, "p": args.p}
-        doc["values"] = {
-            "s": {"num": s.numerator, "den": s.denominator},
-            "b": {"num": b.numerator, "den": b.denominator},
-            "t": {"num": t.numerator, "den": t.denominator},
-        }
-    elif which == "diff":
-        need("m", "j", "k")
-        doc["params"] = {"m": args.m, "j": args.j, "k": args.k}
-        doc.update(_frac_fields(formulas.r_diff(args.m, args.j, args.k)))
+    value = _call_entry(FORMULAS, "which", args)
+    params = FORMULAS[args.which][1]
+    doc = {"schema": SCHEMA, "which": args.which, "params": {p: getattr(args, p) for p in params}}
+    if isinstance(value, formulas.StripWeights):
+        doc["values"] = value._asdict()
+    elif isinstance(value, tuple):  # min_resistance: the value and the edges that reach it
+        doc.update(_frac_fields(value[0]))
+        doc["edges"] = [list(e) for e in value[1]]
     else:
-        raise UsageError(f"unknown formula {which!r}")
+        doc.update(_frac_fields(value))
     _emit_json(doc, out)
     return 0
 
 
 def _cmd_rank(args, out):
+    if args.top is not None and args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     if args.graph:
-        with open(args.graph) as fh:
-            groups = ranking.rank_nonedges_graph(read_edge_list(fh))
+        groups = ranking.rank_nonedges_graph(_load_graph(args))
+    elif args.n is None:
+        raise UsageError("rank needs --n or --graph FILE")
     else:
-        if args.n is None:
-            raise UsageError("rank needs --n or --graph FILE")
         groups = ranking.rank_nonedges(args.n)
-    limit = args.top
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "group_id", "u", "v", "value_num", "value_den"])
     rank = 0
@@ -225,7 +193,7 @@ def _cmd_rank(args, out):
         for gid, group in enumerate(groups, start=1):
             for u, v in group.pairs:
                 rank += 1
-                if limit is not None and rank > limit:
+                if args.top is not None and rank > args.top:
                     return 0
                 writer.writerow(
                     [rank, gid, u, v, group.value.numerator, group.value.denominator]
@@ -235,7 +203,9 @@ def _cmd_rank(args, out):
 
 def _cmd_trees(args, out):
     doc = {"schema": SCHEMA}
-    if args.family == "straight" and args.m is not None and args.graph is None:
+    if args.m is not None:
+        if args.family != "straight" or args.n is not None or args.graph:
+            raise UsageError("--m is only valid alone with --family straight (no --n or --graph)")
         n = args.m + 2
         doc["params"] = {"family": "straight", "m": args.m, "n": n}
         g = straight_linear_2tree(n)
@@ -273,12 +243,10 @@ def _cmd_conjecture(args, out):
             "vertex_rows", "cell_rows", "cells", "vertices",
             "value", "difference", "increasing", "method", "label",
         ]
-    elif which == "bent":
+    else:  # bent
         n_max = args.n_max if args.n_max is not None else 24
         table = conjectures.bent_diameter_growth(n_max, args.bend_rule)
         header = ["n", "bend_k", "value", "increment", "method", "label"]
-    else:
-        raise UsageError(f"unknown conjecture {which!r}")
 
     def show(x):
         if x is None:
@@ -299,7 +267,7 @@ def _cmd_conjecture(args, out):
 
 
 def _add_family_options(p, include_graph=True):
-    p.add_argument("--family", choices=["straight", "bent", "ktree", "grid"])
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--bend-k", dest="bend_k", type=int)
     p.add_argument("--k", type=int)
@@ -329,11 +297,7 @@ def build_parser():
     p.set_defaults(func=_cmd_res)
 
     p = sub.add_parser("formula", help="evaluate a closed-form expression")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=["sum", "closed", "endpoints", "min", "bent", "trees", "forests", "sbt", "diff"],
-    )
+    p.add_argument("--which", required=True, choices=list(FORMULAS))
     p.add_argument("--m", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)

@@ -2,32 +2,21 @@
 
 Everything here is labeled conjectural: the tables report trends, they do
 not prove limits, and nothing in the test suite asserts a conjecture.
-Exact arithmetic is used up to max_exact_vertices() vertices (override with
-the RESIST_MAX_EXACT_N environment variable), floating point beyond.
+Exact arithmetic is used up to MAX_EXACT_VERTICES vertices, floating point
+beyond.
 """
 
-import os
 from fractions import Fraction
 
 from .engine import resistance_det, resistance_float
 from .graphs import bent_linear_2tree, straight_linear_ktree, triangular_grid
 
-DEFAULT_MAX_EXACT = 300
+MAX_EXACT_VERTICES = 300
 LABEL = "conjectural"
 
 
-def max_exact_vertices() -> int:
-    env = os.environ.get("RESIST_MAX_EXACT_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"RESIST_MAX_EXACT_N must be an integer, got {env!r}")
-    return DEFAULT_MAX_EXACT
-
-
 def _endpoint_value(g, i, j):
-    if g.vertex_count <= max_exact_vertices():
+    if g.vertex_count <= MAX_EXACT_VERTICES:
         return resistance_det(g, i, j).value, "exact"
     return resistance_float(g, i, j).value, "float"
 

@@ -77,7 +77,6 @@ def lucas(n: int) -> int:
 class Identity:
     name: str
     summary: str
-    variables: tuple
     default_range: tuple
     cases: Callable[[int, int], Iterable[tuple]]
     evaluate: Callable[..., tuple]
@@ -199,14 +198,13 @@ def _even_sum(n):
 _REGISTRY = {}
 
 
-def _register(name, summary, variables, default_range, cases, evaluate):
-    _REGISTRY[name] = Identity(name, summary, variables, default_range, cases, evaluate)
+def _register(name, summary, default_range, cases, evaluate):
+    _REGISTRY[name] = Identity(name, summary, default_range, cases, evaluate)
 
 
 _register(
     "negation",
     "F_{-n} = (-1)^(n+1) F_n",
-    ("n",),
     (0, 200),
     _cases_1d,
     lambda n: (fib(-n), (-1) ** (n + 1) * fib(n)),
@@ -214,7 +212,6 @@ _register(
 _register(
     "sum-of-squares",
     "F_n^2 + F_{n+1}^2 = F_{2n+1}",
-    ("n",),
     (0, 150),
     _cases_1d,
     lambda n: (fib(n) ** 2 + fib(n + 1) ** 2, fib(2 * n + 1)),
@@ -222,7 +219,6 @@ _register(
 _register(
     "double-index",
     "F_{2m} = L_m F_m",
-    ("m",),
     (0, 150),
     _cases_1d,
     lambda m: (fib(2 * m), lucas(m) * fib(m)),
@@ -230,7 +226,6 @@ _register(
 _register(
     "addition",
     "F_{k+m} = F_{k+1} F_m + F_k F_{m-1}",
-    ("k", "m"),
     (0, 60),
     _cases_2d,
     lambda k, m: (fib(k + m), fib(k + 1) * fib(m) + fib(k) * fib(m - 1)),
@@ -238,7 +233,6 @@ _register(
 _register(
     "double-split",
     "F_{2m} = F_{m+1} F_m + F_m F_{m-1}",
-    ("m",),
     (0, 150),
     _cases_1d,
     lambda m: (fib(2 * m), fib(m + 1) * fib(m) + fib(m) * fib(m - 1)),
@@ -246,7 +240,6 @@ _register(
 _register(
     "addition-alt",
     "F_{n+m} = F_{n+1} F_{m+1} - F_{n-1} F_{m-1}",
-    ("n", "m"),
     (0, 60),
     _cases_2d,
     lambda n, m: (fib(n + m), fib(n + 1) * fib(m + 1) - fib(n - 1) * fib(m - 1)),
@@ -254,7 +247,6 @@ _register(
 _register(
     "catalan",
     "F_n^2 - F_{n+r} F_{n-r} = (-1)^(n-r) F_r^2",
-    ("n", "r"),
     (2, 50),
     _cases_catalan,
     lambda n, r: (fib(n) ** 2 - fib(n + r) * fib(n - r), (-1) ** (n - r) * fib(r) ** 2),
@@ -262,7 +254,6 @@ _register(
 _register(
     "docagne",
     "F_n F_{m+1} - F_m F_{n+1} = (-1)^m F_{n-m}",
-    ("n", "m"),
     (0, 60),
     _cases_2d,
     lambda n, m: (fib(n) * fib(m + 1) - fib(m) * fib(n + 1), (-1) ** m * fib(n - m)),
@@ -270,7 +261,6 @@ _register(
 _register(
     "twice-next",
     "2 F_{m+1} = F_m + L_m",
-    ("m",),
     (0, 200),
     _cases_1d,
     lambda m: (2 * fib(m + 1), fib(m) + lucas(m)),
@@ -278,7 +268,6 @@ _register(
 _register(
     "lucas-split",
     "L_m = F_{m+1} + F_{m-1}",
-    ("m",),
     (0, 200),
     _cases_1d,
     lambda m: (lucas(m), fib(m + 1) + fib(m - 1)),
@@ -286,7 +275,6 @@ _register(
 _register(
     "lucas-next",
     "L_{m+1} = 2 F_m + F_{m+1}",
-    ("m",),
     (0, 200),
     _cases_1d,
     lambda m: (lucas(m + 1), 2 * fib(m) + fib(m + 1)),
@@ -294,7 +282,6 @@ _register(
 _register(
     "five-diff",
     "5 F_n^2 - L_n^2 = 4 (-1)^(n+1)",
-    ("n",),
     (0, 100),
     _cases_1d,
     lambda n: (5 * fib(n) ** 2 - lucas(n) ** 2, 4 * (-1) ** (n + 1)),
@@ -302,7 +289,6 @@ _register(
 _register(
     "fib-from-lucas",
     "5 F_m = L_{m-1} + L_{m+1}",
-    ("m",),
     (0, 200),
     _cases_1d,
     lambda m: (5 * fib(m), lucas(m - 1) + lucas(m + 1)),
@@ -310,7 +296,6 @@ _register(
 _register(
     "even-sum",
     "F_{2n+2} = 2 F_{2n} + F_{2n-2} + ... + F_2 + 1",
-    ("n",),
     (1, 100),
     _cases_1d,
     _even_sum,
@@ -318,7 +303,6 @@ _register(
 _register(
     "s-plus-b",
     "F_i F_{i+2p} + F_{i+1} F_{i+2p+1} = F_{2i+2p+1}",
-    ("i", "p"),
     (1, 60),
     _cases_offset_pairs,
     lambda i, p: (
@@ -330,7 +314,6 @@ _register(
 _register(
     "sum-partial-tails",
     "sum_{i<=m} F_i F_{i+1} / (L_i L_{i+1}) = ((m+1) L_{m+1} - F_{m+1}) / (5 L_{m+1})",
-    ("m",),
     (1, 60),
     _cases_1d,
     _partial_tail_sum,
@@ -338,7 +321,6 @@ _register(
 _register(
     "endpoint-forms",
     "2F_{m+1}^2/(L_m L_{m+1}) + (m L_m - F_m)/(5 L_m) = (m+1)/5 + 4F_{m+1}/(5 L_{m+1})",
-    ("m",),
     (1, 100),
     _cases_1d,
     _endpoint_forms,
@@ -347,7 +329,6 @@ _register(
     "bracket-a",
     "F_{k+1} F_{m-2j-k+2}^2 + F_{m+1} F_{m-k+1} = "
     "F_{2m-2j-2k+3} F_{2j+k-1} + F_k F_{m-2j-k+2} F_{m-2j-k+3}",
-    ("m", "j", "k"),
     (1, 30),
     _cases_mjk,
     _bracket_a,
@@ -356,7 +337,6 @@ _register(
     "bracket-b",
     "F_k F_{m-2j-k+3}^2 + F_{m+1} F_{m-k} = "
     "F_{2j+k-2} F_{2m-2j-2k+3} + F_{k+1} F_{m-2j-k+3} F_{m-2j-k+2}",
-    ("m", "j", "k"),
     (1, 30),
     _cases_mjk,
     _bracket_b,
@@ -365,7 +345,6 @@ _register(
     "bracket-collapse",
     "(F_{m+1}/5) [difference of endpoint brackets] = "
     "F_{m+1} (F_{m-k+1} F_{k+1} - F_k F_{m-k})",
-    ("m", "k"),
     (1, 60),
     _cases_mk,
     _bracket_collapse,

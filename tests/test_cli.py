@@ -1,16 +1,19 @@
 """End-to-end command-line checks through main(argv)."""
 
+import contextlib
 import csv
+from fractions import Fraction
 import io
 import json
 import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from twotree import cli, engine, formulas
 from twotree.cli import main
 from twotree.engine import STEP_KINDS, two_forest_count
-from twotree.graphs import read_edge_list, straight_linear_2tree
+from twotree.graphs import WeightedGraph, read_edge_list, straight_linear_2tree
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +54,7 @@ def test_gen_missing_param_exits_two(capsys):
     code, _, err = run_cli(capsys, "gen", "--family", "straight")
     assert code == 2
     assert "needs --n" in err
+    assert run_cli(capsys, "gen") == (2, "", "error: gen needs --family\n")
 
 
 def test_gen_bad_value_exits_two(capsys):
@@ -148,6 +152,51 @@ def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, header, edge, 
     assert code == 2 and out == ""
     assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_GOOD_EDGE_FILE = ["vertices 4", "1 2 1", "1 3 1/2", "2 3 3", "2 4 1", "3 4 2/3"]
+_BAD_FIELDS = ["0", "5", "-1", "x", "1/0", "2/-3", "inf", "nan", "1e400", "0x1", "vertices", "#",
+               "", "1 2"]
+
+
+@st.composite
+def _edge_file_text(draw):
+    # A valid edge file with up to three edits: a field replaced by a bad
+    # one or by bare text, or a line dropped or doubled. Vertex counts stay
+    # small, so every graph that parses is cheap to solve.
+    lines = [line.split() for line in _GOOD_EDGE_FILE]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["field", "drop", "double"]))
+        if edit == "drop":
+            del lines[at]
+        elif edit == "double":
+            lines.insert(at, list(lines[at]))
+        else:
+            field = draw(st.integers(0, len(lines[at]) - 1))
+            lines[at][field] = draw(st.one_of(st.sampled_from(_BAD_FIELDS), st.text(max_size=6)))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_edge_file_text(), st.text(max_size=40)))
+def test_random_edge_file_text_parses_or_exits_two_with_one_line(tmp_path_factory, text):
+    try:
+        assert isinstance(read_edge_list(io.StringIO(text)), WeightedGraph)
+    except ValueError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed.edges"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["res", "--graph", str(path), "--pair", "1", "2", "--method", "det"])
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["results"]
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("resistance", ["1e400", "1.5e-400"])
@@ -281,6 +330,54 @@ def test_formula_prints_exact_answers_past_the_int_digit_limit(capsys, argv, pat
         sys.set_int_max_str_digits(limit)
 
 
+# Each formula with arguments that tell its parameters apart, called
+# directly by keyword; the CLI must print what the call returns.
+FORMULA_CASES = {
+    "sum": (formulas.r_sum, {"m": 7, "j": 2, "k": 3}),
+    "closed": (formulas.r_closed, {"m": 7, "j": 2, "k": 3}),
+    "endpoints": (formulas.r_endpoints, {"m": 7}),
+    "min": (formulas.min_resistance, {"n": 9}),
+    "bent": (formulas.r_bent, {"m": 7, "bend_k": 4}),
+    "trees": (formulas.spanning_closed, {"m": 7}),
+    "forests": (formulas.forest_closed, {"m": 7, "j": 2, "k": 3}),
+    "sbt": (formulas.sbt, {"i": 2, "p": 1}),
+    "diff": (formulas.r_diff, {"m": 7, "j": 2, "k": 3}),
+}
+
+
+@pytest.mark.parametrize("which", list(cli.FORMULAS))
+def test_every_formula_prints_its_direct_call(capsys, which):
+    func, params = FORMULA_CASES[which]
+    argv = [x for p, v in params.items() for x in ("--" + p.replace("_", "-"), str(v))]
+    code, out, err = run_cli(capsys, "formula", "--which", which, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["which"], doc["params"]) == (which, params)
+    want = func(**params)
+    if isinstance(want, formulas.StripWeights):
+        assert {k: Fraction(v["num"], v["den"]) for k, v in doc["values"].items()} == want._asdict()
+        return
+    if isinstance(want, tuple):
+        want, edges = want
+        assert doc["edges"] == [list(e) for e in edges]
+    assert Fraction(doc["value_num"], doc["value_den"]) == want
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    *(("formula", "--which", name) for name in cli.FORMULAS),
+    *(("gen", "--family", name) for name in cli.FAMILIES),
+], ids=lambda x: x.lstrip("-"))
+def test_missing_parameter_messages_name_flags_the_parser_accepts(capsys, command, flag, name):
+    code, out, err = run_cli(capsys, command, flag, name)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    head, needed = err.rstrip("\n").split(" needs ")
+    assert head == f"error: {flag} {name}"
+    for option in needed.split():
+        assert option.startswith("--")
+        # parse_args exits (SystemExit) on an option the parser does not know
+        cli.build_parser().parse_args([command, flag, name, option, "1"])
+
+
 def test_formula_missing_params_exit_two(capsys):
     code, _, err = run_cli(capsys, "formula", "--which", "closed", "--m", "4")
     assert code == 2
@@ -316,6 +413,13 @@ def test_rank_top_truncates(capsys):
     assert len(rows) == 1 + 4
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_rank_top_below_one_exits_two(capsys, top):
+    code, out, err = run_cli(capsys, "rank", "--n", "9", "--top", top)
+    assert (code, out) == (2, "")
+    assert err == f"error: --top must be >= 1, got {top}\n"
+
+
 def test_rank_from_graph_file(capsys, tmp_path):
     target = tmp_path / "g.edges"
     run_cli(capsys, "gen", "--family", "straight", "--n", "7", "--out", str(target))
@@ -347,6 +451,18 @@ def test_trees_with_pair_adds_forest_count(capsys):
     doc = json.loads(out)
     expect = two_forest_count(straight_linear_2tree(6), 1, 6)
     assert doc["two_forests"] == expect
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "straight", "--n", "9", "--m", "3"),
+    ("--family", "grid", "--rows", "3", "--m", "3"),
+    ("--family", "ktree", "--n", "6", "--k", "3", "--m", "3"),
+    ("--m", "3"),
+], ids=["straight-n", "grid", "ktree", "no-family"])
+def test_trees_m_is_only_the_size_of_a_straight_strip(capsys, argv):
+    code, out, err = run_cli(capsys, "trees", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --m ") and err.count("\n") == 1
 
 
 def test_trees_on_grid(capsys):

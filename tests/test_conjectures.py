@@ -9,12 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from twotree import conjectures
 from twotree.conjectures import (
-    DEFAULT_MAX_EXACT,
     LABEL,
     bent_diameter_growth,
     ktree_increments,
-    max_exact_vertices,
     triangle_grid_growth,
 )
 from twotree.engine import resistance_det
@@ -94,17 +93,11 @@ def test_bent_growth_validation():
 
 
 def test_exact_cutoff_env_override(monkeypatch):
-    monkeypatch.delenv("RESIST_MAX_EXACT_N", raising=False)
-    assert max_exact_vertices() == DEFAULT_MAX_EXACT
-    monkeypatch.setenv("RESIST_MAX_EXACT_N", "5")
-    assert max_exact_vertices() == 5
+    # The cutoff is read at call time, so moving it moves the methods.
+    assert conjectures.MAX_EXACT_VERTICES == 300
+    monkeypatch.setattr(conjectures, "MAX_EXACT_VERTICES", 5)
     table = ktree_increments(1, 8)
     methods = {row["n"]: row["method"] for row in table["rows"]}
     assert methods[5] == "exact"
     assert methods[6] == "float"
 
-
-def test_exact_cutoff_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("RESIST_MAX_EXACT_N", "many")
-    with pytest.raises(ValueError):
-        max_exact_vertices()

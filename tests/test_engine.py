@@ -316,6 +316,48 @@ def test_replay_rejects_a_step_that_does_not_apply(inserted, message):
         replay_trace(doctored)
 
 
+def _mutated_step(data, step, n):
+    # One field of the step changed, each field keeping its type: the kind
+    # becomes another string, one vertex another int, and in an edge tuple
+    # one edge is dropped or has an endpoint or its resistance changed.
+    field = data.draw(st.sampled_from(["kind", "vertices", "consumed", "produced"]))
+    if field == "kind":
+        return dataclasses.replace(step, kind=data.draw(st.sampled_from(STEP_KINDS + ("swap",))))
+    entries = list(getattr(step, field))
+    if not entries:
+        return step
+    at = data.draw(st.integers(0, len(entries) - 1))
+    vertex = st.integers(-1, n + 12)
+    if field == "vertices":
+        entries[at] = data.draw(vertex)
+    elif data.draw(st.booleans()):
+        del entries[at]
+    else:
+        edge = list(entries[at])
+        part = data.draw(st.integers(0, 2))
+        edge[part] = data.draw(vertex if part < 2 else st.fractions(-1, 3, max_denominator=9))
+        entries[at] = tuple(edge)
+    return dataclasses.replace(step, **{field: tuple(entries)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_replay_of_a_mutated_trace_returns_a_graph_or_raises_value_error(data):
+    n = data.draw(st.integers(3, 10))
+    i, j = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    trace = reduce_straight(n, i, j).trace
+    # Pick the kind first, so that the rarer kinds are mutated as often.
+    kind = data.draw(st.sampled_from(sorted({step.kind for step in trace.steps})))
+    at = data.draw(st.sampled_from([k for k, step in enumerate(trace.steps) if step.kind == kind]))
+    steps = list(trace.steps)
+    steps[at] = _mutated_step(data, steps[at], n)
+    try:
+        result = replay_trace(dataclasses.replace(trace, steps=tuple(steps)))
+    except ValueError:
+        return
+    assert isinstance(result, WeightedGraph)
+
+
 # Frozen step order of two reductions; together they take every step kind:
 # delta-y, merge-rename and cut-vertex in the sweeps, then the endgame's
 # series chain, its one parallel step and the final series on the star.
@@ -521,6 +563,22 @@ def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
         min_size=len(pairs), max_size=len(pairs),
     ))
     g = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+    r = resistance_det(g, i, j).value
+    assert abs(resistance_float(g, i, j).value - r) <= 1e-9 * r
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_det_matches_float_on_random_2trees(data):
+    # A random 2-tree: a triangle, then each new vertex glued to both ends
+    # of an edge already there, so most are neither straight nor bent.
+    n = data.draw(st.integers(3, 14))
+    edges = [(1, 2), (1, 3), (2, 3)]
+    for v in range(4, n + 1):
+        a, b = edges[data.draw(st.integers(0, len(edges) - 1))]
+        edges += [(a, v), (b, v)]
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    g = WeightedGraph(n, [(u, v, 1) for u, v in edges])
     r = resistance_det(g, i, j).value
     assert abs(resistance_float(g, i, j).value - r) <= 1e-9 * r
 
