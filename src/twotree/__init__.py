@@ -22,18 +22,14 @@ from .engine import (
     ResistanceReport,
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
-    delta_y_step,
-    parallel_step,
     reduce_straight,
     replay_trace,
     resistance_det,
     resistance_float,
-    series_step,
     spanning_tree_count,
     two_forest_count,
 )
 from .formulas import (
-    StraightParams,
     StripWeights,
     bent_reading_evidence,
     forest_closed,

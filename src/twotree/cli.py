@@ -66,11 +66,23 @@ FAMILIES = {
 }
 
 
+def _reject_unused(args, flag, takes):
+    """Reject each set flag that entries of `takes` (name -> parameters)
+    take but the one args.<flag> names does not."""
+    name = getattr(args, flag)
+    offered = dict.fromkeys(p for params in takes.values() for p in params)
+    unused = ["--" + p.replace("_", "-") for p in offered
+              if p not in takes[name] and getattr(args, p) is not None]
+    if unused:
+        raise UsageError(f"--{flag} {name} does not take " + " ".join(unused))
+
+
 def _call_entry(table, flag, args):
     """Call the table entry that args.<flag> names with its parameters from args."""
     name = getattr(args, flag)
     if name is None:
         raise UsageError(f"{args.command} needs --{flag}")
+    _reject_unused(args, flag, {k: params for k, (_, params) in table.items()})
     func, params = table[name]
     missing = ["--" + p.replace("_", "-") for p in params if getattr(args, p) is None]
     if missing:
@@ -206,9 +218,9 @@ def _cmd_trees(args, out):
     if args.m is not None:
         if args.family != "straight" or args.n is not None or args.graph:
             raise UsageError("--m is only valid alone with --family straight (no --n or --graph)")
-        n = args.m + 2
-        doc["params"] = {"family": "straight", "m": args.m, "n": n}
-        g = straight_linear_2tree(n)
+        args.n = args.m + 2
+        g = _call_entry(FAMILIES, "family", args)
+        doc["params"] = {"family": "straight", "m": args.m, "n": args.n}
     else:
         g = _load_graph(args)
         doc["params"] = {"vertices": g.vertex_count}
@@ -230,23 +242,20 @@ def _cmd_verify(args, out):
 
 def _cmd_conjecture(args, out):
     which = args.which
+    _reject_unused(args, "which", {
+        "ktree": ("k", "n_max"), "grid": ("rows_max",), "bent": ("n_max", "bend_rule"),
+    })
     if which == "ktree":
         if args.k is None:
             raise UsageError("conjecture ktree needs --k")
         n_max = args.n_max if args.n_max is not None else args.k + 16
         table = conjectures.ktree_increments(args.k, n_max)
-        header = ["n", "value", "increment", "method", "label"]
     elif which == "grid":
         rows_max = args.rows_max if args.rows_max is not None else 12
         table = conjectures.triangle_grid_growth(rows_max)
-        header = [
-            "vertex_rows", "cell_rows", "cells", "vertices",
-            "value", "difference", "increasing", "method", "label",
-        ]
     else:  # bent
         n_max = args.n_max if args.n_max is not None else 24
-        table = conjectures.bent_diameter_growth(n_max, args.bend_rule)
-        header = ["n", "bend_k", "value", "increment", "method", "label"]
+        table = conjectures.bent_diameter_growth(n_max, args.bend_rule or "middle")
 
     def show(x):
         if x is None:
@@ -258,11 +267,10 @@ def _cmd_conjecture(args, out):
         return str(x)
 
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow([*table["rows"][0], "label"])
     with _any_int_digits():
         for row in table["rows"]:
-            record = [show(row.get(col)) for col in header[:-1]]
-            writer.writerow(record + [table["label"]])
+            writer.writerow([*map(show, row.values()), table["label"]])
     return 0
 
 
@@ -328,8 +336,7 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--rows-max", dest="rows_max", type=int)
-    p.add_argument("--bend-rule", dest="bend_rule", default="middle",
-                   choices=["middle", "first", "last"])
+    p.add_argument("--bend-rule", dest="bend_rule", choices=["middle", "first", "last"])
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

@@ -29,14 +29,6 @@ class ReductionStep:
     consumed: tuple
     produced: tuple
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "vertices": list(self.vertices),
-            "consumed": [[u, v, format_resistance(r)] for u, v, r in self.consumed],
-            "produced": [[u, v, format_resistance(r)] for u, v, r in self.produced],
-        }
-
 
 @dataclass(frozen=True)
 class ReductionTrace:
@@ -47,7 +39,16 @@ class ReductionTrace:
     value: Fraction
 
     def to_dicts(self):
-        return [{**step.to_dict(), "step": i} for i, step in enumerate(self.steps, start=1)]
+        return [
+            {
+                "kind": s.kind,
+                "vertices": list(s.vertices),
+                "consumed": [[u, v, format_resistance(r)] for u, v, r in s.consumed],
+                "produced": [[u, v, format_resistance(r)] for u, v, r in s.produced],
+                "step": i,
+            }
+            for i, s in enumerate(self.steps, start=1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -254,36 +255,6 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
     )
 
 
-def _pure(g, op, *args):
-    net = _Network(g)
-    step = op(net, *args)
-    _apply(net, step)
-    return WeightedGraph(max(g.vertex_count, *net.adj), net.edge_items()), step
-
-
-def delta_y_step(g: WeightedGraph, triangle):
-    """Replace the named triangle with a star on a fresh vertex.
-
-    Returns (new graph, step record). The triangle is (n1, n2, n3) and the
-    star resistances follow r1 = rb*rc/s etc. with s = ra+rb+rc, where
-    ra joins n2-n3, rb joins n1-n3, rc joins n1-n2. Eliminated vertex ids
-    are never reused; the star id is one past the largest id seen.
-    """
-    n1, n2, n3 = triangle
-    return _pure(g, _delta_y, n1, n2, n3)
-
-
-def series_step(g: WeightedGraph, middle):
-    """Eliminate a degree-2 vertex, adding its two resistances."""
-    return _pure(g, _series, middle)
-
-
-def parallel_step(g: WeightedGraph, pair):
-    """Combine all parallel edges between the pair into one."""
-    u, v = pair
-    return _pure(g, _parallel, u, v)
-
-
 # === Straight-strip reduction schedule ===
 
 
@@ -464,15 +435,15 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
-def _unit_comps(g: WeightedGraph, what):
+def _unit_facts(g: WeightedGraph, what):
     if any(r != 1 for _, _, r in g.edges):
         raise ValueError(f"{what} counting needs unit resistances")
-    return _graph_facts(g)[1]
+    return _graph_facts(g)
 
 
 def spanning_tree_count(g: WeightedGraph) -> int:
     """Number of spanning trees (matrix-tree): unit resistances only."""
-    comps = _unit_comps(g, "spanning tree")
+    comps = _unit_facts(g, "spanning tree")[1]
     if len(comps) > 1:
         return 0
     # unit resistances leave every row scale at 1
@@ -482,11 +453,16 @@ def spanning_tree_count(g: WeightedGraph) -> int:
 def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
     """Number of spanning 2-forests separating i from j (unit resistances).
 
-    The count is the Laplacian minor with rows/columns i and j struck, the
-    numerator resistance_det computes; it is read back as resistance * tree
-    count, which must be integral.
+    The count is the Laplacian minor with rows/columns i and j struck, which
+    factors over components. In one component it is the numerator
+    resistance_det computes, read back as resistance * tree count, which
+    must be integral. In two it is their tree counts' product; a third
+    component keeps all its rows, a singular block, and makes it 0.
     """
-    _unit_comps(g, "two-forest")
+    comp_of, comps = _unit_facts(g, "two-forest")
+    _check_pair(g.vertex_count, i, j)
+    if comp_of[i] != comp_of[j]:
+        return comps[comp_of[i]][3] * comps[comp_of[j]][3] if len(comps) == 2 else 0
     report = resistance_det(g, i, j)
     trees = spanning_tree_count(g)
     product = report.value * trees

@@ -93,15 +93,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.checked > 0 and not self.violations
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "range": list(self.index_range),
-            "checked": self.checked,
-            "passed": self.passed,
-            "violations": [list(v) for v in self.violations[:10]],
-        }
-
 
 def _span(lo, hi):
     return range(lo, hi + 1)

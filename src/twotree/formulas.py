@@ -4,40 +4,22 @@ Conventions: the straight strip on n = m+2 vertices has m triangles; the
 pair (j, j+k) needs 1 <= j and j+k <= n. All values are exact Fractions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .fib import fib, lucas
 
 
-@dataclass(frozen=True)
-class StraightParams:
-    """Strip size and terminal pair: m triangles, terminals j and j+k."""
-
-    m: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.j < 1:
-            raise ValueError(f"j must be >= 1, got {self.j}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.j + self.k > self.m + 2:
-            raise ValueError(
-                f"j+k must be <= n = {self.m + 2}, got j={self.j}, k={self.k}"
-            )
-
-    @property
-    def n(self):
-        return self.m + 2
-
-    @property
-    def pair(self):
-        return (self.j, self.j + self.k)
+def _check_strip(m, j, k):
+    # Strip size and terminal pair: m triangles, terminals j and j+k.
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if j + k > m + 2:
+        raise ValueError(f"j+k must be <= n = {m + 2}, got j={j}, k={k}")
 
 
 def _sum_numerator(m, j, k):
@@ -50,7 +32,7 @@ def _sum_numerator(m, j, k):
 
 def r_sum(m: int, j: int, k: int) -> Fraction:
     """r(j, j+k) on the straight strip, summation form."""
-    StraightParams(m, j, k)
+    _check_strip(m, j, k)
     return Fraction(_sum_numerator(m, j, k), fib(2 * m + 2))
 
 
@@ -68,7 +50,7 @@ def _closed_numerator(m, j, k):
 
 def r_closed(m: int, j: int, k: int) -> Fraction:
     """r(j, j+k) on the straight strip, closed form (no summation)."""
-    StraightParams(m, j, k)
+    _check_strip(m, j, k)
     return Fraction(_closed_numerator(m, j, k), fib(2 * m + 2))
 
 
@@ -110,8 +92,8 @@ def sbt(i: int, p: int) -> StripWeights:
 
 def r_diff(m: int, j: int, k: int) -> Fraction:
     """r(j, j+k+1) - r(j, j+k) on the straight strip, closed form."""
-    StraightParams(m, j, k)
-    StraightParams(m, j, k + 1)
+    _check_strip(m, j, k)
+    _check_strip(m, j, k + 1)
     coeff = fib(k + 1) * fib(2 * j + k - 1) - fib(k) * fib(2 * j + k - 2)
     return Fraction(coeff * fib(2 * m - 2 * j - 2 * k + 3), fib(2 * m + 2))
 
@@ -128,7 +110,7 @@ def forest_closed(m: int, j: int, k: int) -> int:
 
     Computes the summation form and the closed form and asserts they agree.
     """
-    StraightParams(m, j, k)
+    _check_strip(m, j, k)
     total = _sum_numerator(m, j, k)
     closed = _closed_numerator(m, j, k)
     if total != closed:
@@ -160,36 +142,31 @@ def min_resistance(n: int):
 # The source expression juxtaposes two fractions with no operator between
 # them. Interpreted as a dropped "+", it matches the determinant oracle on
 # every bent strip with 5..15 triangles and every bend position; interpreted
-# as a product it matches none of them. bent_reading_evidence() regenerates
-# that comparison; the verify suite prints it.
-
-BENT_READING = "additive"
-
-
-def _bent_correction(m, k):
-    total = 0
-    for j in range(3, k + 1):
-        total += (-1) ** j * fib(m - 2 * j + 3) * (
-            fib(m + 2) + fib(j - 2) * fib(m - j + 1)
-        )
-    return Fraction(total, fib(2 * m + 2))
+# as a product it matches none of them. r_bent is the additive reading;
+# bent_reading_evidence() regenerates the comparison of both, and the
+# verify suite prints it.
 
 
-def r_bent(m: int, bend_k: int, reading: str = None) -> Fraction:
-    """r(1, n) on the bent strip with m triangles and bend at bend_k."""
+def _bent_terms(m, bend_k):
+    # The head, tail and correction terms the two readings combine.
     if m < 4:
         raise ValueError(f"bent strip needs m >= 4, got {m}")
     if not (3 <= bend_k <= m - 1):
         raise ValueError(f"bend_k must be in [3, {m - 1}], got {bend_k}")
-    reading = BENT_READING if reading is None else reading
+    total = 0
+    for j in range(3, bend_k + 1):
+        total += (-1) ** j * fib(m - 2 * j + 3) * (
+            fib(m + 2) + fib(j - 2) * fib(m - j + 1)
+        )
     head = Fraction(m + 1, 5)
     tail = Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
-    corr = _bent_correction(m, bend_k)
-    if reading == "additive":
-        return head + tail + corr
-    if reading == "product":
-        return head + tail * corr
-    raise ValueError(f"unknown reading {reading!r}")
+    return head, tail, Fraction(total, fib(2 * m + 2))
+
+
+def r_bent(m: int, bend_k: int) -> Fraction:
+    """r(1, n) on the bent strip with m triangles and bend at bend_k."""
+    head, tail, corr = _bent_terms(m, bend_k)
+    return head + tail + corr
 
 
 def bent_reading_evidence(m_lo: int = 5, m_hi: int = 15):
@@ -204,7 +181,8 @@ def bent_reading_evidence(m_lo: int = 5, m_hi: int = 15):
         n = m + 2
         for k in range(3, n - 2):
             oracle = resistance_det(bent_linear_2tree(n, k), 1, n).value
-            add = r_bent(m, k, reading="additive")
-            prod = r_bent(m, k, reading="product")
+            head, tail, corr = _bent_terms(m, k)
+            add = head + tail + corr
+            prod = head + tail * corr
             rows.append((m, k, oracle, add, prod, add == oracle, prod == oracle))
     return rows

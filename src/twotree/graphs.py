@@ -50,14 +50,6 @@ class WeightedGraph:
     def vertices(self):
         return range(1, self.vertex_count + 1)
 
-    def degree(self, v) -> int:
-        return sum(1 for u, w, _ in self.edges if v in (u, w))
-
-    def has_edge(self, u, v) -> bool:
-        if u > v:
-            u, v = v, u
-        return any((a, b) == (u, v) for a, b, _ in self.edges)
-
     def adjacency(self):
         """vertex -> set of neighbors (parallel edges collapse here)."""
         adj = {v: set() for v in self.vertices}
@@ -65,9 +57,6 @@ class WeightedGraph:
             adj[u].add(w)
             adj[w].add(u)
         return adj
-
-    def is_connected(self) -> bool:
-        return len(reachable(self.adjacency(), 1)) == self.vertex_count
 
 
 def reachable(adj, start, skip=None) -> set:
@@ -129,8 +118,6 @@ class TriangularGrid:
     graph: WeightedGraph
     apex: int
     bottom_left: int
-    bottom_right: int
-    vertex_rows: int
     cell_rows: int
     cells: int
 
@@ -160,8 +147,6 @@ def triangular_grid(rows: int) -> TriangularGrid:
         graph=WeightedGraph(n, edges),
         apex=1,
         bottom_left=vid(rows, 1),
-        bottom_right=vid(rows, rows),
-        vertex_rows=rows,
         cell_rows=rows - 1,
         cells=(rows - 1) ** 2,
     )

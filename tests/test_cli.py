@@ -5,6 +5,9 @@ import csv
 from fractions import Fraction
 import io
 import json
+from pathlib import Path
+import re
+import shlex
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -465,6 +468,15 @@ def test_trees_m_is_only_the_size_of_a_straight_strip(capsys, argv):
     assert err.startswith("error: --m ") and err.count("\n") == 1
 
 
+def test_trees_pair_in_two_components_counts_forests(capsys, tmp_path):
+    target = tmp_path / "split.edges"
+    target.write_text("vertices 4\n1 2 1\n3 4 1\n")
+    code, out, err = run_cli(capsys, "trees", "--graph", str(target), "--pair", "1", "3")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["trees"], doc["two_forests"]) == (0, 1)
+
+
 def test_trees_on_grid(capsys):
     code, out, _ = run_cli(capsys, "trees", "--family", "grid", "--rows", "3")
     doc = json.loads(out)
@@ -517,6 +529,70 @@ def test_conjecture_bent_rule(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     bend_col = rows[0].index("bend_k")
     assert all(r[bend_col] == "3" for r in rows[1:])
+
+
+def test_conjecture_bent_rule_defaults_to_middle(capsys):
+    _, unset, _ = run_cli(capsys, "conjecture", "--which", "bent", "--n-max", "9")
+    _, middle, _ = run_cli(
+        capsys, "conjecture", "--which", "bent", "--n-max", "9", "--bend-rule", "middle",
+    )
+    assert unset == middle != ""
+
+
+# === flags the chosen entry does not take ===
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--family", "straight", "--n", "5", "--rows", "4", "--k", "2"),
+     "--family straight does not take --k --rows"),
+    (("res", "--family", "grid", "--rows", "3", "--n", "5", "--pair", "1", "2"),
+     "--family grid does not take --n"),
+    (("trees", "--family", "bent", "--n", "9", "--bend-k", "4", "--k", "2"),
+     "--family bent does not take --k"),
+    (("trees", "--family", "straight", "--m", "4", "--bend-k", "3"),
+     "--family straight does not take --bend-k"),
+    (("formula", "--which", "endpoints", "--m", "7", "--j", "1"),
+     "--which endpoints does not take --j"),
+    (("formula", "--which", "bent", "--m", "7", "--bend-k", "4", "--n", "9", "--p", "1"),
+     "--which bent does not take --n --p"),
+    (("conjecture", "--which", "grid", "--rows-max", "3", "--k", "3", "--n-max", "9"),
+     "--which grid does not take --k --n-max"),
+    (("conjecture", "--which", "ktree", "--k", "2", "--bend-rule", "first"),
+     "--which ktree does not take --bend-rule"),
+    (("conjecture", "--which", "bent", "--rows-max", "5"),
+     "--which bent does not take --rows-max"),
+], ids=["gen-straight", "res-grid", "trees-bent", "trees-m", "formula-endpoints",
+        "formula-bent", "conjecture-grid", "conjecture-ktree", "conjecture-bent"])
+def test_flags_the_entry_does_not_take_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+# === README ===
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks for line in block.splitlines() if line.startswith("twotree ")
+    ]
+
+
+def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
+    # In README order, so `gen --out bent.edges` writes the file that
+    # `res` and `rank --graph` read. The bare `twotree verify` is left to
+    # test_acceptance, which runs every criterion.
+    monkeypatch.chdir(tmp_path)
+    commands = [argv for argv in _readme_commands() if argv != ["verify"]]
+    assert {argv[0] for argv in commands} == {
+        "gen", "res", "formula", "rank", "trees", "verify", "conjecture",
+    }
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, f"twotree {shlex.join(argv)}: {err}"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,6 +1,6 @@
 """Reduction engine tests.
 
-Covers the pure step operations, the full strip schedule with its
+Covers the step planners, the full strip schedule with its
 per-step invariants, trace replay, the determinant path, counting,
 and the floating-point solver.
 """
@@ -20,13 +20,10 @@ from twotree.engine import (
     _graph_facts,
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
-    delta_y_step,
-    parallel_step,
     reduce_straight,
     replay_trace,
     resistance_det,
     resistance_float,
-    series_step,
     spanning_tree_count,
     two_forest_count,
 )
@@ -35,6 +32,7 @@ from twotree.formulas import r_closed
 from twotree.graphs import (
     WeightedGraph,
     bent_linear_2tree,
+    reachable,
     straight_linear_2tree,
     straight_linear_ktree,
     triangular_grid,
@@ -49,16 +47,17 @@ def _edge_value(step_edges, u, v):
     raise AssertionError(f"edge {key} not in {step_edges}")
 
 
-# === Pure step operations ===
+# === Step planners, applied by _apply ===
 
 
 def test_delta_y_on_unit_triangle():
-    g = straight_linear_2tree(3)
-    out, step = delta_y_step(g, (1, 2, 3))
+    net = engine._Network(straight_linear_2tree(3))
+    step = engine._delta_y(net, 1, 2, 3)
+    engine._apply(net, step)
     assert step.kind == "delta-y"
     star = step.vertices[-1]
     assert star == 4
-    assert sorted((u, v, r) for u, v, r in out.edges) == [
+    assert net.edge_items() == [
         (1, 4, Fraction(1, 3)),
         (2, 4, Fraction(1, 3)),
         (3, 4, Fraction(1, 3)),
@@ -67,7 +66,7 @@ def test_delta_y_on_unit_triangle():
 
 def test_delta_y_product_invariant_general_weights():
     g = WeightedGraph(3, [(2, 3, 2), (1, 3, 3), (1, 2, 5)])
-    _, step = delta_y_step(g, (1, 2, 3))
+    step = engine._delta_y(engine._Network(g), 1, 2, 3)
     ra = _edge_value(step.consumed, 2, 3)
     rb = _edge_value(step.consumed, 1, 3)
     rc = _edge_value(step.consumed, 1, 2)
@@ -82,54 +81,56 @@ def test_delta_y_product_invariant_general_weights():
 def test_delta_y_rejects_missing_edge():
     g = WeightedGraph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     with pytest.raises(ValueError, match="no edge"):
-        delta_y_step(g, (1, 2, 3))
+        engine._delta_y(engine._Network(g), 1, 2, 3)
 
 
 def test_delta_y_rejects_parallel_edges():
     g = WeightedGraph(3, [(1, 2, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)])
     with pytest.raises(ValueError, match="parallel"):
-        delta_y_step(g, (1, 2, 3))
+        engine._delta_y(engine._Network(g), 1, 2, 3)
 
 
 def test_delta_y_rejects_repeated_vertex():
     g = straight_linear_2tree(3)
     with pytest.raises(ValueError, match="distinct"):
-        delta_y_step(g, (1, 2, 2))
+        engine._delta_y(engine._Network(g), 1, 2, 2)
 
 
 def test_series_adds_resistances():
-    g = WeightedGraph(3, [(1, 2, "1/2"), (2, 3, "3/4")])
-    out, step = series_step(g, 2)
+    net = engine._Network(WeightedGraph(3, [(1, 2, "1/2"), (2, 3, "3/4")]))
+    step = engine._series(net, 2)
+    engine._apply(net, step)
     assert step.kind == "series"
-    assert out.has_edge(1, 3)
+    assert net.edge_items() == [(1, 3, Fraction(5, 4))]
     assert _edge_value(step.produced, 1, 3) == Fraction(5, 4)
-    assert out.degree(2) == 0
+    assert 2 not in net.adj
 
 
 def test_series_requires_degree_two():
     g = straight_linear_2tree(4)
     with pytest.raises(ValueError, match="degree 2"):
-        series_step(g, 2)
+        engine._series(engine._Network(g), 2)
 
 
 def test_series_rejects_parallel_pair():
     g = WeightedGraph(3, [(1, 2, 1), (1, 2, 1), (2, 3, 1)])
     with pytest.raises(ValueError):
-        series_step(g, 2)
+        engine._series(engine._Network(g), 2)
 
 
 def test_parallel_combines_all_copies():
-    g = WeightedGraph(2, [(1, 2, 2), (1, 2, 2), (1, 2, 1)])
-    out, step = parallel_step(g, (1, 2))
+    net = engine._Network(WeightedGraph(2, [(1, 2, 2), (1, 2, 2), (1, 2, 1)]))
+    step = engine._parallel(net, 1, 2)
+    engine._apply(net, step)
     assert step.kind == "parallel"
-    assert out.edges == ((1, 2, Fraction(1, 2)),)
+    assert net.edge_items() == [(1, 2, Fraction(1, 2))]
     assert len(step.consumed) == 3
 
 
 def test_parallel_requires_multiple_edges():
     g = straight_linear_2tree(3)
     with pytest.raises(ValueError, match="parallel"):
-        parallel_step(g, (1, 2))
+        engine._parallel(engine._Network(g), 1, 2)
 
 
 # === Strip reduction schedule ===
@@ -543,20 +544,27 @@ def test_det_on_two_weighted_components_with_different_row_scales():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
-    # A connected multigraph on at most 8 vertices: a random tree plus up
-    # to 6 more edges, parallel ones allowed. Every minor det_int sees here
-    # must pass its positive-pivot check.
+    # A multigraph on at most 8 vertices: a random tree, or no tree, so
+    # that most draws are disconnected, plus up to 6 more edges, parallel
+    # ones allowed. Every minor det_int sees here must pass its
+    # positive-pivot check.
     n = data.draw(st.integers(2, 8))
     pairs = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if not data.draw(st.booleans()):
+        pairs = []
     pairs += data.draw(st.lists(
         st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
         max_size=6,
     ))
     i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-    # Unit resistances: r(i, j) is 2-forests separating i and j over trees.
     g = WeightedGraph(n, [(u, v, 1) for u, v in pairs])
+    forests = brute_force_two_forest_count(g, i, j)
+    assert two_forest_count(g, i, j) == forests
+    if j not in reachable(g.adjacency(), i):
+        return
+    # Unit resistances: r(i, j) is 2-forests separating i and j over trees.
     r = resistance_det(g, i, j).value
-    assert r * brute_force_tree_enumeration(g) == brute_force_two_forest_count(g, i, j)
+    assert r * brute_force_tree_enumeration(g) == forests
     # Rational resistances make the Laplacian's row scales differ from 1.
     weights = data.draw(st.lists(
         st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
@@ -607,7 +615,7 @@ def test_edge_deletion_never_lowers_endpoint_resistance(n):
     for drop in range(len(g.edges)):
         kept = [e for k, e in enumerate(g.edges) if k != drop]
         pruned = WeightedGraph(n, kept)
-        if not pruned.is_connected():
+        if reachable(pruned.adjacency(), 1) != set(pruned.vertices):
             continue
         assert resistance_det(pruned, 1, n).value >= base, (
             f"deleting edge {g.edges[drop][:2]} lowered r(1,{n})"
@@ -645,6 +653,18 @@ def test_two_forest_count_with_isolated_vertex_is_zero():
     assert two_forest_count(g, 1, 3) == brute_force_two_forest_count(g, 1, 3) == 0
 
 
+def test_two_forest_count_across_components_multiplies_tree_counts():
+    # With i and j struck, the minor factors over the components: the two
+    # of i and j give their tree counts, and any third one gives 0.
+    two_edges = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
+    assert two_forest_count(two_edges, 1, 3) == brute_force_two_forest_count(two_edges, 1, 3) == 1
+    triangle_and_edge = WeightedGraph(5, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1)])
+    assert two_forest_count(triangle_and_edge, 1, 4) == 3
+    assert brute_force_two_forest_count(triangle_and_edge, 1, 4) == 3
+    three_parts = WeightedGraph(5, [(1, 2, 1), (3, 4, 1)])
+    assert two_forest_count(three_parts, 1, 3) == brute_force_two_forest_count(three_parts, 1, 3) == 0
+
+
 def test_tree_enumeration_agrees():
     for n in range(3, 8):
         g = straight_linear_2tree(n)
@@ -679,8 +699,9 @@ def test_float_matches_exact_on_strip_30():
 
 def test_float_on_grid():
     tg = triangular_grid(4)
-    exact = float(resistance_det(tg.graph, tg.bottom_left, tg.bottom_right).value)
-    got = resistance_float(tg.graph, tg.bottom_left, tg.bottom_right).value
+    corner = tg.graph.vertex_count
+    exact = float(resistance_det(tg.graph, tg.bottom_left, corner).value)
+    got = resistance_float(tg.graph, tg.bottom_left, corner).value
     assert abs(got - exact) < 1e-9
 
 

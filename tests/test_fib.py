@@ -120,15 +120,6 @@ def test_five_diff_spot_values():
     assert 5 * fib(3) ** 2 - lucas(3) ** 2 == 4
 
 
-def test_report_to_dict_shape():
-    d = check_identity("negation", (0, 10)).to_dict()
-    assert d["name"] == "negation"
-    assert d["range"] == [0, 10]
-    assert d["checked"] == 11
-    assert d["passed"] is True
-    assert d["violations"] == []
-
-
 def test_all_identities_pass_and_reach_bulk():
     reports = check_all_identities()
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]

@@ -9,8 +9,7 @@ from twotree.engine import (
 )
 from twotree.fib import fib, lucas
 from twotree.formulas import (
-    BENT_READING,
-    StraightParams,
+    _check_strip,
     bent_reading_evidence,
     forest_closed,
     min_resistance,
@@ -29,15 +28,24 @@ from twotree.graphs import bent_linear_2tree, straight_linear_2tree
 
 
 def test_params_accept_valid_triples():
-    p = StraightParams(3, 2, 3)
-    assert p.n == 5
-    assert p.pair == (2, 5)
+    # m = 3 triangles, j = 2, k = 3: the pair (2, 5) of the 5-vertex strip
+    _check_strip(3, 2, 3)
+    assert r_closed(3, 2, 3) == resistance_det(straight_linear_2tree(5), 2, 5).value
 
 
-@pytest.mark.parametrize("m,j,k", [(0, 1, 1), (2, 0, 1), (2, 1, 0), (2, 2, 3), (1, 1, 3)])
-def test_params_reject_bad_triples(m, j, k):
-    with pytest.raises(ValueError):
-        StraightParams(m, j, k)
+@pytest.mark.parametrize("m,j,k,message", [
+    (0, 1, 1, "m must be >= 1, got 0"),
+    (2, 0, 1, "j must be >= 1, got 0"),
+    (2, 1, 0, "k must be >= 1, got 0"),
+    (2, 2, 3, "j\\+k must be <= n = 4, got j=2, k=3"),
+    (1, 1, 3, "j\\+k must be <= n = 3, got j=1, k=3"),
+], ids=["0-1-1", "2-0-1", "2-1-0", "2-2-3", "1-1-3"])
+def test_params_reject_bad_triples(m, j, k, message):
+    with pytest.raises(ValueError, match=message):
+        _check_strip(m, j, k)
+    for formula in (r_sum, r_closed, forest_closed):
+        with pytest.raises(ValueError, match=message):
+            formula(m, j, k)
 
 
 # === Pairwise resistance forms ===
@@ -207,10 +215,6 @@ def test_min_resistance_validation():
 # === Bent strips ===
 
 
-def test_bent_default_reading_is_additive():
-    assert BENT_READING == "additive"
-
-
 def test_bent_frozen_value():
     assert r_bent(4, 3) == Fraction(6, 5)
     assert r_bent(4, 3) == resistance_det(bent_linear_2tree(6, 3), 1, 6).value
@@ -228,17 +232,10 @@ def test_bent_matches_determinant(m):
 def test_bent_product_reading_disagrees():
     hits = sum(
         1
-        for m in range(5, 10)
-        for bend in range(3, m)
-        if r_bent(m, bend, reading="product")
-        == resistance_det(bent_linear_2tree(m + 2, bend), 1, m + 2).value
+        for m, bend, _, _, prod, _, _ in bent_reading_evidence(5, 9)
+        if prod == resistance_det(bent_linear_2tree(m + 2, bend), 1, m + 2).value
     )
     assert hits == 0, "product reading should never match the oracle"
-
-
-def test_bent_reading_rejects_unknown():
-    with pytest.raises(ValueError):
-        r_bent(6, 3, reading="geometric")
 
 
 def test_bent_validation():

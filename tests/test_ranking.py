@@ -38,7 +38,7 @@ def test_rank_covers_every_nonedge_once():
             (i, j)
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
-            if not g.has_edge(i, j)
+            if j not in g.adjacency()[i]
         ]
         assert sorted(seen) == expect, f"n={n} coverage"
         assert len(seen) == len(set(seen))
