@@ -23,6 +23,7 @@ from .engine import (
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
     reduce_straight,
+    reduce_straight_all,
     replay_trace,
     resistance_det,
     resistance_float,

@@ -64,6 +64,8 @@ FAMILIES = {
     "ktree": (straight_linear_ktree, ("n", "k")),
     "grid": (lambda rows: triangular_grid(rows).graph, ("rows",)),
 }
+# The flags that name or size a family; --graph takes none of them.
+FAMILY_FLAGS = ("family", *dict.fromkeys(p for _, params in FAMILIES.values() for p in params))
 
 
 def _reject_unused(args, flag, takes):
@@ -92,6 +94,10 @@ def _call_entry(table, flag, args):
 
 def _load_graph(args):
     if getattr(args, "graph", None):
+        given = ["--" + p.replace("_", "-") for p in FAMILY_FLAGS
+                 if getattr(args, p, None) is not None]
+        if given:
+            raise UsageError("--graph does not take " + " ".join(given))
         with open(args.graph) as fh:
             return read_edge_list(fh)
     if getattr(args, "family", None):
@@ -148,7 +154,7 @@ def _cmd_res(args, out):
     trace = None
     for method in methods:
         if method == "dy":
-            if args.family != "straight" or args.graph:
+            if args.family != "straight":
                 if args.method == "all":
                     continue
                 raise UsageError("--method dy only applies to --family straight")

@@ -4,9 +4,11 @@ Laplacian-minor determinants, and spanning tree / two-forest counting.
 The reduction path rewrites the circuit step by step and records every
 rewrite, so a trace can be replayed mechanically and audited. Each rewrite
 is planned as a step and carried out by _apply, which replay runs too; a
-step that does not apply raises ValueError. The determinant path is the
-independent oracle: r(i,j) equals the ratio of two Laplacian minors. Both
-are exact over Fractions.
+step that does not apply raises ValueError. reduce_straight reduces one
+pair of a straight strip; reduce_straight_all yields the same reports for
+every pair of one strip, running the schedule's shared phases once per
+call. The determinant path is the independent oracle: r(i,j) equals the
+ratio of two Laplacian minors. Both are exact over Fractions.
 """
 
 import itertools
@@ -72,6 +74,16 @@ class _Network:
         self.next_id = g.vertex_count + 1
         for u, v, r in g.edges:
             self.link(u, v, r)
+
+    def copy(self):
+        """An independent network with the same edges and next_id, whose
+        edge lists are again each shared by their two ends."""
+        twin = _Network.__new__(_Network)
+        twin.next_id = self.next_id
+        twin.adj = adj = {}
+        for u, nbrs in self.adj.items():
+            adj[u] = {v: adj[v][u] if v in adj else lst.copy() for v, lst in nbrs.items()}
+        return twin
 
     def link(self, u, v, r):
         try:
@@ -174,10 +186,13 @@ def _check_pair(n, i, j):
 
 
 @lru_cache(maxsize=1024)
-def _star(ra, rb, rc):
-    # Star resistances of a triangle whose sides ra, rb, rc lie opposite
-    # its vertices n1, n2, n3. A strip reduction meets few distinct side
-    # triples (703 over every pair with n <= 40), so each is computed once.
+def _star(an, ad, bn, bd, cn, cd):
+    # Star resistances of a triangle whose sides an/ad, bn/bd, cn/cd lie
+    # opposite its vertices n1, n2, n3. A strip reduction meets few distinct
+    # side triples (703 over every pair with n <= 40), so each is computed
+    # once. The key is the sides' integers: hashing a Fraction costs a
+    # modular inverse per lookup.
+    ra, rb, rc = Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd)
     s = ra + rb + rc
     return rb * rc / s, ra * rc / s, ra * rb / s
 
@@ -191,7 +206,8 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
     ra = net.single_edge(n2, n3)
     rb = net.single_edge(n1, n3)
     rc = net.single_edge(n1, n2)
-    r1, r2, r3 = _star(ra, rb, rc)
+    r1, r2, r3 = _star(ra.numerator, ra.denominator, rb.numerator, rb.denominator,
+                       rc.numerator, rc.denominator)
     star = net.next_id
     return ReductionStep(
         kind="delta-y",
@@ -272,21 +288,25 @@ def _commit(net, steps, step):
     return step
 
 
-def _sweep(net, steps, start, d, count, keep=None):
-    # `count` delta-y steps walking from `start` in direction d (+1 or -1).
-    # Each step works the triangle (c+2d, c+d, c); the freed middle vertex
-    # c+d merges onward through its chord under the star's name. After the
-    # last step, if `keep` is given, the dangling tail is cut away on the
-    # far side of the star and the star folds into a single edge at `keep`.
+def _sweep(net, steps, start, d, count):
+    # A generator of `count` delta-y steps walking from `start` in direction
+    # d (+1 or -1), yielding each step's star. Each step works the triangle
+    # (c+2d, c+d, c). Before the next step, the middle vertex the last one
+    # freed merges onward through its chord under the star's name.
     for t in range(count):
         c = start + d * t
+        if t:
+            _commit(net, steps, _series(net, c))
+            _commit(net, steps, ReductionStep("merge-rename", (star, c), (), ()))
         star = _commit(net, steps, _delta_y(net, c + 2 * d, c + d, c)).vertices[3]
-        if t < count - 1:
-            _commit(net, steps, _series(net, c + d))
-            _commit(net, steps, ReductionStep("merge-rename", (star, c + d), (), ()))
-        elif keep is not None:
-            _commit(net, steps, _cut(net, star, keep))
-            _commit(net, steps, _series(net, star))
+        yield star
+
+
+def _fold(net, steps, star, keep):
+    # Cut away the dangling tail on the far side of a sweep's last star and
+    # fold the star into a single edge at `keep`.
+    _commit(net, steps, _cut(net, star, keep))
+    _commit(net, steps, _series(net, star))
 
 
 def _cleanup(net, steps, a, b):
@@ -308,6 +328,41 @@ def _cleanup(net, steps, a, b):
         raise AssertionError("reduction did not converge to one edge between the terminals")
 
 
+def _reduce_from(g, a, bs):
+    # The reduction schedule of the strip g for terminals a < b, for each b
+    # of bs in descending order (b = n only with a = 1): yields (b, steps,
+    # value). Left of a: eliminate 1..a-1, folding into the edge {a, a+1}.
+    # Right of b: eliminate b+1..n, folding into {b, b+1}; the sweep for b
+    # is the one for b+1 run one triangle further, so one running sweep
+    # serves every b. Each b then finishes on a copy of the network: the
+    # right fold, the sweep between the terminals and the endgame.
+    n = g.vertex_count
+    net = _Network(g)
+    steps = []
+    for star in _sweep(net, steps, 1, 1, a - 1):
+        pass
+    if a > 1:
+        _fold(net, steps, star, a)
+    right = _sweep(net, steps, n, -1, n - 2 - a)
+    swept = 0
+    for b in bs:
+        while swept < n - 1 - b:
+            star = next(right)
+            swept += 1
+        fork, fork_steps = net.copy(), steps.copy()
+        if swept:
+            _fold(fork, fork_steps, star, b)
+        for _ in _sweep(fork, fork_steps, a, 1, (n - 3) if b == n else (b - a - 1)):
+            pass
+        _cleanup(fork, fork_steps, a, b)
+        yield b, tuple(fork_steps), fork.edge_items()[0][2]
+
+
+def _report(g, requested, terminals, steps, value):
+    trace = ReductionTrace(g, requested, terminals, steps, value)
+    return ResistanceReport(pair=requested, value=value, method="delta-y", trace=trace)
+
+
 def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     """Exact r(i, j) on the straight linear 2-tree by delta-wye reduction.
 
@@ -324,23 +379,26 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     a, b = min(i, j), max(i, j)
     if b == n and a > 1:
         a, b = 1, n - a + 1
-    net = _Network(g)
-    steps = []
-    # Left of a: eliminate 1..a-1, folding into the edge {a, a+1}. Right of
-    # b: eliminate b+1..n, folding into {b, b+1}. Then sweep between them.
-    _sweep(net, steps, 1, 1, a - 1, keep=a)
-    _sweep(net, steps, n, -1, n - 1 - b, keep=b)
-    _sweep(net, steps, a, 1, (n - 3) if b == n else (b - a - 1))
-    _cleanup(net, steps, a, b)
-    value = net.edge_items()[0][2]
-    trace = ReductionTrace(
-        initial=g,
-        requested=(i, j),
-        terminals=(a, b),
-        steps=tuple(steps),
-        value=value,
-    )
-    return ResistanceReport(pair=(i, j), value=value, method="delta-y", trace=trace)
+    (_, steps, value), = _reduce_from(g, a, (b,))
+    return _report(g, (i, j), (a, b), steps, value)
+
+
+def reduce_straight_all(n: int):
+    """Yield reduce_straight(n, i, j) for every pair i < j of the n-strip,
+    each once: the same reports, traces included.
+
+    The work is shared within the call, and nothing is kept after it: per
+    i the left phase runs once and one running right sweep serves every j
+    from n down. The pairs come in that order, i ascending and j
+    descending, except that each pair (i, n) with i > 1 comes right after
+    its reflection (1, n-i+1), whose steps it takes.
+    """
+    g = _strip(n)
+    for a in range(1, n - 1):
+        for b, steps, value in _reduce_from(g, a, range(n if a == 1 else n - 1, a, -1)):
+            yield _report(g, (a, b), (a, b), steps, value)
+            if a == 1 and b < n:
+                yield _report(g, (n - b + 1, n), (1, b), steps, value)
 
 
 def replay_trace(trace: ReductionTrace) -> WeightedGraph:

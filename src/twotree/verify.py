@@ -14,7 +14,7 @@ from .fib import check_all_identities, fib
 from .engine import (
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
-    reduce_straight,
+    reduce_straight_all,
     resistance_det,
     spanning_tree_count,
     two_forest_count,
@@ -35,18 +35,18 @@ def four_way_agreement(n_lo=3, n_hi=40):
     for n in range(n_lo, n_hi + 1):
         g = straight_linear_2tree(n)
         m = n - 2
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                red = reduce_straight(n, i, j).value
-                det = resistance_det(g, i, j).value
-                s = formulas.r_sum(m, i, j - i)
-                c = formulas.r_closed(m, i, j - i)
-                if not (red == det == s == c):
-                    return False, (
-                        f"mismatch at n={n}, pair=({i},{j}): "
-                        f"reduce={red}, det={det}, sum={s}, closed={c}"
-                    )
-                pairs += 1
+        for report in reduce_straight_all(n):
+            i, j = report.pair
+            red = report.value
+            det = resistance_det(g, i, j).value
+            s = formulas.r_sum(m, i, j - i)
+            c = formulas.r_closed(m, i, j - i)
+            if not (red == det == s == c):
+                return False, (
+                    f"mismatch at n={n}, pair=({i},{j}): "
+                    f"reduce={red}, det={det}, sum={s}, closed={c}"
+                )
+            pairs += 1
     return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
 
 

@@ -569,6 +569,26 @@ def test_flags_the_entry_does_not_take_exit_two(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("res", "--n", "5", "--pair", "1", "9", "--method", "det"),
+     "--graph does not take --n"),
+    (("res", "--family", "straight", "--n", "9", "--rows", "3", "--pair", "1", "9"),
+     "--graph does not take --family --n --rows"),
+    (("trees", "--family", "grid", "--pair", "1", "9"),
+     "--graph does not take --family"),
+    (("trees", "--k", "2", "--bend-k", "4"),
+     "--graph does not take --bend-k --k"),
+    (("rank", "--n", "9"),
+     "--graph does not take --n"),
+], ids=["res-n", "res-family", "trees-family", "trees-k", "rank-n"])
+def test_graph_with_family_flags_exits_two(capsys, tmp_path, argv, message):
+    target = tmp_path / "bent.edges"
+    run_cli(capsys, "gen", "--family", "bent", "--n", "9", "--bend-k", "4", "--out", str(target))
+    code, out, err = run_cli(capsys, argv[0], "--graph", str(target), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # === README ===
 
 

@@ -21,6 +21,7 @@ from twotree.engine import (
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
     reduce_straight,
+    reduce_straight_all,
     replay_trace,
     resistance_det,
     resistance_float,
@@ -133,6 +134,22 @@ def test_parallel_requires_multiple_edges():
         engine._parallel(engine._Network(g), 1, 2)
 
 
+def test_network_copy_is_independent_and_keeps_lists_shared():
+    source = engine._Network(straight_linear_2tree(5))
+    engine._apply(source, engine._delta_y(source, 1, 2, 3))
+    edges, next_id = source.edge_items(), source.next_id
+    twin = source.copy()
+    assert (twin.edge_items(), twin.next_id) == (edges, next_id)
+    for u, nbrs in twin.adj.items():
+        for v, lst in nbrs.items():
+            assert twin.adj[v][u] is lst
+            assert lst is not source.adj[u][v]
+    engine._apply(twin, engine._series(twin, 2))
+    engine._apply(twin, engine._delta_y(twin, 3, 4, 5))
+    assert twin.next_id == next_id + 1
+    assert (source.edge_items(), source.next_id) == (edges, next_id)
+
+
 # === Strip reduction schedule ===
 
 
@@ -179,6 +196,18 @@ def test_reduction_validation():
         reduce_straight(4, 1, 5)
     with pytest.raises(ValueError):
         reduce_straight(2, 1, 2)
+    with pytest.raises(ValueError):
+        next(reduce_straight_all(2))
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_reduce_straight_all_equals_single_pairs(n):
+    reports = list(reduce_straight_all(n))
+    assert sorted(r.pair for r in reports) == [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
+    for report in reports:
+        assert report == reduce_straight(n, *report.pair)
 
 
 def test_trace_step_kinds_and_terminal_edge():
@@ -449,15 +478,20 @@ TRACE_DIGEST = "dbb8bdad890422f9ea62d414dc9d4388b0ae8652dd674d5cefbb1d2c36a370ec
 
 
 def test_trace_digest_is_frozen():
-    digest = hashlib.sha256()
+    # Hashed twice: from single-pair calls, and from reduce_straight_all,
+    # whose report for {i, j} stands in for both (i, j) and (j, i).
+    single, shared = hashlib.sha256(), hashlib.sha256()
     for n in range(3, 17):
+        driven = {r.pair: r.trace for r in reduce_straight_all(n)}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
-                    t = reduce_straight(n, i, j).trace
-                    row = [t.to_dicts(), str(t.value), list(t.terminals)]
-                    digest.update(json.dumps(row).encode())
-    assert digest.hexdigest() == TRACE_DIGEST
+                    for digest, t in ((single, reduce_straight(n, i, j).trace),
+                                      (shared, driven[min(i, j), max(i, j)])):
+                        row = [t.to_dicts(), str(t.value), list(t.terminals)]
+                        digest.update(json.dumps(row).encode())
+    assert single.hexdigest() == TRACE_DIGEST
+    assert shared.hexdigest() == TRACE_DIGEST
 
 
 def test_traces_do_not_depend_on_call_order():
@@ -471,19 +505,38 @@ def test_traces_do_not_depend_on_call_order():
         if i != j
     ]
 
-    def traces(order):
+    def clear():
         for cached in (engine._graph_facts, engine._star, engine._strip):
             cached.cache_clear()
+
+    def traces(order):
+        clear()
         return {p: reduce_straight(*p).trace for p in order}
+
+    def interleaved():
+        # The driver's traces, with single-pair calls run between its yields.
+        clear()
+        singles = iter(pairs[::-1])
+        driven, single = {}, {}
+        for n in range(3, 13):
+            for report in reduce_straight_all(n):
+                p = next(singles)
+                single[p] = reduce_straight(*p).trace
+                driven[(n, *report.pair)] = report.trace
+        return driven, single
 
     forward = traces(pairs)
     backward = traces(pairs[::-1])
+    driven, single = interleaved()
     for p in pairs:
         trace = forward[p]
-        assert trace.to_dicts() == backward[p].to_dicts(), f"trace of {p} moved"
-        assert (trace.value, trace.terminals) == (backward[p].value, backward[p].terminals)
+        others = [backward[p]] + [t[p] for t in (driven, single) if p in t]
+        for other in others:
+            assert trace.to_dicts() == other.to_dicts(), f"trace of {p} moved"
+            assert (trace.value, trace.terminals) == (other.value, other.terminals)
         (a, b, r), = replay_trace(trace).edges
         assert (a, b, r) == trace.terminals + (trace.value,), f"replay of {p}"
+    assert len(driven) == len(single) == len(pairs) // 2
 
 
 # === Determinant path ===
