@@ -25,6 +25,7 @@ from .engine import (
     reduce_straight,
     reduce_straight_all,
     replay_trace,
+    resistance_all_pairs,
     resistance_det,
     resistance_float,
     spanning_tree_count,

@@ -8,7 +8,9 @@ step that does not apply raises ValueError. reduce_straight reduces one
 pair of a straight strip; reduce_straight_all yields the same reports for
 every pair of one strip, running the schedule's shared phases once per
 call. The determinant path is the independent oracle: r(i,j) equals the
-ratio of two Laplacian minors. Both are exact over Fractions.
+ratio of two Laplacian minors. resistance_det computes one pair that way;
+resistance_all_pairs reads every pair of a component from one integer
+adjugate of its grounded Laplacian. All are exact over Fractions.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Optional
 
-from .bareiss import det_int, strike
+from .bareiss import adjugate_int, det_int, strike
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -426,7 +428,8 @@ def _graph_facts(g: WeightedGraph):
     Scaling row r of the exact Laplacian by scale[r] (the lcm of that row's
     denominators) makes it integral; minor determinants divide back out by
     the kept rows' scales. Rows are sparse dicts (position -> value) for
-    det_int's banded elimination; treat them as read-only. Each component's
+    the banded eliminations, det_int's per pair and adjugate_int's for all
+    pairs of a component; treat them as read-only. Each component's
     tree minor, det with its first vertex struck, is computed here once:
     by the matrix-tree theorem it is the product of the other rows' scales
     times the weighted spanning tree count.
@@ -491,6 +494,29 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     # num lacks rows pi and pj; den lacks row pi: the ratio regains scale[pj]
     value = Fraction(num * scales[pj], den)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
+
+
+def resistance_all_pairs(g: WeightedGraph) -> dict:
+    """Exact r(i, j) for every pair i < j of one component, as a dict
+    (i, j) -> Fraction; pairs in different components are absent.
+
+    One adjugate per component instead of one minor per pair. Striking the
+    component's first vertex leaves the grounded Laplacian L0, whose rows
+    scaled to integers form M = diag(scales) L0. Then X = L0^-1 equals
+    adj(M) diag(scales) / det(M), and r(i, j) = X_ii + X_jj - 2 X_ij with X
+    zero at the struck vertex. Computed on demand; nothing is cached but
+    the rows _graph_facts already holds.
+    """
+    out = {}
+    for verts, int_rows, scales, _ in _graph_facts(g)[1]:
+        det, adj = adjugate_int(strike(int_rows, (0,)))
+        # x[p][q] = X_pq * det between verts[p] and verts[q]
+        x = [[0] * len(verts)] + [[0] + [c * s for c, s in zip(row, scales[1:])] for row in adj]
+        for p, u in enumerate(verts):
+            xpp, xp = x[p][p], x[p]
+            for q in range(p + 1, len(verts)):
+                out[(u, verts[q])] = Fraction(xpp + x[q][q] - 2 * xp[q], det)
+    return out
 
 
 def _unit_facts(g: WeightedGraph, what):

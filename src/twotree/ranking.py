@@ -10,7 +10,7 @@ values, and refuses to answer if the two disagree.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import resistance_det
+from .engine import resistance_all_pairs
 from .formulas import r_closed
 from .graphs import WeightedGraph
 
@@ -116,8 +116,11 @@ def predict_links(n: int, count: int, tie_policy: str = "lowest-index"):
 def rank_nonedges_graph(g: WeightedGraph):
     """Resistance ranking of non-edges of an arbitrary connected graph.
 
-    Exact determinant path, so ties are exact. Returns TieGroups; ties are
-    grouped by equal value, ordered by (value, pair).
+    Exact values from one adjugate per component (resistance_all_pairs), so
+    ties are exact. Returns TieGroups; ties are grouped by equal value,
+    ordered by (value, pair). On a disconnected graph the first non-edge in
+    (u, v) order whose ends lie in different components raises
+    ValueError("vertices u and v are disconnected").
     """
     adj = g.adjacency()
     nonedges = [
@@ -126,4 +129,8 @@ def rank_nonedges_graph(g: WeightedGraph):
         for v in range(u + 1, g.vertex_count + 1)
         if v not in adj[u]
     ]
-    return _tie_groups({p: resistance_det(g, *p).value for p in nonedges})
+    values = resistance_all_pairs(g)
+    for u, v in nonedges:
+        if (u, v) not in values:
+            raise ValueError(f"vertices {u} and {v} are disconnected")
+    return _tie_groups({p: values[p] for p in nonedges})

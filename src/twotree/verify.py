@@ -15,7 +15,7 @@ from .engine import (
     brute_force_tree_enumeration,
     brute_force_two_forest_count,
     reduce_straight_all,
-    resistance_det,
+    resistance_all_pairs,
     spanning_tree_count,
     two_forest_count,
 )
@@ -33,12 +33,12 @@ def four_way_agreement(n_lo=3, n_hi=40):
     exact rationals for every pair, zero tolerance."""
     pairs = 0
     for n in range(n_lo, n_hi + 1):
-        g = straight_linear_2tree(n)
+        dets = resistance_all_pairs(straight_linear_2tree(n))
         m = n - 2
         for report in reduce_straight_all(n):
             i, j = report.pair
             red = report.value
-            det = resistance_det(g, i, j).value
+            det = dets[(i, j)]
             s = formulas.r_sum(m, i, j - i)
             c = formulas.r_closed(m, i, j - i)
             if not (red == det == s == c):

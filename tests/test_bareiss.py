@@ -1,12 +1,13 @@
-"""Determinant kernel checks.
+"""Determinant and adjugate kernel checks.
 
 The banded elimination is the workhorse behind every resistance and
 count in the package, so it gets an independent referee here: a dense
 fraction-free elimination with row pivoting that works for any square
-matrix, plus a handful of determinants known in closed form. det_int
-itself takes only matrices whose leading principal minors are positive,
-so it is fed minors of row-scaled Laplacians and strictly diagonally
-dominant matrices, and must refuse anything else.
+matrix, plus a handful of determinants known in closed form. The
+adjugate is refereed by the signed cofactors that reference gives.
+det_int and adjugate_int take only matrices whose leading principal
+minors are positive, so they are fed minors of row-scaled Laplacians and
+strictly diagonally dominant matrices, and must refuse anything else.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import det_int, strike
+from twotree.bareiss import adjugate_int, det_int, strike
 
 NOT_PD = "not positive definite"
 
@@ -50,6 +51,24 @@ def _det_ref(rows):
 
 def _sparse(mat):
     return [{c: x for c, x in enumerate(row) if x} for row in mat]
+
+
+def _adj_ref(rows):
+    """Adjugate by signed cofactors: entry (p, q) is (-1)^(p+q) times the
+    reference determinant of the matrix without row q and column p."""
+    n = len(rows)
+
+    def minor(r, c):
+        return [{j - (j > c): x for j, x in row.items() if j != c}
+                for i, row in enumerate(rows) if i != r]
+
+    return [[(-1) ** (p + q) * _det_ref(minor(q, p)) for q in range(n)] for p in range(n)]
+
+
+def _times(rows, adj):
+    """The dense product of dict rows and a list-of-lists matrix."""
+    n = len(rows)
+    return [[sum(x * adj[c][q] for c, x in row.items()) for q in range(n)] for row in rows]
 
 
 def test_empty_matrix():
@@ -170,6 +189,8 @@ def test_banded_agrees_with_dense_seeded(bw):
                 rows[k] = {c: x for c, x in rows[k].items() if c > k}
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
                     det_int(rows)
+                with pytest.raises(AssertionError, match=f"pivot {k} of"):
+                    adjugate_int(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,3 +201,79 @@ def test_banded_agrees_with_dense(data):
     make = data.draw(st.sampled_from([_laplacian_minor, _dominant]))
     rows = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
     assert det_int(rows) == _det_ref(rows)
+
+
+# === Adjugate ===
+
+
+def test_adjugate_of_empty_and_one_by_one():
+    assert adjugate_int([]) == (1, [])
+    assert adjugate_int([{0: 7}]) == (7, [[1]])
+
+
+@pytest.mark.parametrize("bw", [0, 1, 2, 3])
+def test_adjugate_agrees_with_cofactors_seeded(bw):
+    rng = random.Random(2000 + bw)
+    for _ in range(30):
+        rows = _laplacian_minor(rng.randint, rng.randint(1, 7), bw)
+        det, adj = adjugate_int(rows)
+        assert det == det_int(rows), f"bw={bw} determinant differs on {rows}"
+        assert adj == _adj_ref(rows), f"bw={bw} adjugate differs on {rows}"
+
+
+@pytest.mark.parametrize("bw", [0, 1, 2, 5])
+def test_adjugate_on_long_matrices_inverts_times_det(bw):
+    # Long enough that the window slides far past bw.
+    rng = random.Random(3000 + bw)
+    for t in range(6):
+        n = rng.randint(20, 40)
+        rows = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
+        det, adj = adjugate_int(rows)
+        assert det == det_int(rows)
+        assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
+
+
+def test_adjugate_on_a_band_of_zero_one_and_two():
+    # Diagonal; the path continuant (det n + 1); the strip of 7 vertices
+    # with vertex 1 struck, whose det is its 144 = F_12 spanning trees.
+    diagonal = [{0: 2}, {1: 3}, {2: 5}]
+    continuant = [{c: 2 if c == i else -1 for c in (i - 1, i, i + 1) if 0 <= c < 5}
+                  for i in range(5)]
+    strip = strike([
+        {0: 2, 1: -1, 2: -1},
+        {0: -1, 1: 3, 2: -1, 3: -1},
+        {0: -1, 1: -1, 2: 4, 3: -1, 4: -1},
+        {1: -1, 2: -1, 3: 4, 4: -1, 5: -1},
+        {2: -1, 3: -1, 4: 4, 5: -1, 6: -1},
+        {3: -1, 4: -1, 5: 3, 6: -1},
+        {4: -1, 5: -1, 6: 2},
+    ], (0,))
+    for rows, want in ((diagonal, 30), (continuant, 6), (strip, 144)):
+        n = len(rows)
+        det, adj = adjugate_int(rows)
+        assert det == want
+        assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
+
+
+@pytest.mark.parametrize("mat", [
+    [[0, 1], [1, 0]],
+    [[1, 2], [3, 4]],
+    [[2, 0, 1], [1, 3, 2], [1, 1, 1]],
+    [[1, 2], [2, 4]],
+    [[0, 0], [1, 5]],
+    [[0, 2, 1], [1, 0, 0], [0, 1, 1]],
+    [[-7]],
+], ids=["swap", "negative-pivot", "zero-last-pivot", "singular", "zero-row", "zero-first-pivot",
+        "negative"])
+def test_adjugate_refuses_what_det_int_refuses(mat):
+    rows = _sparse(mat)
+    with pytest.raises(AssertionError, match=NOT_PD) as refused:
+        det_int(rows)
+    with pytest.raises(AssertionError, match=NOT_PD) as also_refused:
+        adjugate_int(rows)
+    assert str(also_refused.value) == str(refused.value)
+
+
+def test_adjugate_rows_must_fit_the_square():
+    with pytest.raises(ValueError, match="square"):
+        adjugate_int([{0: 1, 2: 1}, {1: 1}])

@@ -432,6 +432,22 @@ def test_rank_from_graph_file(capsys, tmp_path):
     assert out == direct_out
 
 
+def test_rank_graph_with_two_components_exits_two(capsys, tmp_path):
+    target = tmp_path / "split.edges"
+    target.write_text("vertices 6\n1 2 1\n2 3 1\n1 3 1\n4 5 1\n5 6 1\n")
+    code, out, err = run_cli(capsys, "rank", "--graph", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: vertices 1 and 4 are disconnected\n"
+
+
+def test_rank_graph_without_nonedges_prints_the_header_only(capsys, tmp_path):
+    target = tmp_path / "triangle.edges"
+    target.write_text("vertices 3\n1 2 1\n2 3 1\n1 3 1\n")
+    code, out, err = run_cli(capsys, "rank", "--graph", str(target))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["rank,group_id,u,v,value_num,value_den"]
+
+
 def test_rank_needs_input(capsys):
     code, _, _ = run_cli(capsys, "rank")
     assert code == 2

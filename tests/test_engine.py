@@ -23,6 +23,7 @@ from twotree.engine import (
     reduce_straight,
     reduce_straight_all,
     replay_trace,
+    resistance_all_pairs,
     resistance_det,
     resistance_float,
     spanning_tree_count,
@@ -578,12 +579,15 @@ def test_det_validation():
         resistance_det(split, 1, 3)
 
 
+# {1,2,3}: 1/5 parallel to (1/2 + 1/3). {4,5,6}: (2/7 parallel 3) + 3/4.
+TWO_WEIGHTED_COMPONENTS = WeightedGraph(6, [
+    (1, 2, "1/2"), (2, 3, "1/3"), (1, 3, "1/5"),
+    (4, 5, "2/7"), (4, 5, 3), (5, 6, "3/4"),
+])
+
+
 def test_det_on_two_weighted_components_with_different_row_scales():
-    # {1,2,3}: 1/5 parallel to (1/2 + 1/3). {4,5,6}: (2/7 parallel 3) + 3/4.
-    g = WeightedGraph(6, [
-        (1, 2, "1/2"), (2, 3, "1/3"), (1, 3, "1/5"),
-        (4, 5, "2/7"), (4, 5, 3), (5, 6, "3/4"),
-    ])
+    g = TWO_WEIGHTED_COMPONENTS
     comp_of, comps = _graph_facts(g)
     assert comp_of == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
     assert comps[0][2] == (1, 1, 1) and comps[1][2] == (6, 6, 3)
@@ -592,6 +596,29 @@ def test_det_on_two_weighted_components_with_different_row_scales():
     assert resistance_det(g, 5, 4).value == Fraction(6, 23)
     with pytest.raises(ValueError, match="disconnected"):
         resistance_det(g, 3, 4)
+
+
+def _check_all_pairs(g):
+    # resistance_all_pairs has exactly the pairs i < j of one component,
+    # each equal to the single-pair oracle's Fraction.
+    values = resistance_all_pairs(g)
+    adj = g.adjacency()
+    assert sorted(values) == [
+        (i, j) for i in g.vertices for j in sorted(reachable(adj, i)) if j > i
+    ]
+    for (i, j), value in values.items():
+        assert value == resistance_det(g, i, j).value, f"r({i},{j}) differs"
+
+
+@pytest.mark.parametrize("g", [
+    *(straight_linear_2tree(n) for n in range(3, 17)),
+    bent_linear_2tree(11, 5),
+    straight_linear_ktree(9, 3),
+    triangular_grid(5).graph,
+    TWO_WEIGHTED_COMPONENTS,
+], ids=[*(f"strip{n}" for n in range(3, 17)), "bent11", "3tree9", "grid5", "two-weighted"])
+def test_all_pairs_equal_det_on_every_pair(g):
+    _check_all_pairs(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -613,6 +640,7 @@ def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
     g = WeightedGraph(n, [(u, v, 1) for u, v in pairs])
     forests = brute_force_two_forest_count(g, i, j)
     assert two_forest_count(g, i, j) == forests
+    _check_all_pairs(g)
     if j not in reachable(g.adjacency(), i):
         return
     # Unit resistances: r(i, j) is 2-forests separating i and j over trees.
@@ -626,6 +654,7 @@ def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
     g = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     r = resistance_det(g, i, j).value
     assert abs(resistance_float(g, i, j).value - r) <= 1e-9 * r
+    _check_all_pairs(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -642,6 +671,7 @@ def test_det_matches_float_on_random_2trees(data):
     g = WeightedGraph(n, [(u, v, 1) for u, v in edges])
     r = resistance_det(g, i, j).value
     assert abs(resistance_float(g, i, j).value - r) <= 1e-9 * r
+    _check_all_pairs(g)
 
 
 def test_cut_vertex_additivity():

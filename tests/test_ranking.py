@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twotree.graphs import straight_linear_2tree
+from twotree import engine
+from twotree.graphs import WeightedGraph, straight_linear_2tree, triangular_grid
 from twotree.ranking import (
     TieGroup,
     predict_links,
@@ -108,6 +109,28 @@ def test_graph_ranking_agrees_with_strip_ranking():
     special = rank_nonedges(9)
     assert [grp.value for grp in generic] == [grp.value for grp in special]
     assert [grp.pairs for grp in generic] == [grp.pairs for grp in special]
+
+
+def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch):
+    # With the Laplacian facts warm, ranking reads every value from one
+    # adjugate per component; no pair pays a minor of its own.
+    dets, adjugates = [], []
+    real_det, real_adj = engine.det_int, engine.adjugate_int
+    monkeypatch.setattr(engine, "det_int", lambda rows: dets.append(len(rows)) or real_det(rows))
+    monkeypatch.setattr(engine, "adjugate_int",
+                        lambda rows: adjugates.append(len(rows)) or real_adj(rows))
+    grid = triangular_grid(6).graph
+    split = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1)])
+    for g in (grid, split):
+        engine._graph_facts(g)
+    dets.clear()
+    rank_nonedges_graph(grid)
+    assert (dets, adjugates) == ([], [grid.vertex_count - 1])
+    adjugates.clear()
+    # Both components are eliminated before the first cross pair is met.
+    with pytest.raises(ValueError, match="vertices 1 and 4 are disconnected"):
+        rank_nonedges_graph(split)
+    assert (dets, adjugates) == ([], [2, 2])
 
 
 def test_graph_ranking_groups_are_tie_groups():
