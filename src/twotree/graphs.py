@@ -4,12 +4,35 @@ Vertices are 1-based ints. Edges carry a positive Fraction resistance;
 parallel edges are allowed and their conductances add in the Laplacian.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TextIO
 
 
+def _too_long(token, limit):
+    # Whether Fraction(token) would build a numerator or denominator of more
+    # than `limit` digits, decided before it builds either. int() limits the
+    # digits a token writes out, but not the power of ten an exponent
+    # multiplies them by, as in 1e5000.
+    mantissa, e, exp = token.lower().partition("e")
+    if not e:
+        return False
+    try:
+        exp = int(exp)
+    except ValueError:
+        return False  # not a number: Fraction says so
+    whole, _, frac = mantissa.partition(".")
+    written = "".join(c for c in whole + frac if c.isdigit()).lstrip("0")
+    num = max(len(written), 1) + max(exp, 0)
+    den = 1 + sum(c.isdigit() for c in frac) + max(-exp, 0)
+    return max(num, den) > limit
+
+
 def _as_resistance(r):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and isinstance(r, str) and _too_long(r, limit):
+        raise ValueError(f"resistance {r!r} needs more than {limit} digits")
     try:
         r = Fraction(r)
     except (ValueError, ZeroDivisionError, OverflowError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .engine import resistance_all_pairs
 from .formulas import r_closed
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, reachable
 
 
 @dataclass(frozen=True)
@@ -116,21 +116,23 @@ def predict_links(n: int, count: int, tie_policy: str = "lowest-index"):
 def rank_nonedges_graph(g: WeightedGraph):
     """Resistance ranking of non-edges of an arbitrary connected graph.
 
-    Exact values from one adjugate per component (resistance_all_pairs), so
-    ties are exact. Returns TieGroups; ties are grouped by equal value,
-    ordered by (value, pair). On a disconnected graph the first non-edge in
-    (u, v) order whose ends lie in different components raises
-    ValueError("vertices u and v are disconnected").
+    Exact values from one adjugate (resistance_all_pairs), so ties are
+    exact. Returns TieGroups; ties are grouped by equal value, ordered by
+    (value, pair). On a disconnected graph the first non-edge in (u, v)
+    order whose ends lie in different components raises
+    ValueError("vertices u and v are disconnected") before any elimination.
     """
     adj = g.adjacency()
-    nonedges = [
-        (u, v)
+    # The first cross pair in (u, v) order is vertex 1 and the smallest
+    # vertex it cannot reach.
+    seen = reachable(adj, 1)
+    if len(seen) < g.vertex_count:
+        v = min(v for v in g.vertices if v not in seen)
+        raise ValueError(f"vertices 1 and {v} are disconnected")
+    values = resistance_all_pairs(g)
+    return _tie_groups({
+        (u, v): values[(u, v)]
         for u in g.vertices
         for v in range(u + 1, g.vertex_count + 1)
         if v not in adj[u]
-    ]
-    values = resistance_all_pairs(g)
-    for u, v in nonedges:
-        if (u, v) not in values:
-            raise ValueError(f"vertices {u} and {v} are disconnected")
-    return _tie_groups({p: values[p] for p in nonedges})
+    })

@@ -201,6 +201,7 @@ def test_banded_agrees_with_dense(data):
     make = data.draw(st.sampled_from([_laplacian_minor, _dominant]))
     rows = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
     assert det_int(rows) == _det_ref(rows)
+    assert adjugate_int(rows) == (_det_ref(rows), _adj_ref(rows))
 
 
 # === Adjugate ===

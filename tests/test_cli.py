@@ -9,6 +9,7 @@ from pathlib import Path
 import re
 import shlex
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -210,6 +211,21 @@ def test_res_conductance_out_of_float_range_exits_two(capsys, tmp_path, resistan
     )
     assert code == 2 and out == ""
     assert err == "error: edge (2,3): conductance is not a positive finite float\n"
+
+
+@pytest.mark.parametrize("resistance", ["1e5000", "1e-5000", "1e2000000"])
+def test_res_resistance_past_the_int_digit_limit_exits_two(capsys, tmp_path, resistance):
+    # int() refuses a resistance written out in more digits than the limit;
+    # one written with an exponent is refused too, before its power of ten
+    # is built, so even 1e2000000 is answered at once.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int -> str digits")
+    path = _edge_file(tmp_path, f"1 2 {resistance}", "2 3 1")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

@@ -127,10 +127,10 @@ def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch
     rank_nonedges_graph(grid)
     assert (dets, adjugates) == ([], [grid.vertex_count - 1])
     adjugates.clear()
-    # Both components are eliminated before the first cross pair is met.
+    # A disconnected graph is refused before any component is eliminated.
     with pytest.raises(ValueError, match="vertices 1 and 4 are disconnected"):
         rank_nonedges_graph(split)
-    assert (dets, adjugates) == ([], [2, 2])
+    assert (dets, adjugates) == ([], [])
 
 
 def test_graph_ranking_groups_are_tie_groups():
