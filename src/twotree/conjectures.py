@@ -41,7 +41,7 @@ def ktree_increments(k: int, n_max: int) -> dict:
         value, method = _endpoint_value(g, 1, n)
         inc = None
         if prev is not None:
-            inc = value - prev if method == "exact" and isinstance(prev, Fraction) else float(value) - float(prev)
+            inc = value - prev if method == "exact" else float(value) - float(prev)
         rows.append({"n": n, "value": value, "increment": inc, "method": method})
         prev = value
     return {

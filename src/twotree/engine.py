@@ -37,7 +37,6 @@ class ReductionStep:
 @dataclass(frozen=True)
 class ReductionTrace:
     initial: WeightedGraph
-    requested: tuple
     terminals: tuple
     steps: tuple
     value: Fraction
@@ -276,14 +275,6 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
 # === Straight-strip reduction schedule ===
 
 
-@lru_cache(maxsize=8)
-def _strip(n):
-    # Initial strips for reduce_straight, shared by the pairs of one n.
-    # Callers sweep the pairs of one n together, so a few entries suffice,
-    # and a large strip reduced once is not held for long.
-    return straight_linear_2tree(n)
-
-
 def _commit(net, steps, step):
     _apply(net, step)
     steps.append(step)
@@ -360,9 +351,9 @@ def _reduce_from(g, a, bs):
         yield b, tuple(fork_steps), fork.edge_items()[0][2]
 
 
-def _report(g, requested, terminals, steps, value):
-    trace = ReductionTrace(g, requested, terminals, steps, value)
-    return ResistanceReport(pair=requested, value=value, method="delta-y", trace=trace)
+def _report(g, pair, terminals, steps, value):
+    trace = ReductionTrace(g, terminals, steps, value)
+    return ResistanceReport(pair=pair, value=value, method="delta-y", trace=trace)
 
 
 def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
@@ -376,7 +367,7 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     (other than (1, n)) reduce through the reflection v -> n-v+1, which
     leaves the edge set unchanged.
     """
-    g = _strip(n)
+    g = straight_linear_2tree(n)
     _check_pair(n, i, j)
     a, b = min(i, j), max(i, j)
     if b == n and a > 1:
@@ -395,7 +386,7 @@ def reduce_straight_all(n: int):
     descending, except that each pair (i, n) with i > 1 comes right after
     its reflection (1, n-i+1), whose steps it takes.
     """
-    g = _strip(n)
+    g = straight_linear_2tree(n)
     for a in range(1, n - 1):
         for b, steps, value in _reduce_from(g, a, range(n if a == 1 else n - 1, a, -1)):
             yield _report(g, (a, b), (a, b), steps, value)
@@ -489,8 +480,6 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
         raise AssertionError(
             f"tree minor {tree_minor} does not rescale from row 0 to row {pi}"
         )
-    if den == 0:
-        raise ValueError(f"vertices {i} and {j} are disconnected")
     # num lacks rows pi and pj; den lacks row pi: the ratio regains scale[pj]
     value = Fraction(num * scales[pj], den)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
@@ -578,31 +567,27 @@ def _spans_acyclic(n, picked):
     return find
 
 
-def brute_force_tree_enumeration(g: WeightedGraph, limit: int = 10) -> int:
-    """Count spanning trees by enumerating edge subsets. Guarded by `limit`."""
+def _acyclic_subsets(g: WeightedGraph, c: int):
+    # The union-find of each acyclic subset of n - c edges, which leaves c
+    # components: spanning trees for c = 1, spanning 2-forests for c = 2.
     n = g.vertex_count
-    if n > limit:
-        raise ValueError(f"brute force limited to {limit} vertices, got {n}")
+    if n > 10:
+        raise ValueError(f"brute force limited to 10 vertices, got {n}")
     pairs = [(u, v) for u, v, _ in g.edges]
-    count = 0
-    for subset in itertools.combinations(range(len(pairs)), n - 1):
-        if _spans_acyclic(n, [pairs[k] for k in subset]) is not None:
-            count += 1
-    return count
+    for subset in itertools.combinations(pairs, n - c):
+        find = _spans_acyclic(n, subset)
+        if find is not None:
+            yield find
 
 
-def brute_force_two_forest_count(g: WeightedGraph, i, j, limit: int = 10) -> int:
-    """Count spanning 2-forests separating i from j by enumeration."""
-    n = g.vertex_count
-    if n > limit:
-        raise ValueError(f"brute force limited to {limit} vertices, got {n}")
-    pairs = [(u, v) for u, v, _ in g.edges]
-    count = 0
-    for subset in itertools.combinations(range(len(pairs)), n - 2):
-        find = _spans_acyclic(n, [pairs[k] for k in subset])
-        if find is not None and find(i) != find(j):
-            count += 1
-    return count
+def brute_force_tree_enumeration(g: WeightedGraph) -> int:
+    """Count spanning trees by enumerating edge subsets (n <= 10)."""
+    return sum(1 for _ in _acyclic_subsets(g, 1))
+
+
+def brute_force_two_forest_count(g: WeightedGraph, i, j) -> int:
+    """Count spanning 2-forests separating i from j by enumeration (n <= 10)."""
+    return sum(1 for find in _acyclic_subsets(g, 2) if find(i) != find(j))
 
 
 # === Float path ===

@@ -8,8 +8,7 @@ F_{n+1} = F_n + F_{n-1} holds on all of Z through a single code path.
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 MAX_INDEX = 1_000_000
 
@@ -68,16 +67,16 @@ def lucas(n: int) -> int:
 
 # === Identity registry ===
 #
-# Each identity evaluates both sides exactly and is checked over a documented
-# default range. check_identity() reports every violation rather than failing
-# fast, so a report is useful even when something breaks.
+# Each identity evaluates both sides exactly and is checked over its
+# documented index range. check_identity() reports every violation rather
+# than failing fast, so a report is useful even when something breaks.
 
 
 @dataclass(frozen=True)
 class Identity:
     name: str
     summary: str
-    default_range: tuple
+    index_range: tuple
     cases: Callable[[int, int], Iterable[tuple]]
     evaluate: Callable[..., tuple]
 
@@ -85,7 +84,6 @@ class Identity:
 @dataclass
 class IdentityReport:
     name: str
-    index_range: tuple
     checked: int = 0
     violations: list = field(default_factory=list)
 
@@ -189,8 +187,8 @@ def _even_sum(n):
 _REGISTRY = {}
 
 
-def _register(name, summary, default_range, cases, evaluate):
-    _REGISTRY[name] = Identity(name, summary, default_range, cases, evaluate)
+def _register(name, summary, index_range, cases, evaluate):
+    _REGISTRY[name] = Identity(name, summary, index_range, cases, evaluate)
 
 
 _register(
@@ -346,20 +344,18 @@ def identity_names():
     return sorted(_REGISTRY)
 
 
-def check_identity(name: str, index_range=None) -> IdentityReport:
-    """Check one registered identity exactly over index_range (inclusive).
+def check_identity(name: str) -> IdentityReport:
+    """Check one registered identity exactly over its index range.
 
-    index_range bounds the primary index; multi-variable identities
-    enumerate their documented domain within it. Unknown names raise.
+    The range (inclusive) bounds the primary index; multi-variable
+    identities enumerate their documented domain within it. Unknown names
+    raise.
     """
     ident = _REGISTRY.get(name)
     if ident is None:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
-    lo, hi = ident.default_range if index_range is None else index_range
-    if lo > hi:
-        raise ValueError(f"empty index range ({lo}, {hi})")
-    report = IdentityReport(name=name, index_range=(lo, hi))
-    for indices in ident.cases(lo, hi):
+    report = IdentityReport(name=name)
+    for indices in ident.cases(*ident.index_range):
         lhs, rhs = ident.evaluate(*indices)
         report.checked += 1
         if lhs != rhs:

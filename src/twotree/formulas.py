@@ -169,15 +169,15 @@ def r_bent(m: int, bend_k: int) -> Fraction:
     return head + tail + corr
 
 
-def bent_reading_evidence(m_lo: int = 5, m_hi: int = 15):
+def bent_reading_evidence():
     """Compare both readings of the bent endpoint formula against the
-    determinant oracle. Returns rows of
-    (m, bend_k, oracle, additive, product, additive_ok, product_ok)."""
+    determinant oracle on every bent strip with 5..15 triangles. Returns
+    rows of (m, bend_k, oracle, additive, product, additive_ok, product_ok)."""
     from .engine import resistance_det
     from .graphs import bent_linear_2tree
 
     rows = []
-    for m in range(m_lo, m_hi + 1):
+    for m in range(5, 16):
         n = m + 2
         for k in range(3, n - 2):
             oracle = resistance_det(bent_linear_2tree(n, k), 1, n).value

@@ -11,28 +11,35 @@ from typing import Iterable, TextIO
 
 
 def _too_long(token, limit):
-    # Whether Fraction(token) would build a numerator or denominator of more
-    # than `limit` digits, decided before it builds either. int() limits the
-    # digits a token writes out, but not the power of ten an exponent
-    # multiplies them by, as in 1e5000.
-    mantissa, e, exp = token.lower().partition("e")
-    if not e:
-        return False
+    # Whether Fraction(token) would read or build a numerator or denominator
+    # of more than `limit` digits, decided before it does either. int()
+    # refuses to read more digits than that, but not the power of ten an
+    # exponent multiplies them by, as in 1e5000.
+    def digits(part):
+        return sum(c.isdigit() for c in part)
+
+    num, slash, den = token.partition("/")
+    if slash:
+        return max(digits(num), digits(den)) > limit
+    mantissa, _, exp = token.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if max(digits(whole), digits(frac), digits(exp)) > limit:
+        return True
     try:
-        exp = int(exp)
+        exp = int(exp or 0)
     except ValueError:
         return False  # not a number: Fraction says so
-    whole, _, frac = mantissa.partition(".")
     written = "".join(c for c in whole + frac if c.isdigit()).lstrip("0")
     num = max(len(written), 1) + max(exp, 0)
-    den = 1 + sum(c.isdigit() for c in frac) + max(-exp, 0)
+    den = 1 + digits(frac) + max(-exp, 0)
     return max(num, den) > limit
 
 
 def _as_resistance(r):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and isinstance(r, str) and _too_long(r, limit):
-        raise ValueError(f"resistance {r!r} needs more than {limit} digits")
+        shown = repr(r) if len(r) <= 20 else repr(r[:20]) + "..."
+        raise ValueError(f"resistance {shown} needs more than {limit} digits")
     try:
         r = Fraction(r)
     except (ValueError, ZeroDivisionError, OverflowError):

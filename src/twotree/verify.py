@@ -19,7 +19,7 @@ from .engine import (
     spanning_tree_count,
     two_forest_count,
 )
-from .graphs import straight_linear_2tree, triangular_grid
+from .graphs import straight_linear_2tree
 
 GOLDEN_RANKING_N9 = (
     "{3,6} & {4,7}, {2,5} & {5,8}, {1,4} & {6,9}, {3,7}, {2,6} & {4,8}, "
@@ -50,9 +50,10 @@ def four_way_agreement(n_lo=3, n_hi=40):
     return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
 
 
-def endpoint_forms(m_hi=60):
-    """Both endpoint forms agree for m in [1, m_hi]; spot values
+def endpoint_forms():
+    """Both endpoint forms agree for m in [1, 60]; spot values
     r_endpoints(2) = 1 and r_endpoints(1) = 2/3."""
+    m_hi = 60
     for m in range(1, m_hi + 1):
         formulas.r_endpoints(m)  # raises on disagreement
     if formulas.r_endpoints(2) != 1:
@@ -70,9 +71,10 @@ def increment_limit():
     return ok, f"increment {float(delta):.9f}, |gap to 1/5| = {float(gap):.3e} < 1e-6"
 
 
-def tree_counts(m_hi=20):
-    """Matrix-tree count equals F_{2m+2} for m in [1, m_hi] and equals
+def tree_counts():
+    """Matrix-tree count equals F_{2m+2} for m in [1, 20] and equals
     brute-force enumeration for n <= 8 (m=3 gives 21)."""
+    m_hi = 20
     for m in range(1, m_hi + 1):
         g = straight_linear_2tree(m + 2)
         mt = spanning_tree_count(g)
@@ -87,11 +89,11 @@ def tree_counts(m_hi=20):
     return True, f"counts match F_(2m+2) for m in [1,{m_hi}], brute force agrees to n=8, m=3 gives 21"
 
 
-def forest_counts(m_hi=20):
+def forest_counts():
     """Two-forest closed count equals resistance * tree count exactly for
-    all (j,k), m <= m_hi; both printed forms agree; enumeration to n=8."""
+    all (j,k), m <= 20; both printed forms agree; enumeration to n=8."""
     checked = 0
-    for m in range(1, m_hi + 1):
+    for m in range(1, 21):
         trees = formulas.spanning_closed(m)
         for j in range(1, m + 2):
             for k in range(1, m + 3 - j):
@@ -120,10 +122,11 @@ def ranking_golden():
     return ok, detail
 
 
-def extremal_structure(m_hi=30):
+def extremal_structure():
     """Within-level unimodality with exact mirror symmetry, strict level
     separation, minimizer parity positions, and the two minimum spot
     values (n=6 exact, n=50 vs 1/sqrt(5))."""
+    m_hi = 30
     for m in range(1, m_hi + 1):
         n = m + 2
         for k in range(1, n - 1):
@@ -177,11 +180,11 @@ def identity_suite():
     return True, f"{len(reports)} identities, {total} exact instantiations, all pass"
 
 
-def bent_reading(m_lo=5, m_hi=15):
+def bent_reading():
     """The additive reading of the bent endpoint formula matches the
-    determinant oracle on every bent strip with m in [m_lo, m_hi]. On a
-    pass the detail goes on with the evidence table, one line per strip."""
-    rows = formulas.bent_reading_evidence(m_lo, m_hi)
+    determinant oracle on every bent strip with m in [5, 15]. On a pass
+    the detail goes on with the evidence table, one line per strip."""
+    rows = formulas.bent_reading_evidence()
     bad = [r for r in rows if not r[5]]
     product_hits = sum(1 for r in rows if r[6])
     if bad:
@@ -189,7 +192,7 @@ def bent_reading(m_lo=5, m_hi=15):
         return False, f"additive reading misses at m={m}, bend={k}"
     lines = [
         f"additive reading matches the oracle on all {len(rows)} bent strips "
-        f"(m in [{m_lo},{m_hi}]); product reading matches {product_hits}",
+        f"(m in [{rows[0][0]},{rows[-1][0]}]); product reading matches {product_hits}",
         "  m  bend  oracle            additive  product",
     ]
     for m, k, oracle, _, _, _, prod_ok in rows:

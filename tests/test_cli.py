@@ -213,11 +213,16 @@ def test_res_conductance_out_of_float_range_exits_two(capsys, tmp_path, resistan
     assert err == "error: edge (2,3): conductance is not a positive finite float\n"
 
 
-@pytest.mark.parametrize("resistance", ["1e5000", "1e-5000", "1e2000000"])
+@pytest.mark.parametrize("resistance", [
+    "1e5000", "1e-5000", "1e2000000",
+    pytest.param("1" + "0" * 5000, id="written-out"),
+    pytest.param("1/1" + "0" * 5000, id="fraction"),
+])
 def test_res_resistance_past_the_int_digit_limit_exits_two(capsys, tmp_path, resistance):
     # int() refuses a resistance written out in more digits than the limit;
     # one written with an exponent is refused too, before its power of ten
-    # is built, so even 1e2000000 is answered at once.
+    # is built, so even 1e2000000 is answered at once. Either way the error
+    # names the limit and does not echo the whole token.
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no limit on int -> str digits")
     path = _edge_file(tmp_path, f"1 2 {resistance}", "2 3 1")
@@ -226,6 +231,8 @@ def test_res_resistance_past_the_int_digit_limit_exits_two(capsys, tmp_path, res
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
+    assert f"needs more than {sys.get_int_max_str_digits()} digits" in err
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

@@ -308,7 +308,6 @@ def test_replay_detects_tampering():
     steps[0] = forged
     doctored = rep.trace.__class__(
         initial=rep.trace.initial,
-        requested=rep.trace.requested,
         terminals=rep.trace.terminals,
         steps=tuple(steps),
         value=rep.trace.value,
@@ -496,7 +495,7 @@ def test_trace_digest_is_frozen():
 
 
 def test_traces_do_not_depend_on_call_order():
-    # The star, strip and Laplacian caches are shared across calls; a trace
+    # The star and Laplacian caches are shared across calls; a trace
     # must come out the same whichever pairs ran before it.
     pairs = [
         (n, i, j)
@@ -507,7 +506,7 @@ def test_traces_do_not_depend_on_call_order():
     ]
 
     def clear():
-        for cached in (engine._graph_facts, engine._star, engine._strip):
+        for cached in (engine._graph_facts, engine._star):
             cached.cache_clear()
 
     def traces(order):
@@ -746,6 +745,15 @@ def test_two_forest_count_across_components_multiplies_tree_counts():
     assert brute_force_two_forest_count(triangle_and_edge, 1, 4) == 3
     three_parts = WeightedGraph(5, [(1, 2, 1), (3, 4, 1)])
     assert two_forest_count(three_parts, 1, 3) == brute_force_two_forest_count(three_parts, 1, 3) == 0
+
+
+def test_brute_force_counters_refuse_more_than_ten_vertices():
+    path = WeightedGraph(11, [(v, v + 1, 1) for v in range(1, 11)])
+    message = "brute force limited to 10 vertices, got 11"
+    with pytest.raises(ValueError, match=message):
+        brute_force_tree_enumeration(path)
+    with pytest.raises(ValueError, match=message):
+        brute_force_two_forest_count(path, 1, 11)
 
 
 def test_tree_enumeration_agrees():

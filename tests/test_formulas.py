@@ -232,7 +232,7 @@ def test_bent_matches_determinant(m):
 def test_bent_product_reading_disagrees():
     hits = sum(
         1
-        for m, bend, _, _, prod, _, _ in bent_reading_evidence(5, 9)
+        for m, bend, _, _, prod, _, _ in bent_reading_evidence()
         if prod == resistance_det(bent_linear_2tree(m + 2, bend), 1, m + 2).value
     )
     assert hits == 0, "product reading should never match the oracle"
@@ -248,8 +248,8 @@ def test_bent_validation():
 
 
 def test_bent_evidence_rows():
-    rows = bent_reading_evidence(5, 7)
-    assert len(rows) == sum(m - 3 for m in range(5, 8))
+    rows = bent_reading_evidence()
+    assert len(rows) == sum(m - 3 for m in range(5, 16))
     for m, k, oracle, add, prod, add_ok, prod_ok in rows:
         assert add_ok is (add == oracle)
         assert prod_ok is (prod == oracle)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import io
+import sys
 
 import pytest
 
@@ -228,6 +229,15 @@ def test_edge_list_ignores_comments_and_blanks():
 def test_edge_list_bad_header():
     with pytest.raises(ValueError, match="vertices N"):
         read_edge_list(io.StringIO("nodes 3\n1 2 1\n"))
+
+
+def test_edge_list_reads_a_fraction_whose_parts_fit_the_digit_limit():
+    # The digit limit bounds the numerator and the denominator one at a
+    # time, not the token as a whole.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    num, den = "1" * limit, "7" * limit
+    g = read_edge_list(io.StringIO(f"vertices 2\n1 2 {num}/{den}\n"))
+    assert g.edges[0][2] == Fraction(int(num), int(den))
 
 
 def test_edge_list_bad_line_reports_number():
