@@ -1,4 +1,4 @@
-"""Exact determinants and adjugates from one fraction-free LU.
+"""Exact determinants, solves and adjugates from one fraction-free LU.
 
 The banded Bareiss elimination (Bareiss 1968) divides exactly at every
 step, so results are exact integers no matter how large the entries grow.
@@ -7,14 +7,17 @@ Laplacian minors of this package take. The elimination reads the rows
 only at their entries: it finds the bandwidth bw from them and works
 inside a sliding window, for O(n * bw^2) work and no O(n^2) copy.
 
-It runs once, in _pivot_rows, and is read two ways. Each pivot row holds
-the fraction-free U right of its diagonal and its own multipliers, the
-L factor, left of it. det_int keeps the last pivot, the determinant.
-adjugate_int replays the multipliers on I, then back-substitutes for the
-integer adjugate, in O(n^2 * bw) work. The one precondition of both is
-that every leading principal minor is positive, as it is for any
-principal minor of a connected component's row-scaled Laplacian. Then no
-pivot is zero and no row is ever swapped.
+It runs in _pivot_rows. Each pivot row holds the fraction-free U right
+of its diagonal and its own multipliers, the L factor, left of it
+(Zhou & Jeffrey 2008). det_int keeps only the last pivot, the
+determinant. lu_int keeps every pivot row: that tuple is the
+factorization, and it is read with no further elimination. solve_int
+replays the multipliers on one sparse vector c and back-substitutes for
+adj * c in O(n * bw) work; adjugate_int does the same on I for the whole
+integer adjugate, in O(n^2 * bw). The one precondition is that every
+leading principal minor is positive, as it is for any principal minor
+of a connected component's row-scaled Laplacian. Then no pivot is zero
+and no row is ever swapped.
 """
 
 
@@ -80,19 +83,78 @@ def det_int(rows) -> int:
     return det
 
 
-def adjugate_int(rows):
-    """Exact (det, adj) of the matrices det_int takes, M * adj == det * I.
+def lu_int(rows):
+    """The fraction-free LU of the matrices det_int takes, as a tuple of
+    pivot rows: the factorization solve_int and adjugate_int read.
+
+    Pivot row k is a dict over the columns within the bandwidth of k. Its
+    value at k is pivot k, the leading minor of order k + 1, so the last
+    pivot is the determinant; right of k it is row k of U, and left of k
+    it holds the L multipliers. Raises AssertionError on a pivot <= 0, as
+    det_int does.
+    """
+    return tuple(_pivot_rows(rows))
+
+
+def _pivots(lu):
+    # [1, pivot 0, ..., pivot n-1]: entry k is prev at step k.
+    return [1] + [row[k] for k, row in enumerate(lu)]
+
+
+def solve_int(lu, c, read):
+    """adj(M) * c at the positions in `read`, in that order, for the
+    factorization lu of M and a sparse int vector c (dict position -> int).
+
+    The row operations that turn M into U turn c into B * c, so
+    U * (adj * c) == det * B * c. The forward pass replays each row's own
+    multipliers on c, starting at c's first nonzero: above it B * c is
+    zero. Back substitution then runs from the last row down to the first
+    position read, keeping only the last bw entries besides those read.
+    Every division is exact, so all of it is integer work: O(n * bw).
+    """
+    n = len(lu)
+    pivots = _pivots(lu)
+    det = pivots[-1]
+    first = min(c, default=n)
+    y = [0] * n
+    for i in range(first, n):
+        # Row i entered the window at step min(row); before that step, or
+        # before c's first nonzero, each step only scaled y_i by piv/prev.
+        row = lu[i]
+        lo = max(min(row), first)
+        yi = c.get(i, 0) * pivots[lo]
+        for t in range(lo, i):
+            yi = (yi * pivots[t + 1] - row[t] * y[t]) // pivots[t]
+        y[i] = yi
+    bw = max(lu[0]) if lu else 0  # pivot row 0 spans columns 0..bw
+    keep = set(read)
+    w = {}
+    for i in range(n - 1, min(keep, default=n) - 1, -1):
+        row = lu[i]
+        acc = det * y[i]
+        for col in range(i + 1, min(n, i + bw + 1)):
+            acc -= row[col] * w[col]
+        w[i] = acc // row[i]
+        if i + bw not in keep:
+            w.pop(i + bw, None)
+    return [w[p] for p in read]
+
+
+def adjugate_int(lu):
+    """Exact (det, adj) of M from its factorization lu = lu_int(M), with
+    M * adj == det * I.
 
     adj is a list of n int lists, adj[p][q] the cofactor of entry (q, p).
     The row operations that turn M into U turn I into a lower triangular
     B, so U * adj == det * B. Row i of B comes from replaying row i's own
-    multipliers on the B rows above it. Back substitution then gives each
-    row of adj from the rows below it; every division is exact, since adj
-    is integral. Raises AssertionError on a pivot <= 0, as det_int does.
+    multipliers on the B rows above it, the recurrence solve_int runs on
+    one vector. Back substitution then gives each row of adj from the
+    rows below it; every division is exact, since adj is integral.
+    O(n^2 * bw) work.
     """
-    us, bs = [], []
-    pivots = [1]  # pivots[k] is prev at step k, pivots[k + 1] its pivot
-    for i, row in enumerate(_pivot_rows(rows)):
+    pivots = _pivots(lu)  # pivots[k] is prev at step k, pivots[k + 1] its pivot
+    bs = []
+    for i, row in enumerate(lu):
         # Row i entered the window at step lo with a zero B part. Its own
         # identity entry is left out until the end: no pivot row above it
         # has that column, so each step only scales it by piv/prev.
@@ -103,18 +165,16 @@ def adjugate_int(rows):
             b.append(0)
             b = [(x * piv - mult * y) // prev for x, y in zip(b, bt)]
         b.append(pivots[i])
-        us.append(row)
         bs.append(b)
-        pivots.append(row[i])
-    n, det = len(us), pivots[-1]
+    n, det = len(lu), pivots[-1]
     adj = [None] * n
     for i in range(n - 1, -1, -1):
         acc = [det * x for x in bs[i]] + [0] * (n - 1 - i)
         # Entries left of the diagonal in a pivot row are multipliers.
-        for c, u in us[i].items():
+        for c, u in lu[i].items():
             if c > i and u:
                 acc = [s - u * y for s, y in zip(acc, adj[c])]
-        d = us[i][i]
+        d = lu[i][i]
         adj[i] = [s // d for s in acc]
     return det, adj
 

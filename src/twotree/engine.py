@@ -8,19 +8,23 @@ step that does not apply raises ValueError. reduce_straight reduces one
 pair of a straight strip; reduce_straight_all yields the same reports for
 every pair of one strip, running the schedule's shared phases once per
 call. The determinant path is the independent oracle: r(i,j) equals the
-ratio of two Laplacian minors. resistance_det computes one pair that way;
-resistance_all_pairs reads every pair of a component from one integer
-adjugate of its grounded Laplacian. All are exact over Fractions.
+ratio of two Laplacian minors. Each component's grounded Laplacian is
+factored once, by a fraction-free LU kept with the graph's facts, and
+every exact answer is read from that factorization: resistance_det one
+pair by one exact solve, resistance_all_pairs every pair of a component
+from one integer adjugate, and the tree and 2-forest counts. All are
+exact over Fractions.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
 from typing import Optional
 
-from .bareiss import adjugate_int, det_int, strike
+from .bareiss import adjugate_int, lu_int, solve_int, strike
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -417,15 +421,16 @@ def _graph_facts(g: WeightedGraph):
 
     The one exact Laplacian assembly: conductances of parallel edges add.
     Scaling row r of the exact Laplacian by scale[r] (the lcm of that row's
-    denominators) makes it integral; minor determinants divide back out by
-    the kept rows' scales. Rows are sparse dicts (position -> value) for
-    the banded eliminations, det_int's per pair and adjugate_int's for all
-    pairs of a component; treat them as read-only. Each component's
-    tree minor, det with its first vertex struck, is computed here once:
-    by the matrix-tree theorem it is the product of the other rows' scales
-    times the weighted spanning tree count.
+    denominators) makes it integral. Rows are sparse dicts (position ->
+    value); treat them as read-only. Striking each component's first
+    vertex leaves its grounded minor M, which is factored here, once, by
+    the banded fraction-free LU: every exact answer of the component is
+    read from that factorization, with no further elimination. Its last
+    pivot det(M) is the tree minor: by the matrix-tree theorem, the
+    product of the other rows' scales times the weighted spanning tree
+    count. The factorization holds O(n * bw) integers per component.
     Returns (comp_of, comps) with
-    comps[cid] = (verts, int_rows, scales, tree_minor).
+    comps[cid] = (verts, int_rows, scales, tree_minor, lu).
     """
     cond = {v: {} for v in g.vertices}
     for u, v, r in g.edges:
@@ -451,37 +456,34 @@ def _graph_facts(g: WeightedGraph):
             mult = lcm(*(x.denominator for _, x in entries))
             scales.append(mult)
             int_rows.append({idx: x.numerator * (mult // x.denominator) for idx, x in entries})
-        tree_minor = det_int(strike(int_rows, (0,)))
-        comps.append((verts, tuple(int_rows), tuple(scales), tree_minor))
+        lu = lu_int(strike(int_rows, (0,)))
+        tree_minor = lu[-1][len(lu) - 1] if lu else 1
+        comps.append((verts, tuple(int_rows), tuple(scales), tree_minor, lu))
     return comp_of, tuple(comps)
 
 
 def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
-    """Exact r(i, j) as a ratio of Laplacian minors.
+    """Exact r(i, j) from the component's factored grounded Laplacian.
 
-    Numerator: Laplacian with rows/columns i and j struck, the one minor
-    computed per pair. Denominator: row/column i struck (the weighted
-    spanning tree sum), read from the component's cached tree minor by
-    rescaling, since every such minor is the same tree sum. Vertices outside
-    the component of i are ignored; a pair in different components raises.
+    The grounded Laplacian L0 (first vertex struck) has rows scaled to
+    integers as M = diag(scales) L0, so L0^-1 = adj(M) diag(scales) / det(M).
+    One exact solve gives w = adj(M) c for c = scales[pi] e_pi -
+    scales[pj] e_pj, a struck vertex's term dropped, and then
+    r(i, j) = (w_pi - w_pj) / det(M), w zero at the struck vertex. This is
+    the ratio of the Laplacian minor with i and j struck to the tree minor,
+    with no elimination of its own. Vertices outside the component of i
+    are ignored; a pair in different components raises.
     """
     _check_pair(g.vertex_count, i, j)
     comp_of, comps = _graph_facts(g)
     if comp_of.get(i) != comp_of.get(j):
         raise ValueError(f"vertices {i} and {j} are disconnected")
-    verts, int_rows, scales, tree_minor = comps[comp_of[i]]
-    pos = {v: idx for idx, v in enumerate(verts)}
-    pi, pj = pos[i], pos[j]
-    num = det_int(strike(int_rows, (pi, pj)))
-    # The tree minor lacks row 0, this one row pi; both equal the product
-    # of all scales but the struck one times the tree sum.
-    den, rem = divmod(tree_minor * scales[0], scales[pi])
-    if rem:
-        raise AssertionError(
-            f"tree minor {tree_minor} does not rescale from row 0 to row {pi}"
-        )
-    # num lacks rows pi and pj; den lacks row pi: the ratio regains scale[pj]
-    value = Fraction(num * scales[pj], den)
+    verts, _, scales, tree_minor, lu = comps[comp_of[i]]
+    pi, pj = bisect_left(verts, i), bisect_left(verts, j)
+    # grounded position p - 1 for component position p; position 0 is struck
+    c = {p - 1: s for p, s in ((pi, scales[pi]), (pj, -scales[pj])) if p}
+    w = dict(zip(c, solve_int(lu, c, list(c))))
+    value = Fraction(w.get(pi - 1, 0) - w.get(pj - 1, 0), tree_minor)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
@@ -489,16 +491,16 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
     """Exact r(i, j) for every pair i < j of one component, as a dict
     (i, j) -> Fraction; pairs in different components are absent.
 
-    One adjugate per component instead of one minor per pair. Striking the
-    component's first vertex leaves the grounded Laplacian L0, whose rows
-    scaled to integers form M = diag(scales) L0. Then X = L0^-1 equals
-    adj(M) diag(scales) / det(M), and r(i, j) = X_ii + X_jj - 2 X_ij with X
-    zero at the struck vertex. Computed on demand; nothing is cached but
-    the rows _graph_facts already holds.
+    One adjugate per component, read from the factorization _graph_facts
+    keeps. Striking the component's first vertex leaves the grounded
+    Laplacian L0, whose rows scaled to integers form M = diag(scales) L0.
+    Then X = L0^-1 equals adj(M) diag(scales) / det(M), and
+    r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the struck vertex.
+    Computed on demand; the adjugate is not cached.
     """
     out = {}
-    for verts, int_rows, scales, _ in _graph_facts(g)[1]:
-        det, adj = adjugate_int(strike(int_rows, (0,)))
+    for verts, _, scales, _, lu in _graph_facts(g)[1]:
+        det, adj = adjugate_int(lu)
         # x[p][q] = X_pq * det between verts[p] and verts[q]
         x = [[0] * len(verts)] + [[0] + [c * s for c, s in zip(row, scales[1:])] for row in adj]
         for p, u in enumerate(verts):
@@ -527,10 +529,11 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
     """Number of spanning 2-forests separating i from j (unit resistances).
 
     The count is the Laplacian minor with rows/columns i and j struck, which
-    factors over components. In one component it is the numerator
-    resistance_det computes, read back as resistance * tree count, which
-    must be integral. In two it is their tree counts' product; a third
-    component keeps all its rows, a singular block, and makes it 0.
+    factors over components. In one component it is read back from
+    resistance_det's solve as resistance * tree count, which must be
+    integral, with no elimination of its own. In two it is their tree
+    counts' product; a third component keeps all its rows, a singular
+    block, and makes it 0.
     """
     comp_of, comps = _unit_facts(g, "two-forest")
     _check_pair(g.vertex_count, i, j)

@@ -35,26 +35,33 @@ def _too_long(token, limit):
     return max(num, den) > limit
 
 
+def _clip(x):
+    # x as an error message echoes it: a string quoted, anything cut at 20
+    # characters, so that no input, however long, makes a long message.
+    text = x if isinstance(x, str) else str(x)
+    shown = repr(text[:20]) if isinstance(x, str) else text[:20]
+    return shown + "..." * (len(text) > 20)
+
+
 def _as_resistance(r):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and isinstance(r, str) and _too_long(r, limit):
-        shown = repr(r) if len(r) <= 20 else repr(r[:20]) + "..."
-        raise ValueError(f"resistance {shown} needs more than {limit} digits")
+        raise ValueError(f"resistance {_clip(r)} needs more than {limit} digits")
     try:
         r = Fraction(r)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"resistance must be a positive rational, got {r!r}") from None
+        raise ValueError(f"resistance must be a positive rational, got {_clip(r)}") from None
     if r <= 0:
-        raise ValueError(f"resistance must be positive, got {r}")
+        raise ValueError(f"resistance must be positive, got {_clip(r)}")
     return r
 
 
 def _edge(vertex_count, u, v, r):
     # One edge in canonical form (u < v), checked against the vertex range.
     if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"self-loop at vertex {_clip(u)}")
     if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-        raise ValueError(f"edge ({u},{v}) out of range 1..{vertex_count}")
+        raise ValueError(f"edge ({_clip(u)},{_clip(v)}) out of range 1..{vertex_count}")
     return (u, v, _as_resistance(r)) if u < v else (v, u, _as_resistance(r))
 
 
@@ -212,12 +219,12 @@ def read_edge_list(inp: TextIO) -> WeightedGraph:
         try:
             if header is None:
                 if len(parts) != 2 or parts[0] != "vertices":
-                    raise ValueError(f"expected 'vertices N', got {line!r}")
+                    raise ValueError(f"expected 'vertices N', got {_clip(line)}")
                 header = int(parts[1])
                 if header < 1:
-                    raise ValueError(f"vertex count must be >= 1, got {header}")
+                    raise ValueError(f"vertex count must be >= 1, got {_clip(header)}")
             elif len(parts) != 3:
-                raise ValueError(f"expected 'u v resistance', got {line!r}")
+                raise ValueError(f"expected 'u v resistance', got {_clip(line)}")
             else:
                 edges.append(_edge(header, int(parts[0]), int(parts[1]), parts[2]))
         except ValueError as exc:

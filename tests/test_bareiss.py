@@ -4,10 +4,11 @@ The banded elimination is the workhorse behind every resistance and
 count in the package, so it gets an independent referee here: a dense
 fraction-free elimination with row pivoting that works for any square
 matrix, plus a handful of determinants known in closed form. The
-adjugate is refereed by the signed cofactors that reference gives.
-det_int and adjugate_int take only matrices whose leading principal
-minors are positive, so they are fed minors of row-scaled Laplacians and
-strictly diagonally dominant matrices, and must refuse anything else.
+adjugate, and the exact solve adj * c, are refereed by the signed
+cofactors that reference gives. det_int and lu_int take only matrices
+whose leading principal minors are positive, so they are fed minors of
+row-scaled Laplacians and strictly diagonally dominant matrices, and
+must refuse anything else.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import adjugate_int, det_int, strike
+from twotree.bareiss import adjugate_int, det_int, lu_int, solve_int, strike
 
 NOT_PD = "not positive definite"
 
@@ -63,6 +64,19 @@ def _adj_ref(rows):
                 for i, row in enumerate(rows) if i != r]
 
     return [[(-1) ** (p + q) * _det_ref(minor(q, p)) for q in range(n)] for p in range(n)]
+
+
+def _apply(adj, c):
+    """adj * c for a list-of-lists matrix and a sparse dict vector."""
+    return [sum(row[q] * x for q, x in c.items()) for row in adj]
+
+
+def _vectors(randint, n):
+    """Sparse int vectors of order n: one nonzero, two, and dense."""
+    one = {randint(0, n - 1): randint(-9, 9) or 1}
+    two = {randint(0, n - 1): randint(1, 9), randint(0, n - 1): randint(-9, -1)}
+    dense = {q: randint(-9, 9) for q in range(n)}
+    return one, two, dense
 
 
 def _times(rows, adj):
@@ -190,7 +204,7 @@ def test_banded_agrees_with_dense_seeded(bw):
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
                     det_int(rows)
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
-                    adjugate_int(rows)
+                    adjugate_int(lu_int(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,15 +215,21 @@ def test_banded_agrees_with_dense(data):
     make = data.draw(st.sampled_from([_laplacian_minor, _dominant]))
     rows = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
     assert det_int(rows) == _det_ref(rows)
-    assert adjugate_int(rows) == (_det_ref(rows), _adj_ref(rows))
+    lu, adj = lu_int(rows), _adj_ref(rows)
+    assert adjugate_int(lu) == (_det_ref(rows), adj)
+    for c in _vectors(lambda lo, hi: data.draw(st.integers(lo, hi)), n):
+        assert solve_int(lu, c, range(n)) == _apply(adj, c)
 
 
 # === Adjugate ===
 
 
 def test_adjugate_of_empty_and_one_by_one():
-    assert adjugate_int([]) == (1, [])
-    assert adjugate_int([{0: 7}]) == (7, [[1]])
+    assert lu_int([]) == ()
+    assert solve_int((), {}, []) == []
+    assert adjugate_int(lu_int([])) == (1, [])
+    assert solve_int(lu_int([{0: 7}]), {0: 3}, [0]) == [3]
+    assert adjugate_int(lu_int([{0: 7}])) == (7, [[1]])
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3])
@@ -217,9 +237,41 @@ def test_adjugate_agrees_with_cofactors_seeded(bw):
     rng = random.Random(2000 + bw)
     for _ in range(30):
         rows = _laplacian_minor(rng.randint, rng.randint(1, 7), bw)
-        det, adj = adjugate_int(rows)
+        det, adj = adjugate_int(lu_int(rows))
         assert det == det_int(rows), f"bw={bw} determinant differs on {rows}"
         assert adj == _adj_ref(rows), f"bw={bw} adjugate differs on {rows}"
+
+
+@pytest.mark.parametrize("bw", [0, 1, 2, 3])
+def test_solve_agrees_with_cofactors_seeded(bw):
+    # adj * c for c with one nonzero, two and dense, read whole and at two
+    # positions in either order (the solve keeps only what it must).
+    rng = random.Random(4000 + bw)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        rows = _laplacian_minor(rng.randint, n, bw)
+        lu, adj = lu_int(rows), _adj_ref(rows)
+        for c in _vectors(rng.randint, n):
+            want = _apply(adj, c)
+            assert solve_int(lu, c, range(n)) == want, f"bw={bw} solve differs on {rows}, {c}"
+            p, q = rng.randrange(n), rng.randrange(n)
+            assert solve_int(lu, c, [q, p]) == [want[q], want[p]]
+
+
+def test_solve_on_long_matrices_from_the_last_rows():
+    # c's first nonzero and the first position read near the end: the
+    # forward and back passes cover only the last rows, and must still
+    # give the entries of the whole solve.
+    rng = random.Random(5000)
+    for bw in (1, 2, 5):
+        n = 40
+        rows = _laplacian_minor(rng.randint, n, bw)
+        lu = lu_int(rows)
+        _, adj = adjugate_int(lu)
+        for c in ({n - 1: 1}, {n - 3: 2, n - 1: -5}, {0: 1, n - 1: -1}):
+            want = _apply(adj, c)
+            assert solve_int(lu, c, range(n)) == want
+            assert solve_int(lu, c, [n - 1, n - 2]) == want[-1:-3:-1]
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 5])
@@ -229,7 +281,7 @@ def test_adjugate_on_long_matrices_inverts_times_det(bw):
     for t in range(6):
         n = rng.randint(20, 40)
         rows = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
-        det, adj = adjugate_int(rows)
+        det, adj = adjugate_int(lu_int(rows))
         assert det == det_int(rows)
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 
@@ -251,7 +303,7 @@ def test_adjugate_on_a_band_of_zero_one_and_two():
     ], (0,))
     for rows, want in ((diagonal, 30), (continuant, 6), (strip, 144)):
         n = len(rows)
-        det, adj = adjugate_int(rows)
+        det, adj = adjugate_int(lu_int(rows))
         assert det == want
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 
@@ -271,10 +323,10 @@ def test_adjugate_refuses_what_det_int_refuses(mat):
     with pytest.raises(AssertionError, match=NOT_PD) as refused:
         det_int(rows)
     with pytest.raises(AssertionError, match=NOT_PD) as also_refused:
-        adjugate_int(rows)
+        adjugate_int(lu_int(rows))
     assert str(also_refused.value) == str(refused.value)
 
 
 def test_adjugate_rows_must_fit_the_square():
     with pytest.raises(ValueError, match="square"):
-        adjugate_int([{0: 1, 2: 1}, {1: 1}])
+        adjugate_int(lu_int([{0: 1, 2: 1}, {1: 1}]))

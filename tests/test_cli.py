@@ -147,15 +147,23 @@ def _edge_file(tmp_path, *edges, header="vertices 3"):
     pytest.param("vertices 0", "2 3 1", 1, id="count-0"),
     pytest.param("vertices 3", "1 9 1", 3, id="out-of-range"),
     pytest.param("vertices 3", "1 1 1", 3, id="self-loop"),
+    pytest.param("vertices 3", "2 3 " + "x" * 5000, 3, id="resistance-of-5000-x"),
+    pytest.param("vertices 3", "2 3 1 " + "y" * 5000, 3, id="long-fourth-field"),
+    pytest.param("vertices 3", "2 3 -" + "9" * 4000, 3, id="negative-4000-digits"),
+    pytest.param("vertices 3", "2 -" + "9" * 4000 + " 1", 3, id="vertex-4000-digits"),
+    pytest.param("vertices 3", "9" * 4000 + " " + "9" * 4000 + " 1", 3, id="self-loop-4000-digits"),
+    pytest.param("vertices -" + "9" * 4000, "2 3 1", 1, id="count-4000-digits"),
 ])
 def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, header, edge, lineno):
-    # Every fault in an edge file names its line, the resistance faults
-    # (the ids that are tokens) and the vertex faults alike.
+    # Every fault in an edge file names its line, the resistance faults and
+    # the vertex faults alike, and echoes at most 20 characters of the token
+    # or line at fault, however long it is.
     path = _edge_file(tmp_path, "1 2 1", edge, header=header)
     code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3")
     assert code == 2 and out == ""
     assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert len(err.encode()) < 200
 
 
 _GOOD_EDGE_FILE = ["vertices 4", "1 2 1", "1 3 1/2", "2 3 3", "2 4 1", "3 4 2/3"]

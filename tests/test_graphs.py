@@ -196,15 +196,16 @@ def test_laplacian_rows_sum_to_zero():
     # the exact Laplacian, each row scaled to integers by its own scale
     g = WeightedGraph(3, [(1, 2, "1/2"), (1, 2, 1), (2, 3, 3)])
     comp_of, comps = _graph_facts(g)
-    verts, rows, scales, tree_minor = comps[0]
+    verts, rows, scales, tree_minor, lu = comps[0]
     assert comp_of == {1: 0, 2: 0, 3: 0} and verts == (1, 2, 3)
     for row in rows:
         assert sum(row.values()) == 0
     assert rows[0][1] == -3  # parallel conductances 2 + 1 add up
     assert Fraction(rows[1][2], scales[1]) == Fraction(-1, 3)
     assert scales == (1, 3, 3)
-    # rows 2 and 3 kept: scales 3 * 3 times the tree sum 3 * 1/3
-    assert tree_minor == 9
+    # rows 2 and 3 kept: scales 3 * 3 times the tree sum 3 * 1/3, the last
+    # pivot of the grounded minor's factorization
+    assert tree_minor == 9 and lu[-1][1] == 9
 
 
 def test_format_resistance():
