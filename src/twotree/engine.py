@@ -12,7 +12,7 @@ ratio of two Laplacian minors. Each component's grounded Laplacian is
 factored once, by a fraction-free LU kept with the graph's facts, and
 every exact answer is read from that factorization: resistance_det one
 pair by one exact solve, resistance_all_pairs every pair of a component
-from one integer adjugate, and the tree and 2-forest counts. All are
+by one solve per vertex, and the tree and 2-forest counts. All are
 exact over Fractions.
 """
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Optional
 
-from .bareiss import adjugate_int, lu_int, solve_int, strike
+from .bareiss import lu_int, solve_int, strike
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -491,22 +491,25 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
     """Exact r(i, j) for every pair i < j of one component, as a dict
     (i, j) -> Fraction; pairs in different components are absent.
 
-    One adjugate per component, read from the factorization _graph_facts
-    keeps. Striking the component's first vertex leaves the grounded
-    Laplacian L0, whose rows scaled to integers form M = diag(scales) L0.
-    Then X = L0^-1 equals adj(M) diag(scales) / det(M), and
-    r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the struck vertex.
-    Computed on demand; the adjugate is not cached.
+    Striking the component's first vertex leaves the grounded Laplacian
+    L0, whose rows scaled to integers form M = diag(scales) L0, factored
+    once by _graph_facts. Then X = L0^-1 = adj(M) diag(scales) / det(M),
+    and r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the struck vertex.
+    X is symmetric, so one exact solve per position p, of scales[p] e_p
+    read from p down, gives its column on and below the diagonal:
+    O(n^2 * bw) work per component. Computed on demand; X is not cached.
     """
     out = {}
-    for verts, _, scales, _, lu in _graph_facts(g)[1]:
-        det, adj = adjugate_int(lu)
-        # x[p][q] = X_pq * det between verts[p] and verts[q]
-        x = [[0] * len(verts)] + [[0] + [c * s for c, s in zip(row, scales[1:])] for row in adj]
+    for verts, _, scales, det, lu in _graph_facts(g)[1]:
+        # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p;
+        # grounded position p - 1 for component position p
+        cols = [[0] * len(verts)] + [
+            solve_int(lu, {p - 1: scales[p]}, range(p - 1, len(lu))) for p in range(1, len(verts))
+        ]
         for p, u in enumerate(verts):
-            xpp, xp = x[p][p], x[p]
+            col = cols[p]
             for q in range(p + 1, len(verts)):
-                out[(u, verts[q])] = Fraction(xpp + x[q][q] - 2 * xp[q], det)
+                out[(u, verts[q])] = Fraction(col[0] + cols[q][0] - 2 * col[q - p], det)
     return out
 
 

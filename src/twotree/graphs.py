@@ -56,6 +56,15 @@ def _as_resistance(r):
     return r
 
 
+def _as_int(token, field):
+    # int(token), or a ValueError that names the field and clips the token:
+    # int() itself would echo up to 200 characters of it.
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{field} must be an integer, got {_clip(token)}") from None
+
+
 def _edge(vertex_count, u, v, r):
     # One edge in canonical form (u < v), checked against the vertex range.
     if u == v:
@@ -220,13 +229,14 @@ def read_edge_list(inp: TextIO) -> WeightedGraph:
             if header is None:
                 if len(parts) != 2 or parts[0] != "vertices":
                     raise ValueError(f"expected 'vertices N', got {_clip(line)}")
-                header = int(parts[1])
+                header = _as_int(parts[1], "vertex count")
                 if header < 1:
                     raise ValueError(f"vertex count must be >= 1, got {_clip(header)}")
             elif len(parts) != 3:
                 raise ValueError(f"expected 'u v resistance', got {_clip(line)}")
             else:
-                edges.append(_edge(header, int(parts[0]), int(parts[1]), parts[2]))
+                u, v = (_as_int(t, "vertex") for t in parts[:2])
+                edges.append(_edge(header, u, v, parts[2]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if header is None:

@@ -116,8 +116,8 @@ def predict_links(n: int, count: int, tie_policy: str = "lowest-index"):
 def rank_nonedges_graph(g: WeightedGraph):
     """Resistance ranking of non-edges of an arbitrary connected graph.
 
-    Exact values from one adjugate (resistance_all_pairs), so ties are
-    exact. Returns TieGroups; ties are grouped by equal value, ordered by
+    Exact values from resistance_all_pairs, one exact solve per vertex, so
+    ties are exact. Returns TieGroups; ties are grouped by equal value, ordered by
     (value, pair). On a disconnected graph the first non-edge in (u, v)
     order whose ends lie in different components raises
     ValueError("vertices u and v are disconnected") before any elimination.

@@ -1,14 +1,14 @@
-"""Determinant and adjugate kernel checks.
+"""Determinant and solve kernel checks.
 
 The banded elimination is the workhorse behind every resistance and
 count in the package, so it gets an independent referee here: a dense
 fraction-free elimination with row pivoting that works for any square
-matrix, plus a handful of determinants known in closed form. The
-adjugate, and the exact solve adj * c, are refereed by the signed
-cofactors that reference gives. det_int and lu_int take only matrices
-whose leading principal minors are positive, so they are fed minors of
-row-scaled Laplacians and strictly diagonally dominant matrices, and
-must refuse anything else.
+matrix, plus a handful of determinants known in closed form. The exact
+solve adj * c, and the adjugate it gives column by column, are refereed
+by the signed cofactors that reference gives. det_int and lu_int take
+only matrices whose leading principal minors are positive, so they are
+fed minors of row-scaled Laplacians and strictly diagonally dominant
+matrices, and must refuse anything else.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import adjugate_int, det_int, lu_int, solve_int, strike
+from twotree.bareiss import det_int, lu_int, solve_int, strike
 
 NOT_PD = "not positive definite"
 
@@ -64,6 +64,13 @@ def _adj_ref(rows):
                 for i, row in enumerate(rows) if i != r]
 
     return [[(-1) ** (p + q) * _det_ref(minor(q, p)) for q in range(n)] for p in range(n)]
+
+
+def _adj_by_solves(lu):
+    """The adjugate of the factored matrix, column q the solve of e_q."""
+    n = len(lu)
+    cols = [solve_int(lu, {q: 1}, range(n)) for q in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _apply(adj, c):
@@ -204,7 +211,7 @@ def test_banded_agrees_with_dense_seeded(bw):
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
                     det_int(rows)
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
-                    adjugate_int(lu_int(rows))
+                    lu_int(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,7 +223,7 @@ def test_banded_agrees_with_dense(data):
     rows = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
     assert det_int(rows) == _det_ref(rows)
     lu, adj = lu_int(rows), _adj_ref(rows)
-    assert adjugate_int(lu) == (_det_ref(rows), adj)
+    assert _adj_by_solves(lu) == adj
     for c in _vectors(lambda lo, hi: data.draw(st.integers(lo, hi)), n):
         assert solve_int(lu, c, range(n)) == _apply(adj, c)
 
@@ -227,9 +234,9 @@ def test_banded_agrees_with_dense(data):
 def test_adjugate_of_empty_and_one_by_one():
     assert lu_int([]) == ()
     assert solve_int((), {}, []) == []
-    assert adjugate_int(lu_int([])) == (1, [])
+    assert _adj_by_solves(lu_int([])) == []
     assert solve_int(lu_int([{0: 7}]), {0: 3}, [0]) == [3]
-    assert adjugate_int(lu_int([{0: 7}])) == (7, [[1]])
+    assert _adj_by_solves(lu_int([{0: 7}])) == [[1]]
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3])
@@ -237,9 +244,8 @@ def test_adjugate_agrees_with_cofactors_seeded(bw):
     rng = random.Random(2000 + bw)
     for _ in range(30):
         rows = _laplacian_minor(rng.randint, rng.randint(1, 7), bw)
-        det, adj = adjugate_int(lu_int(rows))
-        assert det == det_int(rows), f"bw={bw} determinant differs on {rows}"
-        assert adj == _adj_ref(rows), f"bw={bw} adjugate differs on {rows}"
+        assert det_int(rows) == _det_ref(rows), f"bw={bw} determinant differs on {rows}"
+        assert _adj_by_solves(lu_int(rows)) == _adj_ref(rows), f"bw={bw} adjugate differs on {rows}"
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3])
@@ -261,16 +267,16 @@ def test_solve_agrees_with_cofactors_seeded(bw):
 def test_solve_on_long_matrices_from_the_last_rows():
     # c's first nonzero and the first position read near the end: the
     # forward and back passes cover only the last rows, and must still
-    # give the entries of the whole solve.
+    # give the entries of the whole solve w, which has M * w == det * c.
     rng = random.Random(5000)
     for bw in (1, 2, 5):
         n = 40
         rows = _laplacian_minor(rng.randint, n, bw)
-        lu = lu_int(rows)
-        _, adj = adjugate_int(lu)
+        lu, det = lu_int(rows), det_int(rows)
         for c in ({n - 1: 1}, {n - 3: 2, n - 1: -5}, {0: 1, n - 1: -1}):
-            want = _apply(adj, c)
-            assert solve_int(lu, c, range(n)) == want
+            want = solve_int(lu, c, range(n))
+            assert [sum(x * want[q] for q, x in row.items()) for row in rows] == \
+                [det * c.get(p, 0) for p in range(n)]
             assert solve_int(lu, c, [n - 1, n - 2]) == want[-1:-3:-1]
 
 
@@ -281,8 +287,8 @@ def test_adjugate_on_long_matrices_inverts_times_det(bw):
     for t in range(6):
         n = rng.randint(20, 40)
         rows = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
-        det, adj = adjugate_int(lu_int(rows))
-        assert det == det_int(rows)
+        det, adj = det_int(rows), _adj_by_solves(lu_int(rows))
+        assert det == _det_ref(rows)
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 
 
@@ -303,8 +309,8 @@ def test_adjugate_on_a_band_of_zero_one_and_two():
     ], (0,))
     for rows, want in ((diagonal, 30), (continuant, 6), (strip, 144)):
         n = len(rows)
-        det, adj = adjugate_int(lu_int(rows))
-        assert det == want
+        det, adj = det_int(rows), _adj_by_solves(lu_int(rows))
+        assert det == want and adj == _adj_ref(rows)
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 
 
@@ -319,14 +325,15 @@ def test_adjugate_on_a_band_of_zero_one_and_two():
 ], ids=["swap", "negative-pivot", "zero-last-pivot", "singular", "zero-row", "zero-first-pivot",
         "negative"])
 def test_adjugate_refuses_what_det_int_refuses(mat):
+    # The adjugate is read from lu_int's factorization, so lu_int refuses.
     rows = _sparse(mat)
     with pytest.raises(AssertionError, match=NOT_PD) as refused:
         det_int(rows)
     with pytest.raises(AssertionError, match=NOT_PD) as also_refused:
-        adjugate_int(lu_int(rows))
+        lu_int(rows)
     assert str(also_refused.value) == str(refused.value)
 
 
 def test_adjugate_rows_must_fit_the_square():
     with pytest.raises(ValueError, match="square"):
-        adjugate_int(lu_int([{0: 1, 2: 1}, {1: 1}]))
+        lu_int([{0: 1, 2: 1}, {1: 1}])

@@ -153,6 +153,8 @@ def _edge_file(tmp_path, *edges, header="vertices 3"):
     pytest.param("vertices 3", "2 -" + "9" * 4000 + " 1", 3, id="vertex-4000-digits"),
     pytest.param("vertices 3", "9" * 4000 + " " + "9" * 4000 + " 1", 3, id="self-loop-4000-digits"),
     pytest.param("vertices -" + "9" * 4000, "2 3 1", 1, id="count-4000-digits"),
+    pytest.param("vertices 3", "x" * 5000 + " 2 1", 3, id="vertex-5000-x"),
+    pytest.param("vertices " + "x" * 5000, "2 3 1", 1, id="count-5000-x"),
 ])
 def test_res_bad_edge_file_resistance_exits_two(capsys, tmp_path, header, edge, lineno):
     # Every fault in an edge file names its line, the resistance faults and

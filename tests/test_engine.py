@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from twotree import bareiss, engine
+from twotree import engine
 from twotree.bareiss import det_int, strike
 from twotree.engine import (
     STEP_KINDS,
@@ -548,8 +548,8 @@ def test_no_elimination_once_facts_are_warm(monkeypatch):
     # with the facts warm, a pair, a tree count and a 2-forest count are
     # read from those factorizations with no elimination of their own.
     calls = []
-    real = bareiss._pivot_rows
-    monkeypatch.setattr(bareiss, "_pivot_rows", lambda rows: calls.append(len(rows)) or real(rows))
+    real = engine.lu_int
+    monkeypatch.setattr(engine, "lu_int", lambda rows: calls.append(len(rows)) or real(rows))
     g = straight_linear_2tree(12)
     _graph_facts.cache_clear()
     resistance_det(g, 1, 12)
@@ -640,7 +640,11 @@ def _check_all_pairs(g):
     straight_linear_ktree(9, 3),
     triangular_grid(5).graph,
     TWO_WEIGHTED_COMPONENTS,
-], ids=[*(f"strip{n}" for n in range(3, 17)), "bent11", "3tree9", "grid5", "two-weighted"])
+    # components of one vertex (an empty factorization) and of two (1 x 1)
+    WeightedGraph(5, [(1, 2, 1), (2, 3, "2/3")]),
+    WeightedGraph(5, [(1, 2, "3/2"), (3, 4, 1), (4, 5, 2), (3, 5, "1/3")]),
+], ids=[*(f"strip{n}" for n in range(3, 17)), "bent11", "3tree9", "grid5", "two-weighted",
+        "isolated-vertices", "two-vertex-component"])
 def test_all_pairs_equal_det_on_every_pair(g):
     _check_all_pairs(g)
 

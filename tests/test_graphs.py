@@ -244,7 +244,8 @@ def test_edge_list_reads_a_fraction_whose_parts_fit_the_digit_limit():
 def test_edge_list_bad_line_reports_number():
     for text, message in (
         ("vertices 3\n1 2 1\n1 2\n", "line 3: expected 'u v resistance'"),
-        ("vertices x\n1 2 1\n", "line 1: invalid literal for int"),
+        ("vertices x\n1 2 1\n", "line 1: vertex count must be an integer, got 'x'"),
+        ("vertices 3\n1 y 1\n", "line 2: vertex must be an integer, got 'y'"),
         ("# empty\nvertices 0\n", "line 2: vertex count must be >= 1, got 0"),
         ("vertices 3\n1 2 1\n1 9 1\n", r"line 3: edge \(1,9\) out of range 1..3"),
         ("vertices 3\n\n1 1 1\n", "line 3: self-loop at vertex 1"),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from twotree import bareiss, engine
+from twotree import engine
 from twotree.graphs import WeightedGraph, straight_linear_2tree, triangular_grid
 from twotree.ranking import (
     TieGroup,
@@ -113,26 +113,27 @@ def test_graph_ranking_agrees_with_strip_ranking():
 
 def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch):
     # With the Laplacian facts warm, ranking reads every value from one
-    # adjugate per component, taken from the kept factorization; no pair
-    # and no adjugate pays an elimination of its own.
-    eliminations, adjugates = [], []
-    real_elim, real_adj = bareiss._pivot_rows, engine.adjugate_int
-    monkeypatch.setattr(bareiss, "_pivot_rows",
+    # adjugate per component, one solve per vertex of the kept
+    # factorization; no pair and no solve pays an elimination of its own.
+    eliminations, solves = [], []
+    real_elim, real_solve = engine.lu_int, engine.solve_int
+    monkeypatch.setattr(engine, "lu_int",
                         lambda rows: eliminations.append(len(rows)) or real_elim(rows))
-    monkeypatch.setattr(engine, "adjugate_int",
-                        lambda lu: adjugates.append(len(lu)) or real_adj(lu))
+    monkeypatch.setattr(engine, "solve_int",
+                        lambda lu, c, read: solves.append(len(lu)) or real_solve(lu, c, read))
     grid = triangular_grid(6).graph
     split = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1)])
     for g in (grid, split):
         engine._graph_facts(g)
     eliminations.clear()
     rank_nonedges_graph(grid)
-    assert (eliminations, adjugates) == ([], [grid.vertex_count - 1])
-    adjugates.clear()
+    n = grid.vertex_count
+    assert (eliminations, solves) == ([], [n - 1] * (n - 1))
+    solves.clear()
     # A disconnected graph is refused before any component is eliminated.
     with pytest.raises(ValueError, match="vertices 1 and 4 are disconnected"):
         rank_nonedges_graph(split)
-    assert (eliminations, adjugates) == ([], [])
+    assert (eliminations, solves) == ([], [])
 
 
 def test_graph_ranking_groups_are_tie_groups():
