@@ -44,13 +44,7 @@ def ktree_increments(k: int, n_max: int) -> dict:
             inc = value - prev if method == "exact" else float(value) - float(prev)
         rows.append({"n": n, "value": value, "increment": inc, "method": method})
         prev = value
-    return {
-        "kind": "ktree-increments",
-        "k": k,
-        "target": target,
-        "rows": rows,
-        "label": LABEL,
-    }
+    return {"target": target, "rows": rows, "label": LABEL}
 
 
 def triangle_grid_growth(rows_max: int) -> dict:
@@ -84,7 +78,7 @@ def triangle_grid_growth(rows_max: int) -> dict:
             }
         )
         prev = value
-    return {"kind": "triangle-grid-growth", "rows": rows, "label": LABEL}
+    return {"rows": rows, "label": LABEL}
 
 
 def _bend_position(n, rule):
@@ -122,9 +116,4 @@ def bent_diameter_growth(n_max: int, bend_rule: str = "middle") -> dict:
             }
         )
         prev = value
-    return {
-        "kind": "bent-diameter-growth",
-        "bend_rule": bend_rule,
-        "rows": rows,
-        "label": LABEL,
-    }
+    return {"rows": rows, "label": LABEL}

@@ -533,24 +533,18 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
 
     The count is the Laplacian minor with rows/columns i and j struck, which
     factors over components. In one component it is read back from
-    resistance_det's solve as resistance * tree count, which must be
-    integral, with no elimination of its own. In two it is their tree
-    counts' product; a third component keeps all its rows, a singular
-    block, and makes it 0.
+    resistance_det's solve as resistance * tree count, with no elimination
+    of its own. In two it is their tree counts' product; a third component
+    keeps all its rows, a singular block, and makes it 0.
     """
     comp_of, comps = _unit_facts(g, "two-forest")
     _check_pair(g.vertex_count, i, j)
     if comp_of[i] != comp_of[j]:
         return comps[comp_of[i]][3] * comps[comp_of[j]][3] if len(comps) == 2 else 0
-    report = resistance_det(g, i, j)
-    trees = spanning_tree_count(g)
-    product = report.value * trees
-    if product.denominator != 1:
-        raise AssertionError(
-            f"resistance * tree count = {product} is not an integer"
-        )
-    # With a second component trees == 0, so the count is 0 as it must be.
-    return int(product)
+    # The product is an integer: resistance_det returns Fraction(w, tree
+    # minor) for the solve's integer w, and with one component the tree
+    # count is that same tree minor. With a second component it is 0.
+    return int(resistance_det(g, i, j).value * spanning_tree_count(g))
 
 
 # === Brute force checks (small graphs only) ===

@@ -8,7 +8,6 @@ F_{n+1} = F_n + F_{n-1} holds on all of Z through a single code path.
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
 
 MAX_INDEX = 1_000_000
 
@@ -65,20 +64,13 @@ def lucas(n: int) -> int:
     return fib(n + 1) + fib(n - 1)
 
 
-# === Identity registry ===
+# === Identity suite ===
 #
-# Each identity evaluates both sides exactly and is checked over its
-# documented index range. check_identity() reports every violation rather
-# than failing fast, so a report is useful even when something breaks.
-
-
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    summary: str
-    index_range: tuple
-    cases: Callable[[int, int], Iterable[tuple]]
-    evaluate: Callable[..., tuple]
+# IDENTITIES maps each identity's name to (cases, evaluate): cases() yields
+# the index tuples the identity is checked at, lazily, and evaluate(*case)
+# returns both sides exactly. The comment on each row states the identity.
+# check_identity() reports every violation rather than failing fast, so a
+# report is useful even when something breaks.
 
 
 @dataclass
@@ -92,45 +84,37 @@ class IdentityReport:
         return self.checked > 0 and not self.violations
 
 
-def _span(lo, hi):
-    return range(lo, hi + 1)
+def _ints(lo, hi):
+    return lambda: ((n,) for n in range(lo, hi + 1))
 
 
-def _cases_1d(lo, hi):
-    for n in _span(lo, hi):
-        yield (n,)
+def _grid(lo, hi):
+    return lambda: ((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
 
 
-def _cases_2d(lo, hi):
-    for a in _span(lo, hi):
-        for b in _span(lo, hi):
-            yield (a, b)
-
-
-def _cases_catalan(lo, hi):
-    for n in _span(max(lo, 2), hi):
-        for r in _span(1, n - 1):
+def _catalan_cases():
+    for n in range(2, 51):
+        for r in range(1, n):
             yield (n, r)
 
 
-def _cases_offset_pairs(lo, hi):
-    # (i, p) with i >= 1, p >= 0; hi bounds i, p runs to hi//2
-    for i in _span(max(lo, 1), hi):
-        for p in _span(0, hi // 2):
+def _offset_pairs():
+    for i in range(1, 61):
+        for p in range(31):
             yield (i, p)
 
 
-def _cases_mjk(lo, hi):
+def _mjk_cases():
     # (m, j, k) with j, k >= 1 and j + k <= m + 2
-    for m in _span(max(lo, 1), hi):
-        for j in _span(1, m + 1):
-            for k in _span(1, m + 2 - j):
+    for m in range(1, 31):
+        for j in range(1, m + 2):
+            for k in range(1, m + 3 - j):
                 yield (m, j, k)
 
 
-def _cases_mk(lo, hi):
-    for m in _span(max(lo, 1), hi):
-        for k in _span(1, m):
+def _mk_cases():
+    for m in range(1, 61):
+        for k in range(1, m + 1):
             yield (m, k)
 
 
@@ -184,179 +168,91 @@ def _even_sum(n):
     return lhs, rhs
 
 
-_REGISTRY = {}
-
-
-def _register(name, summary, index_range, cases, evaluate):
-    _REGISTRY[name] = Identity(name, summary, index_range, cases, evaluate)
-
-
-_register(
-    "negation",
-    "F_{-n} = (-1)^(n+1) F_n",
-    (0, 200),
-    _cases_1d,
-    lambda n: (fib(-n), (-1) ** (n + 1) * fib(n)),
-)
-_register(
-    "sum-of-squares",
-    "F_n^2 + F_{n+1}^2 = F_{2n+1}",
-    (0, 150),
-    _cases_1d,
-    lambda n: (fib(n) ** 2 + fib(n + 1) ** 2, fib(2 * n + 1)),
-)
-_register(
-    "double-index",
-    "F_{2m} = L_m F_m",
-    (0, 150),
-    _cases_1d,
-    lambda m: (fib(2 * m), lucas(m) * fib(m)),
-)
-_register(
-    "addition",
-    "F_{k+m} = F_{k+1} F_m + F_k F_{m-1}",
-    (0, 60),
-    _cases_2d,
-    lambda k, m: (fib(k + m), fib(k + 1) * fib(m) + fib(k) * fib(m - 1)),
-)
-_register(
-    "double-split",
-    "F_{2m} = F_{m+1} F_m + F_m F_{m-1}",
-    (0, 150),
-    _cases_1d,
-    lambda m: (fib(2 * m), fib(m + 1) * fib(m) + fib(m) * fib(m - 1)),
-)
-_register(
-    "addition-alt",
-    "F_{n+m} = F_{n+1} F_{m+1} - F_{n-1} F_{m-1}",
-    (0, 60),
-    _cases_2d,
-    lambda n, m: (fib(n + m), fib(n + 1) * fib(m + 1) - fib(n - 1) * fib(m - 1)),
-)
-_register(
-    "catalan",
-    "F_n^2 - F_{n+r} F_{n-r} = (-1)^(n-r) F_r^2",
-    (2, 50),
-    _cases_catalan,
-    lambda n, r: (fib(n) ** 2 - fib(n + r) * fib(n - r), (-1) ** (n - r) * fib(r) ** 2),
-)
-_register(
-    "docagne",
-    "F_n F_{m+1} - F_m F_{n+1} = (-1)^m F_{n-m}",
-    (0, 60),
-    _cases_2d,
-    lambda n, m: (fib(n) * fib(m + 1) - fib(m) * fib(n + 1), (-1) ** m * fib(n - m)),
-)
-_register(
-    "twice-next",
-    "2 F_{m+1} = F_m + L_m",
-    (0, 200),
-    _cases_1d,
-    lambda m: (2 * fib(m + 1), fib(m) + lucas(m)),
-)
-_register(
-    "lucas-split",
-    "L_m = F_{m+1} + F_{m-1}",
-    (0, 200),
-    _cases_1d,
-    lambda m: (lucas(m), fib(m + 1) + fib(m - 1)),
-)
-_register(
-    "lucas-next",
-    "L_{m+1} = 2 F_m + F_{m+1}",
-    (0, 200),
-    _cases_1d,
-    lambda m: (lucas(m + 1), 2 * fib(m) + fib(m + 1)),
-)
-_register(
-    "five-diff",
-    "5 F_n^2 - L_n^2 = 4 (-1)^(n+1)",
-    (0, 100),
-    _cases_1d,
-    lambda n: (5 * fib(n) ** 2 - lucas(n) ** 2, 4 * (-1) ** (n + 1)),
-)
-_register(
-    "fib-from-lucas",
-    "5 F_m = L_{m-1} + L_{m+1}",
-    (0, 200),
-    _cases_1d,
-    lambda m: (5 * fib(m), lucas(m - 1) + lucas(m + 1)),
-)
-_register(
-    "even-sum",
-    "F_{2n+2} = 2 F_{2n} + F_{2n-2} + ... + F_2 + 1",
-    (1, 100),
-    _cases_1d,
-    _even_sum,
-)
-_register(
-    "s-plus-b",
-    "F_i F_{i+2p} + F_{i+1} F_{i+2p+1} = F_{2i+2p+1}",
-    (1, 60),
-    _cases_offset_pairs,
-    lambda i, p: (
-        Fraction(fib(i) * fib(i + 2 * p), fib(2 * i + 2 * p + 2))
-        + Fraction(fib(i + 1) * fib(i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
-        Fraction(fib(2 * i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
+IDENTITIES = {
+    # F_{-n} = (-1)^(n+1) F_n
+    "negation": (_ints(0, 200), lambda n: (fib(-n), (-1) ** (n + 1) * fib(n))),
+    # F_n^2 + F_{n+1}^2 = F_{2n+1}
+    "sum-of-squares": (_ints(0, 150), lambda n: (fib(n) ** 2 + fib(n + 1) ** 2, fib(2 * n + 1))),
+    # F_{2m} = L_m F_m
+    "double-index": (_ints(0, 150), lambda m: (fib(2 * m), lucas(m) * fib(m))),
+    # F_{k+m} = F_{k+1} F_m + F_k F_{m-1}
+    "addition": (
+        _grid(0, 60),
+        lambda k, m: (fib(k + m), fib(k + 1) * fib(m) + fib(k) * fib(m - 1)),
     ),
-)
-_register(
-    "sum-partial-tails",
-    "sum_{i<=m} F_i F_{i+1} / (L_i L_{i+1}) = ((m+1) L_{m+1} - F_{m+1}) / (5 L_{m+1})",
-    (1, 60),
-    _cases_1d,
-    _partial_tail_sum,
-)
-_register(
-    "endpoint-forms",
-    "2F_{m+1}^2/(L_m L_{m+1}) + (m L_m - F_m)/(5 L_m) = (m+1)/5 + 4F_{m+1}/(5 L_{m+1})",
-    (1, 100),
-    _cases_1d,
-    _endpoint_forms,
-)
-_register(
-    "bracket-a",
-    "F_{k+1} F_{m-2j-k+2}^2 + F_{m+1} F_{m-k+1} = "
-    "F_{2m-2j-2k+3} F_{2j+k-1} + F_k F_{m-2j-k+2} F_{m-2j-k+3}",
-    (1, 30),
-    _cases_mjk,
-    _bracket_a,
-)
-_register(
-    "bracket-b",
-    "F_k F_{m-2j-k+3}^2 + F_{m+1} F_{m-k} = "
-    "F_{2j+k-2} F_{2m-2j-2k+3} + F_{k+1} F_{m-2j-k+3} F_{m-2j-k+2}",
-    (1, 30),
-    _cases_mjk,
-    _bracket_b,
-)
-_register(
-    "bracket-collapse",
-    "(F_{m+1}/5) [difference of endpoint brackets] = "
-    "F_{m+1} (F_{m-k+1} F_{k+1} - F_k F_{m-k})",
-    (1, 60),
-    _cases_mk,
-    _bracket_collapse,
-)
+    # F_{2m} = F_{m+1} F_m + F_m F_{m-1}
+    "double-split": (
+        _ints(0, 150),
+        lambda m: (fib(2 * m), fib(m + 1) * fib(m) + fib(m) * fib(m - 1)),
+    ),
+    # F_{n+m} = F_{n+1} F_{m+1} - F_{n-1} F_{m-1}
+    "addition-alt": (
+        _grid(0, 60),
+        lambda n, m: (fib(n + m), fib(n + 1) * fib(m + 1) - fib(n - 1) * fib(m - 1)),
+    ),
+    # F_n^2 - F_{n+r} F_{n-r} = (-1)^(n-r) F_r^2
+    "catalan": (
+        _catalan_cases,
+        lambda n, r: (fib(n) ** 2 - fib(n + r) * fib(n - r), (-1) ** (n - r) * fib(r) ** 2),
+    ),
+    # F_n F_{m+1} - F_m F_{n+1} = (-1)^m F_{n-m}
+    "docagne": (
+        _grid(0, 60),
+        lambda n, m: (fib(n) * fib(m + 1) - fib(m) * fib(n + 1), (-1) ** m * fib(n - m)),
+    ),
+    # 2 F_{m+1} = F_m + L_m
+    "twice-next": (_ints(0, 200), lambda m: (2 * fib(m + 1), fib(m) + lucas(m))),
+    # L_m = F_{m+1} + F_{m-1}
+    "lucas-split": (_ints(0, 200), lambda m: (lucas(m), fib(m + 1) + fib(m - 1))),
+    # L_{m+1} = 2 F_m + F_{m+1}
+    "lucas-next": (_ints(0, 200), lambda m: (lucas(m + 1), 2 * fib(m) + fib(m + 1))),
+    # 5 F_n^2 - L_n^2 = 4 (-1)^(n+1)
+    "five-diff": (_ints(0, 100), lambda n: (5 * fib(n) ** 2 - lucas(n) ** 2, 4 * (-1) ** (n + 1))),
+    # 5 F_m = L_{m-1} + L_{m+1}
+    "fib-from-lucas": (_ints(0, 200), lambda m: (5 * fib(m), lucas(m - 1) + lucas(m + 1))),
+    # F_{2n+2} = 2 F_{2n} + F_{2n-2} + ... + F_2 + 1
+    "even-sum": (_ints(1, 100), _even_sum),
+    # F_i F_{i+2p} + F_{i+1} F_{i+2p+1} = F_{2i+2p+1}
+    "s-plus-b": (
+        _offset_pairs,
+        lambda i, p: (
+            Fraction(fib(i) * fib(i + 2 * p), fib(2 * i + 2 * p + 2))
+            + Fraction(fib(i + 1) * fib(i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
+            Fraction(fib(2 * i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
+        ),
+    ),
+    # sum_{i<=m} F_i F_{i+1} / (L_i L_{i+1}) = ((m+1) L_{m+1} - F_{m+1}) / (5 L_{m+1})
+    "sum-partial-tails": (_ints(1, 60), _partial_tail_sum),
+    # 2F_{m+1}^2/(L_m L_{m+1}) + (m L_m - F_m)/(5 L_m) = (m+1)/5 + 4F_{m+1}/(5 L_{m+1})
+    "endpoint-forms": (_ints(1, 100), _endpoint_forms),
+    # F_{k+1} F_{m-2j-k+2}^2 + F_{m+1} F_{m-k+1}
+    #   = F_{2m-2j-2k+3} F_{2j+k-1} + F_k F_{m-2j-k+2} F_{m-2j-k+3}
+    "bracket-a": (_mjk_cases, _bracket_a),
+    # F_k F_{m-2j-k+3}^2 + F_{m+1} F_{m-k}
+    #   = F_{2j+k-2} F_{2m-2j-2k+3} + F_{k+1} F_{m-2j-k+3} F_{m-2j-k+2}
+    "bracket-b": (_mjk_cases, _bracket_b),
+    # (F_{m+1}/5) [difference of endpoint brackets]
+    #   = F_{m+1} (F_{m-k+1} F_{k+1} - F_k F_{m-k})
+    "bracket-collapse": (_mk_cases, _bracket_collapse),
+}
 
 
 def identity_names():
-    return sorted(_REGISTRY)
+    return sorted(IDENTITIES)
 
 
 def check_identity(name: str) -> IdentityReport:
-    """Check one registered identity exactly over its index range.
+    """Check one identity of IDENTITIES exactly at every case its row yields.
 
-    The range (inclusive) bounds the primary index; multi-variable
-    identities enumerate their documented domain within it. Unknown names
-    raise.
+    Unknown names raise KeyError.
     """
-    ident = _REGISTRY.get(name)
-    if ident is None:
+    row = IDENTITIES.get(name)
+    if row is None:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
+    cases, evaluate = row
     report = IdentityReport(name=name)
-    for indices in ident.cases(*ident.index_range):
-        lhs, rhs = ident.evaluate(*indices)
+    for indices in cases():
+        lhs, rhs = evaluate(*indices)
         report.checked += 1
         if lhs != rhs:
             report.violations.append((indices, lhs, rhs))

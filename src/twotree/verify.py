@@ -167,7 +167,7 @@ def extremal_structure():
 
 
 def identity_suite():
-    """Every registered identity holds exactly over its documented range;
+    """Every identity of fib.IDENTITIES holds exactly at each of its cases;
     at least 10^4 instantiations in total."""
     reports = check_all_identities()
     total = sum(r.checked for r in reports)

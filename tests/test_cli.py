@@ -276,13 +276,13 @@ def test_float_residual_failure_exits_one_without_traceback(capsys, monkeypatch)
 
 def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "two_forest_count", _raises(AssertionError("resistance * tree count = 7/2 is not an integer"))
+        cli, "two_forest_count", _raises(AssertionError("minor is not positive definite: pivot 2 of 4 is 0"))
     )
     code, out, err = run_cli(
         capsys, "trees", "--family", "straight", "--m", "3", "--pair", "1", "5"
     )
     assert code == 1 and out == ""
-    assert err == "error: resistance * tree count = 7/2 is not an integer\n"
+    assert err == "error: minor is not positive definite: pivot 2 of 4 is 0\n"
     assert "Traceback" not in err
 
 

@@ -3,7 +3,9 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from twotree import verify
 from twotree.fib import (
+    IDENTITIES,
     MAX_INDEX,
     check_all_identities,
     check_identity,
@@ -89,7 +91,7 @@ def test_addition_law_holds_on_all_integers(n, m):
     assert fib(n + m) == fib(n + 1) * fib(m) + fib(n) * fib(m - 1)
 
 
-# === Identity registry ===
+# === Identity suite ===
 
 
 def test_registry_has_documented_examples():
@@ -119,3 +121,39 @@ def test_all_identities_pass_and_reach_bulk():
     reports = check_all_identities()
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
     assert sum(r.checked for r in reports) >= 10_000
+
+
+# Cases per identity; the suite's 28 807 instantiations must neither
+# shrink nor grow unnoticed.
+CASE_COUNTS = {
+    "addition": 3721, "addition-alt": 3721, "docagne": 3721,
+    "bracket-a": 5455, "bracket-b": 5455, "bracket-collapse": 1830,
+    "catalan": 1225, "s-plus-b": 1860,
+    "double-index": 151, "double-split": 151, "sum-of-squares": 151,
+    "endpoint-forms": 100, "even-sum": 100, "five-diff": 101,
+    "fib-from-lucas": 201, "lucas-next": 201, "lucas-split": 201, "negation": 201,
+    "twice-next": 201,
+    "sum-partial-tails": 60,
+}
+
+
+def test_every_identity_checks_its_frozen_case_count():
+    assert {r.name: r.checked for r in check_all_identities()} == CASE_COUNTS
+    assert sum(CASE_COUNTS.values()) == 28_807
+
+
+def test_a_false_identity_fails_the_suite(monkeypatch):
+    false_at_two = (lambda: ((n,) for n in range(4)), lambda n: (n, 7 if n == 2 else n))
+    monkeypatch.setitem(IDENTITIES, "false-at-two", false_at_two)
+    report = check_identity("false-at-two")
+    assert report.checked == 4
+    assert report.violations == [((2,), 2, 7)]
+    assert not report.passed
+    assert verify.identity_suite() == (False, "false-at-two fails at [((2,), 2, 7)]")
+
+
+def test_an_identity_with_no_cases_does_not_pass(monkeypatch):
+    monkeypatch.setitem(IDENTITIES, "no-cases", (lambda: iter(()), lambda n: (n, n)))
+    report = check_identity("no-cases")
+    assert report.checked == 0 and report.violations == []
+    assert not report.passed
