@@ -2,10 +2,11 @@
 
 The banded Bareiss elimination (Bareiss 1968) divides exactly at every
 step, so results are exact integers no matter how large the entries grow.
-A matrix is a list of sparse dict rows, column -> int: the form the
-Laplacian minors of this package take. The elimination reads the rows
-only at their entries: it finds the bandwidth bw from them and works
-inside a sliding window, for O(n * bw^2) work and no O(n^2) copy.
+A matrix is a list of sparse dict rows, column -> int: the form in
+which the engine builds each component's grounded, row-scaled Laplacian.
+The elimination reads the rows only at their entries: it finds the
+bandwidth bw from them and works inside a sliding window, for
+O(n * bw^2) work and no O(n^2) copy.
 
 lu_int is the one elimination. It keeps every pivot row: the fraction-free
 U right of its diagonal and its own multipliers, the L factor, left of it
@@ -14,9 +15,9 @@ with no further elimination. det_int is its last pivot, the determinant.
 solve_int is the one solve: it replays the multipliers on one sparse
 vector c and back-substitutes for adj * c in O(n * bw) work, so n solves
 give the whole integer adjugate. The one precondition is that every
-leading principal minor is positive, as it is for any principal minor of
-a connected component's row-scaled Laplacian. Then no pivot is zero and
-no row is ever swapped.
+leading principal minor is positive, as it is for a connected
+component's grounded Laplacian or any other principal minor of its
+row-scaled Laplacian. Then no pivot is zero and no row is ever swapped.
 """
 
 
@@ -121,12 +122,3 @@ def solve_int(lu, c, read):
         y[i] = acc // row[i]
     return [y[p] for p in read]
 
-
-def strike(rows, drop):
-    """The dict rows with the 0-based indices in `drop` removed from both
-    rows and columns, renumbering the rest; striking costs the nonzeros,
-    not the square."""
-    gone = set(drop)
-    keep = [i for i in range(len(rows)) if i not in gone]
-    col = {c: t for t, c in enumerate(keep)}
-    return [{col[c]: x for c, x in rows[r].items() if c in col} for r in keep]

@@ -21,6 +21,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import inf
 
 from . import conjectures, formulas, ranking, verify
 from .engine import (
@@ -147,6 +148,8 @@ def _cmd_gen(args, out):
 
 
 def _cmd_res(args, out):
+    if not 0 < args.tol < inf:
+        raise UsageError(f"tol must be positive and finite, got {args.tol}")
     g = _load_graph(args)
     i, j = args.pair
     methods = ["dy", "det", "float"] if args.method == "all" else [args.method]
@@ -224,6 +227,8 @@ def _cmd_trees(args, out):
     if args.m is not None:
         if args.family != "straight" or args.n is not None or args.graph:
             raise UsageError("--m is only valid alone with --family straight (no --n or --graph)")
+        if args.m < 1:
+            raise UsageError(f"--m must be >= 1, got {args.m}")
         args.n = args.m + 2
         g = _call_entry(FAMILIES, "family", args)
         doc["params"] = {"family": "straight", "m": args.m, "n": args.n}

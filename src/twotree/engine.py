@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .bareiss import lu_int, solve_int, strike
+from .bareiss import lu_int, solve_int
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -415,22 +415,31 @@ def replay_trace(trace: ReductionTrace) -> WeightedGraph:
 # === Determinant oracle ===
 
 
+class _Component(NamedTuple):
+    """A component's facts: row k of its grounded Laplacian is verts[k + 1]'s,
+    scaled by scales[k]; lu is their LU and tree_minor its last pivot."""
+
+    verts: tuple
+    scales: tuple
+    lu: tuple
+    tree_minor: int
+
+
 @lru_cache(maxsize=64)
 def _graph_facts(g: WeightedGraph):
-    """Per-component integer Laplacian data, cached per graph.
+    """Each component's factored grounded Laplacian, cached per graph.
 
     The one exact Laplacian assembly: conductances of parallel edges add.
-    Scaling row r of the exact Laplacian by scale[r] (the lcm of that row's
-    denominators) makes it integral. Rows are sparse dicts (position ->
-    value); treat them as read-only. Striking each component's first
-    vertex leaves its grounded minor M, which is factored here, once, by
-    the banded fraction-free LU: every exact answer of the component is
-    read from that factorization, with no further elimination. Its last
-    pivot det(M) is the tree minor: by the matrix-tree theorem, the
-    product of the other rows' scales times the weighted spanning tree
-    count. The factorization holds O(n * bw) integers per component.
-    Returns (comp_of, comps) with
-    comps[cid] = (verts, int_rows, scales, tree_minor, lu).
+    Each component's first vertex is grounded: the other vertices' rows,
+    built without its column, form the grounded Laplacian L0. The lcm of a
+    row's conductances' denominators (the diagonal is their sum) scales it
+    to integers, giving M = diag(scales) L0, which the banded fraction-free
+    LU factors once: every exact answer of the component is read from that
+    factorization. Its last pivot det(M) is the tree minor: by the
+    matrix-tree theorem, the product of the scales times the weighted
+    spanning tree count. The factorization holds O(n * bw) integers per
+    component. Returns (comp_of, comps): a _Component per component, and
+    each vertex's index into comps.
     """
     cond = {v: {} for v in g.vertices}
     for u, v, r in g.edges:
@@ -442,48 +451,45 @@ def _graph_facts(g: WeightedGraph):
     for start in g.vertices:
         if start in comp_of:
             continue
-        cid = len(comps)
         verts = tuple(sorted(reachable(cond, start)))
-        pos = {}
-        for idx, v in enumerate(verts):
-            comp_of[v] = cid
-            pos[v] = idx
-        scales = []
-        int_rows = []
-        for v in verts:
-            entries = [(pos[v], sum(cond[v].values()))]
-            entries += [(pos[nb], -c) for nb, c in cond[v].items()]
-            mult = lcm(*(x.denominator for _, x in entries))
-            scales.append(mult)
-            int_rows.append({idx: x.numerator * (mult // x.denominator) for idx, x in entries})
-        lu = lu_int(strike(int_rows, (0,)))
-        tree_minor = lu[-1][len(lu) - 1] if lu else 1
-        comps.append((verts, tuple(int_rows), tuple(scales), tree_minor, lu))
+        comp_of.update(dict.fromkeys(verts, len(comps)))
+        row_of = {v: k for k, v in enumerate(verts[1:])}  # the ground has no row
+        scales, rows = [], []
+        for v in verts[1:]:
+            nbrs = cond[v]
+            scale = lcm(*(c.denominator for c in nbrs.values()))
+            scaled = {nb: c.numerator * (scale // c.denominator) for nb, c in nbrs.items()}
+            row = {row_of[nb]: -x for nb, x in scaled.items() if nb in row_of}
+            row[row_of[v]] = sum(scaled.values())
+            scales.append(scale)
+            rows.append(row)
+        lu = lu_int(rows)
+        comps.append(_Component(verts, tuple(scales), lu, lu[-1][len(lu) - 1] if lu else 1))
     return comp_of, tuple(comps)
 
 
 def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Exact r(i, j) from the component's factored grounded Laplacian.
 
-    The grounded Laplacian L0 (first vertex struck) has rows scaled to
-    integers as M = diag(scales) L0, so L0^-1 = adj(M) diag(scales) / det(M).
-    One exact solve gives w = adj(M) c for c = scales[pi] e_pi -
-    scales[pj] e_pj, a struck vertex's term dropped, and then
-    r(i, j) = (w_pi - w_pj) / det(M), w zero at the struck vertex. This is
-    the ratio of the Laplacian minor with i and j struck to the tree minor,
-    with no elimination of its own. Vertices outside the component of i
-    are ignored; a pair in different components raises.
+    With M = diag(scales) L0 the scaled grounded Laplacian,
+    L0^-1 = adj(M) diag(scales) / det(M). One exact solve gives
+    w = adj(M) c for c = scale_i e_i - scale_j e_j over the terminals'
+    rows (the grounded vertex has none, and w is zero there), and then
+    r(i, j) = (w_i - w_j) / det(M): the ratio of the Laplacian minor with
+    i and j struck to the tree minor, with no elimination of its own.
+    Vertices outside the component of i are ignored; a pair in different
+    components raises.
     """
     _check_pair(g.vertex_count, i, j)
     comp_of, comps = _graph_facts(g)
     if comp_of.get(i) != comp_of.get(j):
         raise ValueError(f"vertices {i} and {j} are disconnected")
-    verts, _, scales, tree_minor, lu = comps[comp_of[i]]
-    pi, pj = bisect_left(verts, i), bisect_left(verts, j)
-    # grounded position p - 1 for component position p; position 0 is struck
-    c = {p - 1: s for p, s in ((pi, scales[pi]), (pj, -scales[pj])) if p}
-    w = dict(zip(c, solve_int(lu, c, list(c))))
-    value = Fraction(w.get(pi - 1, 0) - w.get(pj - 1, 0), tree_minor)
+    comp = comps[comp_of[i]]
+    # each terminal's row; -1, no row, for the grounded vertex
+    ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
+    c = {k: s * comp.scales[k] for k, s in ((ki, 1), (kj, -1)) if k >= 0}
+    w = dict(zip(c, solve_int(comp.lu, c, list(c))))
+    value = Fraction(w.get(ki, 0) - w.get(kj, 0), comp.tree_minor)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
@@ -491,21 +497,21 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
     """Exact r(i, j) for every pair i < j of one component, as a dict
     (i, j) -> Fraction; pairs in different components are absent.
 
-    Striking the component's first vertex leaves the grounded Laplacian
+    Grounding the component's first vertex leaves the grounded Laplacian
     L0, whose rows scaled to integers form M = diag(scales) L0, factored
     once by _graph_facts. Then X = L0^-1 = adj(M) diag(scales) / det(M),
-    and r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the struck vertex.
-    X is symmetric, so one exact solve per position p, of scales[p] e_p
-    read from p down, gives its column on and below the diagonal:
+    and r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the grounded vertex.
+    X is symmetric, so one exact solve per row k, of scales[k] e_k read
+    from k down, gives its column on and below the diagonal:
     O(n^2 * bw) work per component. Computed on demand; X is not cached.
     """
     out = {}
-    for verts, _, scales, det, lu in _graph_facts(g)[1]:
-        # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p;
-        # grounded position p - 1 for component position p
-        cols = [[0] * len(verts)] + [
-            solve_int(lu, {p - 1: scales[p]}, range(p - 1, len(lu))) for p in range(1, len(verts))
-        ]
+    for comp in _graph_facts(g)[1]:
+        verts, lu, det = comp.verts, comp.lu, comp.tree_minor
+        # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
+        # zero at the grounded verts[0], then one solve per row k
+        cols = [[0] * len(verts)]
+        cols += [solve_int(lu, {k: s}, range(k, len(lu))) for k, s in enumerate(comp.scales)]
         for p, u in enumerate(verts):
             col = cols[p]
             for q in range(p + 1, len(verts)):
@@ -525,7 +531,7 @@ def spanning_tree_count(g: WeightedGraph) -> int:
     if len(comps) > 1:
         return 0
     # unit resistances leave every row scale at 1
-    return comps[0][3]
+    return comps[0].tree_minor
 
 
 def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
@@ -540,7 +546,7 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
     comp_of, comps = _unit_facts(g, "two-forest")
     _check_pair(g.vertex_count, i, j)
     if comp_of[i] != comp_of[j]:
-        return comps[comp_of[i]][3] * comps[comp_of[j]][3] if len(comps) == 2 else 0
+        return comps[0].tree_minor * comps[1].tree_minor if len(comps) == 2 else 0
     # The product is an integer: resistance_det returns Fraction(w, tree
     # minor) for the solve's integer w, and with one component the tree
     # count is that same tree minor. With a second component it is 0.

@@ -18,7 +18,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import det_int, lu_int, solve_int, strike
+from twotree.bareiss import det_int, lu_int, solve_int
+
+from laplacian_reference import strike
 
 NOT_PD = "not positive definite"
 

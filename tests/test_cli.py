@@ -247,12 +247,14 @@ def test_res_resistance_past_the_int_digit_limit_exits_two(capsys, tmp_path, res
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_res_bad_tol_exits_two(capsys, tol):
-    code, out, err = run_cli(
-        capsys, "res", "--family", "straight", "--n", "6", "--pair", "1", "6",
-        "--method", "float", "--tol", tol,
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: tol must be positive and finite, got {float(tol)}\n"
+    # refused whatever the method, though only the float solve reads it
+    for method in ("float", "det", "dy", "all"):
+        code, out, err = run_cli(
+            capsys, "res", "--family", "straight", "--n", "6", "--pair", "1", "6",
+            "--method", method, "--tol", tol,
+        )
+        assert code == 2 and out == "", method
+        assert err == f"error: tol must be positive and finite, got {float(tol)}\n", method
 
 
 def _raises(exc):
@@ -287,11 +289,11 @@ def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
 
 
 def test_minor_that_is_not_positive_definite_exits_one(capsys, monkeypatch):
-    # det_int refuses a minor with a pivot <= 0 instead of eliminating it
+    # lu_int refuses a minor with a pivot <= 0 instead of eliminating it
     # some other way; negated, every minor the engine builds is one.
-    real = engine.strike
+    real = engine.lu_int
     monkeypatch.setattr(
-        engine, "strike", lambda rows, drop: [{c: -x for c, x in row.items()} for row in real(rows, drop)]
+        engine, "lu_int", lambda rows: real([{c: -x for c, x in row.items()} for row in rows])
     )
     code, out, err = run_cli(
         capsys, "res", "--family", "straight", "--n", "7", "--pair", "2", "6", "--method", "det"
@@ -515,6 +517,14 @@ def test_trees_m_is_only_the_size_of_a_straight_strip(capsys, argv):
     code, out, err = run_cli(capsys, "trees", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: --m ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_trees_m_below_one_names_m(capsys, m):
+    # not the strip's vertex count m + 2, which the user never gave
+    code, out, err = run_cli(capsys, "trees", "--family", "straight", "--m", m)
+    assert (code, out) == (2, "")
+    assert err == f"error: --m must be >= 1, got {m}\n"
 
 
 def test_trees_pair_in_two_components_counts_forests(capsys, tmp_path):

@@ -9,12 +9,13 @@ import dataclasses
 from fractions import Fraction
 import hashlib
 import json
+import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from twotree import engine
-from twotree.bareiss import det_int, strike
+from twotree.bareiss import det_int, lu_int
 from twotree.engine import (
     STEP_KINDS,
     ReductionStep,
@@ -40,6 +41,8 @@ from twotree.graphs import (
     straight_linear_ktree,
     triangular_grid,
 )
+
+from laplacian_reference import scaled_laplacian_components, strike
 
 
 def _edge_value(step_edges, u, v):
@@ -597,7 +600,8 @@ def test_det_on_two_weighted_components_with_different_row_scales():
     g = TWO_WEIGHTED_COMPONENTS
     comp_of, comps = _graph_facts(g)
     assert comp_of == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
-    assert comps[0][2] == (1, 1, 1) and comps[1][2] == (6, 6, 3)
+    # the grounded rows' scales: vertices 2, 3 and 5, 6
+    assert comps[0].scales == (1, 1) and comps[1].scales == (6, 3)
     assert resistance_det(g, 1, 3).value == Fraction(5, 31)
     assert resistance_det(g, 6, 4).value == Fraction(93, 92)
     assert resistance_det(g, 5, 4).value == Fraction(6, 23)
@@ -605,18 +609,52 @@ def test_det_on_two_weighted_components_with_different_row_scales():
         resistance_det(g, 3, 4)
 
 
+def test_facts_equal_the_referee_factorization_seeded():
+    # Weighted multigraphs with parallel edges, several components and
+    # one-vertex ones, with each component's vertices scattered over 1..n:
+    # each component's kept factorization equals, row for row, lu_int of
+    # the test-local Laplacian with its first vertex struck, and its row
+    # scales and tree minor equal those of that struck minor.
+    rng = random.Random(16)
+    shapes = set()
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        labels = rng.sample(range(1, n + 1), n)
+        edges = []
+        while labels:
+            k = rng.randint(1, 5)
+            block, labels = labels[:k], labels[k:]
+            edges += [(block[rng.randrange(t)], block[t]) for t in range(1, len(block))]
+            edges += [tuple(rng.sample(block, 2)) for _ in range(rng.randint(0, 2 * k - 2))
+                      if len(block) > 1]
+        g = WeightedGraph(n, [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                              for u, v in edges])
+        comp_of, comps = _graph_facts(g)
+        ref = scaled_laplacian_components(g)
+        assert len(comps) == len(ref)
+        for cid, (comp, (verts, rows, scales)) in enumerate(zip(comps, ref)):
+            grounded = strike(rows, (0,))
+            assert comp.verts == verts and {comp_of[v] for v in verts} == {cid}
+            assert comp.scales == scales[1:]
+            assert comp.lu == lu_int(grounded)
+            assert comp.tree_minor == det_int(grounded)
+            shapes.add("one-vertex" if len(verts) == 1 else "larger")
+        shapes.add("several" if len(comps) > 1 else "one")
+        if len({e[:2] for e in g.edges}) < len(g.edges):
+            shapes.add("parallel")
+    assert shapes == {"one-vertex", "larger", "several", "one", "parallel"}
+
+
 def _minor_ratio(g, i, j):
     # The referee: r(i, j) as the ratio of two Laplacian minors, each from
-    # an elimination of its own, the way resistance_det once computed it.
-    # The minor with i and j struck lacks rows pi and pj, the one with i
-    # struck row pi, so the ratio regains scale[pj]. The second is the
-    # facts' tree minor moved from row 0 to row pi.
-    comp_of, comps = _graph_facts(g)
-    verts, int_rows, scales, tree_minor, _ = comps[comp_of[i]]
+    # an elimination of its own on the test-local assembly, the way
+    # resistance_det once computed it. The minor with i and j struck lacks
+    # rows pi and pj, the one with i struck row pi, so the ratio regains
+    # scale[pj].
+    (verts, rows, scales), = (c for c in scaled_laplacian_components(g) if i in c[0])
     pi, pj = verts.index(i), verts.index(j)
-    num = det_int(strike(int_rows, (pi, pj)))
-    den = det_int(strike(int_rows, (pi,)))
-    assert den * scales[pi] == tree_minor * scales[0]
+    num = det_int(strike(rows, (pi, pj)))
+    den = det_int(strike(rows, (pi,)))
     return Fraction(num * scales[pj], den)
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from twotree.bareiss import det_int
 from twotree.engine import _graph_facts
 from twotree.graphs import (
     WeightedGraph,
@@ -16,6 +17,8 @@ from twotree.graphs import (
     triangular_grid,
     write_edge_list,
 )
+
+from laplacian_reference import scaled_laplacian_components, strike
 
 
 def _triangles(g):
@@ -195,17 +198,20 @@ def test_grid_rejects_single_row():
 def test_laplacian_rows_sum_to_zero():
     # the exact Laplacian, each row scaled to integers by its own scale
     g = WeightedGraph(3, [(1, 2, "1/2"), (1, 2, 1), (2, 3, 3)])
-    comp_of, comps = _graph_facts(g)
-    verts, rows, scales, tree_minor, lu = comps[0]
-    assert comp_of == {1: 0, 2: 0, 3: 0} and verts == (1, 2, 3)
+    (verts, rows, scales), = scaled_laplacian_components(g)
+    assert verts == (1, 2, 3)
     for row in rows:
         assert sum(row.values()) == 0
     assert rows[0][1] == -3  # parallel conductances 2 + 1 add up
     assert Fraction(rows[1][2], scales[1]) == Fraction(-1, 3)
     assert scales == (1, 3, 3)
-    # rows 2 and 3 kept: scales 3 * 3 times the tree sum 3 * 1/3, the last
-    # pivot of the grounded minor's factorization
-    assert tree_minor == 9 and lu[-1][1] == 9
+    # The facts ground vertex 1 and keep rows 2 and 3: scales 3 * 3 times
+    # the tree sum 3 * 1/3, the last pivot of their factorization.
+    comp_of, comps = _graph_facts(g)
+    assert comp_of == {1: 0, 2: 0, 3: 0} and comps[0].verts == verts
+    assert comps[0].scales == scales[1:] == (3, 3)
+    assert comps[0].tree_minor == 9 == comps[0].lu[-1][1]
+    assert comps[0].tree_minor == det_int(strike(rows, (0,)))
 
 
 def test_format_resistance():
