@@ -417,7 +417,7 @@ def replay_trace(trace: ReductionTrace) -> WeightedGraph:
 
 class _Component(NamedTuple):
     """A component's facts: row k of its grounded Laplacian is verts[k + 1]'s,
-    scaled by scales[k]; lu is their LU and tree_minor its last pivot."""
+    scaled by scales[k]; lu is their U and tree_minor its last pivot."""
 
     verts: tuple
     scales: tuple
@@ -433,13 +433,13 @@ def _graph_facts(g: WeightedGraph):
     Each component's first vertex is grounded: the other vertices' rows,
     built without its column, form the grounded Laplacian L0. The lcm of a
     row's conductances' denominators (the diagonal is their sum) scales it
-    to integers, giving M = diag(scales) L0, which the banded fraction-free
-    LU factors once: every exact answer of the component is read from that
-    factorization. Its last pivot det(M) is the tree minor: by the
-    matrix-tree theorem, the product of the scales times the weighted
-    spanning tree count. The factorization holds O(n * bw) integers per
-    component. Returns (comp_of, comps): a _Component per component, and
-    each vertex's index into comps.
+    to integers, giving M = diag(scales) L0, which lu_int factors once,
+    given the scales, into its fraction-free U: every exact answer of the
+    component is read from U. Its last pivot det(M) is the tree minor: by
+    the matrix-tree theorem, the product of the scales times the weighted
+    spanning tree count. U holds O(n * bw) integers per component.
+    Returns (comp_of, comps): a _Component per component, and each
+    vertex's index into comps.
     """
     cond = {v: {} for v in g.vertices}
     for u, v, r in g.edges:
@@ -463,7 +463,7 @@ def _graph_facts(g: WeightedGraph):
             row[row_of[v]] = sum(scaled.values())
             scales.append(scale)
             rows.append(row)
-        lu = lu_int(rows)
+        lu = lu_int(rows, scales)
         comps.append(_Component(verts, tuple(scales), lu, lu[-1][len(lu) - 1] if lu else 1))
     return comp_of, tuple(comps)
 
@@ -473,8 +473,8 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
 
     With M = diag(scales) L0 the scaled grounded Laplacian,
     L0^-1 = adj(M) diag(scales) / det(M). One exact solve gives
-    w = adj(M) c for c = scale_i e_i - scale_j e_j over the terminals'
-    rows (the grounded vertex has none, and w is zero there), and then
+    w = adj(M) diag(scales) c for c = e_i - e_j over the terminals' rows
+    (the grounded vertex has none, and w is zero there), and then
     r(i, j) = (w_i - w_j) / det(M): the ratio of the Laplacian minor with
     i and j struck to the tree minor, with no elimination of its own.
     Vertices outside the component of i are ignored; a pair in different
@@ -487,8 +487,8 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     comp = comps[comp_of[i]]
     # each terminal's row; -1, no row, for the grounded vertex
     ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
-    c = {k: s * comp.scales[k] for k, s in ((ki, 1), (kj, -1)) if k >= 0}
-    w = dict(zip(c, solve_int(comp.lu, c, list(c))))
+    c = {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0}
+    w = dict(zip(c, solve_int(comp.lu, comp.scales, c, list(c))))
     value = Fraction(w.get(ki, 0) - w.get(kj, 0), comp.tree_minor)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
@@ -501,8 +501,8 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
     L0, whose rows scaled to integers form M = diag(scales) L0, factored
     once by _graph_facts. Then X = L0^-1 = adj(M) diag(scales) / det(M),
     and r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the grounded vertex.
-    X is symmetric, so one exact solve per row k, of scales[k] e_k read
-    from k down, gives its column on and below the diagonal:
+    X is symmetric, so one exact solve per row k, of e_k read from k
+    down, gives det(M) times its column on and below the diagonal:
     O(n^2 * bw) work per component. Computed on demand; X is not cached.
     """
     out = {}
@@ -511,7 +511,7 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
         # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
         # zero at the grounded verts[0], then one solve per row k
         cols = [[0] * len(verts)]
-        cols += [solve_int(lu, {k: s}, range(k, len(lu))) for k, s in enumerate(comp.scales)]
+        cols += [solve_int(lu, comp.scales, {k: 1}, range(k, len(lu))) for k in range(len(lu))]
         for p, u in enumerate(verts):
             col = cols[p]
             for q in range(p + 1, len(verts)):

@@ -204,7 +204,8 @@ def triangular_grid(rows: int) -> TriangularGrid:
 #   u v num/den
 #
 # One edge per line; resistance prints as num/den, or a bare integer when
-# the denominator is 1. Blank lines and lines starting with '#' are skipped.
+# the denominator is 1. Blank lines and lines starting with '#' are skipped;
+# only those are comments, and a '#' after an edge makes its line an error.
 
 
 def format_resistance(r: Fraction) -> str:

@@ -4,10 +4,39 @@ The engine builds each component's grounded rows directly and factors
 them; these helpers build the full row-scaled Laplacian of every
 component straight from a graph's edges, and strike rows and columns
 from it, so tests can check the engine against minors it never built.
+det_ref is the dense determinant those minors are refereed by.
 """
 
 from fractions import Fraction
 from math import lcm
+
+
+def det_ref(rows):
+    """Bareiss with row pivoting on a dense copy of dict rows: any square
+    integer matrix, with no precondition."""
+    n = len(rows)
+    a = [[row.get(c, 0) for c in range(n)] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[k][k]
+        rowk = a[k]
+        for r in range(k + 1, n):
+            rowr = a[r]
+            mult = rowr[k]
+            for c in range(k + 1, n):
+                rowr[c] = (rowr[c] * piv - mult * rowk[c]) // prev
+            rowr[k] = 0
+        prev = piv
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def strike(rows, drop):

@@ -293,7 +293,8 @@ def test_minor_that_is_not_positive_definite_exits_one(capsys, monkeypatch):
     # some other way; negated, every minor the engine builds is one.
     real = engine.lu_int
     monkeypatch.setattr(
-        engine, "lu_int", lambda rows: real([{c: -x for c, x in row.items()} for row in rows])
+        engine, "lu_int",
+        lambda rows, scales: real([{c: -x for c, x in row.items()} for row in rows], scales),
     )
     code, out, err = run_cli(
         capsys, "res", "--family", "straight", "--n", "7", "--pair", "2", "6", "--method", "det"

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from twotree import engine
-from twotree.bareiss import det_int, lu_int
+from twotree.bareiss import det_int
 from twotree.engine import (
     STEP_KINDS,
     ReductionStep,
@@ -42,7 +42,7 @@ from twotree.graphs import (
     triangular_grid,
 )
 
-from laplacian_reference import scaled_laplacian_components, strike
+from laplacian_reference import det_ref, scaled_laplacian_components, strike
 
 
 def _edge_value(step_edges, u, v):
@@ -552,7 +552,8 @@ def test_no_elimination_once_facts_are_warm(monkeypatch):
     # read from those factorizations with no elimination of their own.
     calls = []
     real = engine.lu_int
-    monkeypatch.setattr(engine, "lu_int", lambda rows: calls.append(len(rows)) or real(rows))
+    monkeypatch.setattr(engine, "lu_int",
+                        lambda rows, scales: calls.append(len(rows)) or real(rows, scales))
     g = straight_linear_2tree(12)
     _graph_facts.cache_clear()
     resistance_det(g, 1, 12)
@@ -611,10 +612,12 @@ def test_det_on_two_weighted_components_with_different_row_scales():
 
 def test_facts_equal_the_referee_factorization_seeded():
     # Weighted multigraphs with parallel edges, several components and
-    # one-vertex ones, with each component's vertices scattered over 1..n:
-    # each component's kept factorization equals, row for row, lu_int of
-    # the test-local Laplacian with its first vertex struck, and its row
-    # scales and tree minor equal those of that struck minor.
+    # one-vertex ones, with each component's vertices scattered over 1..n.
+    # The test-local Laplacian with its first vertex struck, M, has the
+    # component's row scales and is diag(scales) S with S symmetric, as
+    # lu_int requires. Each kept pivot row k starts at its diagonal, and
+    # its entry at column c is the dense minor of M's rows 0..k and
+    # columns 0..k-1, c: the fraction-free U. The tree minor is det(M).
     rng = random.Random(16)
     shapes = set()
     for _ in range(80):
@@ -636,8 +639,17 @@ def test_facts_equal_the_referee_factorization_seeded():
             grounded = strike(rows, (0,))
             assert comp.verts == verts and {comp_of[v] for v in verts} == {cid}
             assert comp.scales == scales[1:]
-            assert comp.lu == lu_int(grounded)
-            assert comp.tree_minor == det_int(grounded)
+            s = comp.scales
+            assert all(s[c] * x == s[r] * grounded[c].get(r, 0)
+                       for r, row in enumerate(grounded) for c, x in row.items())
+            for k, row in enumerate(comp.lu):
+                assert min(row) == k, f"pivot row {k} keeps columns left of its diagonal"
+                for c, x in row.items():
+                    cols = [*range(k), c]
+                    minor = [{t: grounded[r].get(q, 0) for t, q in enumerate(cols)}
+                             for r in range(k + 1)]
+                    assert x == det_ref(minor), f"U[{k}][{c}] is off its minor"
+            assert comp.tree_minor == det_ref(grounded)
             shapes.add("one-vertex" if len(verts) == 1 else "larger")
         shapes.add("several" if len(comps) > 1 else "one")
         if len({e[:2] for e in g.edges}) < len(g.edges):
@@ -653,8 +665,8 @@ def _minor_ratio(g, i, j):
     # scale[pj].
     (verts, rows, scales), = (c for c in scaled_laplacian_components(g) if i in c[0])
     pi, pj = verts.index(i), verts.index(j)
-    num = det_int(strike(rows, (pi, pj)))
-    den = det_int(strike(rows, (pi,)))
+    num = det_int(strike(rows, (pi, pj)), [s for k, s in enumerate(scales) if k not in (pi, pj)])
+    den = det_int(strike(rows, (pi,)), [s for k, s in enumerate(scales) if k != pi])
     return Fraction(num * scales[pj], den)
 
 

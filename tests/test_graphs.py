@@ -211,7 +211,7 @@ def test_laplacian_rows_sum_to_zero():
     assert comp_of == {1: 0, 2: 0, 3: 0} and comps[0].verts == verts
     assert comps[0].scales == scales[1:] == (3, 3)
     assert comps[0].tree_minor == 9 == comps[0].lu[-1][1]
-    assert comps[0].tree_minor == det_int(strike(rows, (0,)))
+    assert comps[0].tree_minor == det_int(strike(rows, (0,)), scales[1:])
 
 
 def test_format_resistance():
@@ -255,6 +255,7 @@ def test_edge_list_bad_line_reports_number():
         ("# empty\nvertices 0\n", "line 2: vertex count must be >= 1, got 0"),
         ("vertices 3\n1 2 1\n1 9 1\n", r"line 3: edge \(1,9\) out of range 1..3"),
         ("vertices 3\n\n1 1 1\n", "line 3: self-loop at vertex 1"),
+        ("vertices 3\n1 2 1  # side\n", "line 2: expected 'u v resistance', got '1 2 1  # side'"),
     ):
         with pytest.raises(ValueError, match=message):
             read_edge_list(io.StringIO(text))

@@ -117,10 +117,10 @@ def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch
     # factorization; no pair and no solve pays an elimination of its own.
     eliminations, solves = [], []
     real_elim, real_solve = engine.lu_int, engine.solve_int
-    monkeypatch.setattr(engine, "lu_int",
-                        lambda rows: eliminations.append(len(rows)) or real_elim(rows))
-    monkeypatch.setattr(engine, "solve_int",
-                        lambda lu, c, read: solves.append(len(lu)) or real_solve(lu, c, read))
+    monkeypatch.setattr(engine, "lu_int", lambda rows, scales:
+                        eliminations.append(len(rows)) or real_elim(rows, scales))
+    monkeypatch.setattr(engine, "solve_int", lambda lu, scales, c, read:
+                        solves.append(len(lu)) or real_solve(lu, scales, c, read))
     grid = triangular_grid(6).graph
     split = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1)])
     for g in (grid, split):
