@@ -13,10 +13,16 @@ Every subcommand exits with the same codes, and any error is one
      (RuntimeError);
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
+
+FORMULAS, FAMILIES and PROBES declare each input once: the parser's
+choices and entry flags (bend_k -> --bend-k) come from them, and
+_call_entry checks and calls the chosen entry. Only a parameter with a
+default in its function, as the probes' sizes have, may be left unset.
 """
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -41,6 +47,7 @@ from .graphs import (
 )
 
 SCHEMA = 1
+METHODS = ("dy", "det", "float")
 
 
 class UsageError(Exception):
@@ -65,38 +72,49 @@ FAMILIES = {
     "ktree": (straight_linear_ktree, ("n", "k")),
     "grid": (lambda rows: triangular_grid(rows).graph, ("rows",)),
 }
+PROBES = {
+    "ktree": (conjectures.ktree_increments, ("k", "n_max")),
+    "grid": (conjectures.triangle_grid_growth, ("rows_max",)),
+    "bent": (conjectures.bent_diameter_growth, ("n_max", "bend_rule")),
+}
+
+
+def _flag(param):
+    return "--" + param.replace("_", "-")
+
+
+def _params(table):
+    """Every parameter of the table's entries once, in table order."""
+    return dict.fromkeys(p for _, params in table.values() for p in params)
+
+
 # The flags that name or size a family; --graph takes none of them.
-FAMILY_FLAGS = ("family", *dict.fromkeys(p for _, params in FAMILIES.values() for p in params))
-
-
-def _reject_unused(args, flag, takes):
-    """Reject each set flag that entries of `takes` (name -> parameters)
-    take but the one args.<flag> names does not."""
-    name = getattr(args, flag)
-    offered = dict.fromkeys(p for params in takes.values() for p in params)
-    unused = ["--" + p.replace("_", "-") for p in offered
-              if p not in takes[name] and getattr(args, p) is not None]
-    if unused:
-        raise UsageError(f"--{flag} {name} does not take " + " ".join(unused))
+FAMILY_FLAGS = ("family", *_params(FAMILIES))
 
 
 def _call_entry(table, flag, args):
-    """Call the table entry that args.<flag> names with its parameters from args."""
+    """Call the table entry that args.<flag> names with its set parameters
+    from args, as keywords. A set flag of only other entries' parameters,
+    or an unset parameter that has no default, is a UsageError."""
     name = getattr(args, flag)
     if name is None:
         raise UsageError(f"{args.command} needs --{flag}")
-    _reject_unused(args, flag, {k: params for k, (_, params) in table.items()})
     func, params = table[name]
-    missing = ["--" + p.replace("_", "-") for p in params if getattr(args, p) is None]
+    unused = [_flag(p) for p in _params(table) if p not in params and getattr(args, p) is not None]
+    if unused:
+        raise UsageError(f"--{flag} {name} does not take " + " ".join(unused))
+    given = {p: getattr(args, p) for p in params if getattr(args, p) is not None}
+    signature = inspect.signature(func).parameters
+    missing = [_flag(p) for p in params
+               if p not in given and signature[p].default is inspect.Parameter.empty]
     if missing:
         raise UsageError(f"--{flag} {name} needs " + " ".join(missing))
-    return func(*(getattr(args, p) for p in params))
+    return func(**given)
 
 
 def _load_graph(args):
     if getattr(args, "graph", None):
-        given = ["--" + p.replace("_", "-") for p in FAMILY_FLAGS
-                 if getattr(args, p, None) is not None]
+        given = [_flag(p) for p in FAMILY_FLAGS if getattr(args, p, None) is not None]
         if given:
             raise UsageError("--graph does not take " + " ".join(given))
         with open(args.graph) as fh:
@@ -152,7 +170,7 @@ def _cmd_res(args, out):
         raise UsageError(f"tol must be positive and finite, got {args.tol}")
     g = _load_graph(args)
     i, j = args.pair
-    methods = ["dy", "det", "float"] if args.method == "all" else [args.method]
+    methods = METHODS if args.method == "all" else [args.method]
     results = []
     trace = None
     for method in methods:
@@ -252,21 +270,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_conjecture(args, out):
-    which = args.which
-    _reject_unused(args, "which", {
-        "ktree": ("k", "n_max"), "grid": ("rows_max",), "bent": ("n_max", "bend_rule"),
-    })
-    if which == "ktree":
-        if args.k is None:
-            raise UsageError("conjecture ktree needs --k")
-        n_max = args.n_max if args.n_max is not None else args.k + 16
-        table = conjectures.ktree_increments(args.k, n_max)
-    elif which == "grid":
-        rows_max = args.rows_max if args.rows_max is not None else 12
-        table = conjectures.triangle_grid_growth(rows_max)
-    else:  # bent
-        n_max = args.n_max if args.n_max is not None else 24
-        table = conjectures.bent_diameter_growth(n_max, args.bend_rule or "middle")
+    table = _call_entry(PROBES, "which", args)
 
     def show(x):
         if x is None:
@@ -285,14 +289,13 @@ def _cmd_conjecture(args, out):
     return 0
 
 
-def _add_family_options(p, include_graph=True):
-    p.add_argument("--family", choices=list(FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--bend-k", dest="bend_k", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rows", type=int)
-    if include_graph:
-        p.add_argument("--graph", help="edge-list file instead of a named family")
+def _add_entry_flags(p, flag, table, **kwargs):
+    """--<flag>, choosing an entry of table, and a flag per entry parameter."""
+    p.add_argument("--" + flag, choices=list(table), **kwargs)
+    for param in _params(table):
+        # an int, but for the bend rule
+        kind = {"choices": list(conjectures.BEND_RULES)} if param == "bend_rule" else {"type": int}
+        p.add_argument(_flag(param), **kind)
 
 
 def build_parser():
@@ -303,27 +306,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a generated graph as an edge list")
-    _add_family_options(p, include_graph=False)
+    _add_entry_flags(p, "family", FAMILIES)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("res", help="effective resistance between a pair")
-    _add_family_options(p)
+    _add_entry_flags(p, "family", FAMILIES)
+    p.add_argument("--graph", help="edge-list file instead of a named family")
     p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("I", "J"))
-    p.add_argument("--method", choices=["dy", "det", "float", "all"], default="all")
+    p.add_argument("--method", choices=[*METHODS, "all"], default="all")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace", help="write the reduction trace as JSON lines")
     p.set_defaults(func=_cmd_res)
 
     p = sub.add_parser("formula", help="evaluate a closed-form expression")
-    p.add_argument("--which", required=True, choices=list(FORMULAS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--bend-k", dest="bend_k", type=int)
+    _add_entry_flags(p, "which", FORMULAS, required=True)
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("rank", help="rank non-edges by resistance (CSV)")
@@ -333,7 +330,8 @@ def build_parser():
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("trees", help="spanning tree and two-forest counts")
-    _add_family_options(p)
+    _add_entry_flags(p, "family", FAMILIES)
+    p.add_argument("--graph", help="edge-list file instead of a named family")
     p.add_argument("--m", type=int, help="triangles in a straight strip")
     p.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
     p.set_defaults(func=_cmd_trees)
@@ -343,20 +341,19 @@ def build_parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="emit a conjecture probe table (CSV)")
-    p.add_argument("--which", required=True, choices=["ktree", "grid", "bent"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--rows-max", dest="rows_max", type=int)
-    p.add_argument("--bend-rule", dest="bend_rule", choices=["middle", "first", "last"])
+    _add_entry_flags(p, "which", PROBES, required=True)
     p.set_defaults(func=_cmd_conjecture)
 
     return parser
 
 
+# Built once per process: main parses every call with it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

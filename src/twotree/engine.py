@@ -548,9 +548,10 @@ def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
     if comp_of[i] != comp_of[j]:
         return comps[0].tree_minor * comps[1].tree_minor if len(comps) == 2 else 0
     # The product is an integer: resistance_det returns Fraction(w, tree
-    # minor) for the solve's integer w, and with one component the tree
-    # count is that same tree minor. With a second component it is 0.
-    return int(resistance_det(g, i, j).value * spanning_tree_count(g))
+    # minor) for the solve's integer w, and unit resistances make that
+    # tree minor the tree count. A second component, which holds neither
+    # i nor j, keeps all its rows and makes the count 0.
+    return int(resistance_det(g, i, j).value * comps[0].tree_minor) if len(comps) == 1 else 0
 
 
 # === Brute force checks (small graphs only) ===
@@ -639,8 +640,9 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     rhs = np.zeros(m)
     rhs[row_of[i]] = 1.0
     x = splu(reduced).solve(rhs)
+    # rhs = e_i has norm 1, so the residual is relative as it stands
     residual = float(np.linalg.norm(reduced @ x - rhs))
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
+    if residual > tol:
         raise RuntimeError(f"residual {residual} exceeds tolerance {tol}")
     value = float(x[row_of[i]])
     return ResistanceReport(pair=(i, j), value=value, method="float")

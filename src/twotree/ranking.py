@@ -22,23 +22,10 @@ class TieGroup:
 
 
 def _structural_groups(n):
-    groups = []
-    for k in range(3, n):
-        q = n - k
-        centers = []
-        if q % 2 == 1:
-            mid = (q + 1) // 2
-            centers.append((mid,))
-            for d in range(1, mid):
-                centers.append((mid - d, mid + d))
-        else:
-            lo, hi = q // 2, q // 2 + 1
-            centers.append((lo, hi))
-            for d in range(1, lo):
-                centers.append((lo - d, hi + d))
-        for js in centers:
-            groups.append(tuple(sorted((j, j + k) for j in js)))
-    return groups
+    # Per offset k, the pair (j, j + k) with its mirror (n - k + 1 - j,
+    # n + 1 - j), from the center outward; a centered pair is its own mirror.
+    return [tuple(sorted({(j, j + k), (n - k + 1 - j, n + 1 - j)}))
+            for k in range(3, n) for j in range((n - k + 1) // 2, 0, -1)]
 
 
 def _tie_groups(values):

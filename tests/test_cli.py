@@ -1,8 +1,10 @@
 """End-to-end command-line checks through main(argv)."""
 
+import argparse
 import contextlib
 import csv
 from fractions import Fraction
+import inspect
 import io
 import json
 from pathlib import Path
@@ -276,6 +278,16 @@ def test_float_residual_failure_exits_one_without_traceback(capsys, monkeypatch)
     assert "Traceback" not in err
 
 
+def test_float_residual_above_tol_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "res", "--family", "straight", "--n", "30", "--pair", "1", "30",
+        "--method", "float", "--tol", "1e-300",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: residual ") and err.endswith(" exceeds tolerance 1e-300\n")
+    assert err.count("\n") == 1
+
+
 def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "two_forest_count", _raises(AssertionError("minor is not positive definite: pivot 2 of 4 is 0"))
@@ -405,6 +417,7 @@ def test_every_formula_prints_its_direct_call(capsys, which):
 @pytest.mark.parametrize("command, flag, name", [
     *(("formula", "--which", name) for name in cli.FORMULAS),
     *(("gen", "--family", name) for name in cli.FAMILIES),
+    ("conjecture", "--which", "ktree"),
 ], ids=lambda x: x.lstrip("-"))
 def test_missing_parameter_messages_name_flags_the_parser_accepts(capsys, command, flag, name):
     code, out, err = run_cli(capsys, command, flag, name)
@@ -597,6 +610,39 @@ def test_conjecture_bent_rule_defaults_to_middle(capsys):
         capsys, "conjecture", "--which", "bent", "--n-max", "9", "--bend-rule", "middle",
     )
     assert unset == middle != ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("res", "--pair", "1", "2"), "need either --graph FILE or --family ..."),
+    (("trees",), "need either --graph FILE or --family ..."),
+    (("conjecture", "--which", "grid", "--rows-max", "1"), "rows_max must be >= 2, got 1"),
+], ids=["res-no-input", "trees-no-input", "conjecture-grid-rows-max-1"])
+def test_bad_input_exits_two_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# === the tables declare every input ===
+
+
+def _subparser(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("table, commands", [
+    (cli.FORMULAS, ("formula",)),
+    (cli.FAMILIES, ("gen", "res", "trees")),
+    (cli.PROBES, ("conjecture",)),
+], ids=["formulas", "families", "probes"])
+def test_every_table_parameter_is_a_function_parameter_with_a_flag(table, commands):
+    for name, (func, params) in table.items():
+        signature = inspect.signature(func).parameters
+        required = {p for p, v in signature.items() if v.default is inspect.Parameter.empty}
+        assert required <= set(params) <= set(signature), name
+        for command in commands:
+            options = _subparser(command)._option_string_actions
+            for p in params:
+                assert options["--" + p.replace("_", "-")].dest == p, (command, name, p)
 
 
 # === flags the chosen entry does not take ===

@@ -85,6 +85,14 @@ def test_bent_bend_rules_place_the_bend():
         assert 3 <= row["bend_k"] <= row["n"] - 3
 
 
+def test_probe_default_sizes():
+    assert [row["n"] for row in ktree_increments(2)["rows"]] == list(range(3, 19))
+    assert [row["vertex_rows"] for row in triangle_grid_growth()["rows"]] == list(range(2, 13))
+    default = bent_diameter_growth()
+    assert [row["n"] for row in default["rows"]] == list(range(6, 25))
+    assert default == bent_diameter_growth(24, "middle")
+
+
 def test_bent_growth_validation():
     with pytest.raises(ValueError):
         bent_diameter_growth(5)

@@ -895,3 +895,8 @@ def test_float_validation():
     g = bent_linear_2tree(7, 3)
     with pytest.raises(ValueError):
         resistance_float(g, 2, 2)
+    with pytest.raises(ValueError, match="vertices 1 and 3 are disconnected"):
+        resistance_float(WeightedGraph(4, [(1, 2, 1), (3, 4, 1)]), 1, 3)
+    for tol in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            resistance_float(g, 1, 7, tol=tol)
