@@ -6,10 +6,8 @@ are, and how the Fibonacci pattern shows up in each one. Ends by
 replaying the trace to confirm it reconstructs the same answer.
 """
 
-from fractions import Fraction
-
 from twotree.engine import reduce_straight, replay_trace
-from twotree.fib import fib, lucas
+from twotree.formulas import sbt
 from twotree.graphs import format_resistance
 
 
@@ -59,9 +57,7 @@ def main():
     print("star weights against the closed forms:")
     dy = [s for s in trace.steps if s.kind == "delta-y"]
     for p, step in enumerate(dy, start=1):
-        s_p = Fraction(fib(p) ** 2, fib(2 * p + 2))
-        b_p = Fraction(fib(p + 1), lucas(p + 1))
-        t_p = Fraction(fib(p) * fib(p + 1), lucas(p) * lucas(p + 1))
+        s_p, b_p, t_p = sbt(p, 0)
         got = sorted(r for _, _, r in step.produced)
         want = sorted([s_p, b_p, t_p])
         flag = "ok" if got == want else "MISMATCH"

@@ -191,7 +191,7 @@ def _cmd_res(args, out):
     if args.trace:
         if trace is None:
             raise UsageError("--trace needs the delta-wye method (dy or all, straight family)")
-        with open(args.trace, "w") as fh:
+        with open(args.trace, "w") as fh, _any_int_digits():
             for d in trace.to_dicts():
                 fh.write(json.dumps(d) + "\n")
     doc = {"schema": SCHEMA, "pair": [i, j], "results": results}

@@ -12,8 +12,8 @@ ratio of two Laplacian minors. Each component's grounded Laplacian is
 factored once, by a fraction-free LU kept with the graph's facts, and
 every exact answer is read from that factorization: resistance_det one
 pair by one exact solve, resistance_all_pairs every pair of a component
-by one solve per vertex, and the tree and 2-forest counts. All are
-exact over Fractions.
+by one solve per vertex, and the tree and 2-forest counts by one rule,
+a product over components of tree minors and that pair solve. All are exact.
 """
 
 import itertools
@@ -468,15 +468,21 @@ def _graph_facts(g: WeightedGraph):
     return comp_of, tuple(comps)
 
 
-def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
-    """Exact r(i, j) from the component's factored grounded Laplacian.
+def _forest_minor(comp: _Component, i, j) -> int:
+    """det(M) r(i, j) as w_i - w_j. With M = diag(scales) L0,
+    L0^-1 = adj(M) diag(scales) / det(M), so one exact solve against U
+    gives w = adj(M) diag(scales) c for c = e_i - e_j over the pair's rows
+    (the grounded vertex has none, and w is zero there)."""
+    ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
+    c = {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0}
+    w = dict(zip(c, solve_int(comp.lu, comp.scales, c, list(c))))
+    return w.get(ki, 0) - w.get(kj, 0)
 
-    With M = diag(scales) L0 the scaled grounded Laplacian,
-    L0^-1 = adj(M) diag(scales) / det(M). One exact solve gives
-    w = adj(M) diag(scales) c for c = e_i - e_j over the terminals' rows
-    (the grounded vertex has none, and w is zero there), and then
-    r(i, j) = (w_i - w_j) / det(M): the ratio of the Laplacian minor with
-    i and j struck to the tree minor, with no elimination of its own.
+
+def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
+    """Exact r(i, j) from the component's factored grounded Laplacian:
+    _forest_minor's pair reading over det(M), the ratio of the Laplacian
+    minor with i and j struck to the tree minor, with no elimination.
     Vertices outside the component of i are ignored; a pair in different
     components raises.
     """
@@ -485,11 +491,7 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     if comp_of.get(i) != comp_of.get(j):
         raise ValueError(f"vertices {i} and {j} are disconnected")
     comp = comps[comp_of[i]]
-    # each terminal's row; -1, no row, for the grounded vertex
-    ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
-    c = {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0}
-    w = dict(zip(c, solve_int(comp.lu, comp.scales, c, list(c))))
-    value = Fraction(w.get(ki, 0) - w.get(kj, 0), comp.tree_minor)
+    value = Fraction(_forest_minor(comp, i, j), comp.tree_minor)
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
@@ -519,39 +521,36 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
     return out
 
 
-def _unit_facts(g: WeightedGraph, what):
+def _struck_minor(g: WeightedGraph, struck, what) -> int:
+    """The Laplacian minor with the struck vertices removed, for unit
+    resistances: a product over the components in order (matrix-tree
+    theorem), 0 at the first holding no struck vertex (a singular block),
+    the tree minor for one holding one and _forest_minor's pair reading
+    for one holding two. Every scale is 1: det(M) is the tree count and
+    the pair reading the 2-forest count."""
     if any(r != 1 for _, _, r in g.edges):
         raise ValueError(f"{what} counting needs unit resistances")
-    return _graph_facts(g)
+    if len(struck) == 2:
+        _check_pair(g.vertex_count, *struck)
+    comp_of, comps = _graph_facts(g)
+    count = 1
+    for k, comp in enumerate(comps):
+        held = [v for v in struck if comp_of[v] == k]
+        if not held:
+            return 0
+        count *= _forest_minor(comp, *held) if len(held) == 2 else comp.tree_minor
+    return count
 
 
 def spanning_tree_count(g: WeightedGraph) -> int:
     """Number of spanning trees (matrix-tree): unit resistances only."""
-    comps = _unit_facts(g, "spanning tree")[1]
-    if len(comps) > 1:
-        return 0
-    # unit resistances leave every row scale at 1
-    return comps[0].tree_minor
+    return _struck_minor(g, (1,), "spanning tree")
 
 
 def two_forest_count(g: WeightedGraph, i: int, j: int) -> int:
-    """Number of spanning 2-forests separating i from j (unit resistances).
-
-    The count is the Laplacian minor with rows/columns i and j struck, which
-    factors over components. In one component it is read back from
-    resistance_det's solve as resistance * tree count, with no elimination
-    of its own. In two it is their tree counts' product; a third component
-    keeps all its rows, a singular block, and makes it 0.
-    """
-    comp_of, comps = _unit_facts(g, "two-forest")
-    _check_pair(g.vertex_count, i, j)
-    if comp_of[i] != comp_of[j]:
-        return comps[0].tree_minor * comps[1].tree_minor if len(comps) == 2 else 0
-    # The product is an integer: resistance_det returns Fraction(w, tree
-    # minor) for the solve's integer w, and unit resistances make that
-    # tree minor the tree count. A second component, which holds neither
-    # i nor j, keeps all its rows and makes the count 0.
-    return int(resistance_det(g, i, j).value * comps[0].tree_minor) if len(comps) == 1 else 0
+    """Number of spanning 2-forests separating i from j (unit resistances):
+    the Laplacian minor with i and j struck."""
+    return _struck_minor(g, (i, j), "two-forest")
 
 
 # === Brute force checks (small graphs only) ===

@@ -68,7 +68,7 @@ def increment_limit():
     delta = formulas.r_endpoints(65) - formulas.r_endpoints(64)
     gap = abs(delta - Fraction(1, 5))
     ok = gap < Fraction(1, 10**6)
-    return ok, f"increment {float(delta):.9f}, |gap to 1/5| = {float(gap):.3e} < 1e-6"
+    return ok, f"increment {float(delta):.9f}, |gap to 1/5| = {float(gap):.3e} {'<' if ok else '>='} 1e-6"
 
 
 def tree_counts():

@@ -5,11 +5,19 @@ The same checks back the `twotree verify` command, so a release can be
 gated either through pytest or through the CLI.
 """
 
+import dataclasses
+from fractions import Fraction
 import hashlib
 
 import pytest
 
-from twotree import engine, verify
+from twotree import conjectures, engine, formulas, ranking, verify
+from twotree.graphs import (
+    bent_linear_2tree,
+    straight_linear_2tree,
+    straight_linear_ktree,
+    triangular_grid,
+)
 
 # The sha256 of each criterion's detail line: the evidence `twotree verify`
 # prints is frozen byte for byte, not only its PASS.
@@ -66,3 +74,126 @@ def test_bent_reading_builds_each_bent_graph_once():
     out = "\n".join(lines).split("\n")
     assert out[0].startswith("PASS  bent-reading: additive reading matches the oracle on all 77")
     assert len(out) == 2 + 77
+
+
+def _wrong_at(at, wrong):
+    """A patch for an oracle: the real function, but with wrong applied to
+    what it returns at the one argument tuple `at`."""
+    def patch(real):
+        def oracle(*args):
+            value = real(*args)
+            return wrong(value) if args == at else value
+        return oracle
+    return patch
+
+
+class _EqualToAll(Fraction):
+    # Orders as the Fraction it is, but compares equal to every value.
+    def __eq__(self, other):
+        return True
+
+    __hash__ = Fraction.__hash__
+
+
+def _plus(x):
+    return lambda value: value + x
+
+
+STRIP5 = straight_linear_2tree(5)
+GRID2 = triangular_grid(2)
+
+# criterion -> (module, attribute, patch), ..., and the detail it must fail with
+WRONG_ORACLES = {
+    "four-way-agreement": (
+        [(formulas, "r_closed", _wrong_at((3, 1, 2), _plus(1)))],
+        "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=13/21, closed=34/21"),
+    "endpoint-forms-2": (
+        [(formulas, "r_endpoints", _wrong_at((2,), _plus(1)))],
+        "r_endpoints(2) = 2, expected 1"),
+    "endpoint-forms-1": (
+        [(formulas, "r_endpoints", _wrong_at((1,), _plus(1)))],
+        "r_endpoints(1) = 5/3, expected 2/3"),
+    "increment-limit": (
+        [(formulas, "r_endpoints", _wrong_at((65,), _plus(Fraction(1, 10**5))))],
+        "increment 0.200010000, |gap to 1/5| = 1.000e-05 >= 1e-6"),
+    "tree-counts-fib": (
+        [(verify, "spanning_tree_count", _wrong_at((STRIP5,), _plus(1)))],
+        "m=3: matrix-tree 22 != F_8 = 21"),
+    "tree-counts-brute-force": (
+        [(verify, "brute_force_tree_enumeration", _wrong_at((STRIP5,), _plus(1)))],
+        "m=3: brute force 22 != matrix-tree 21"),
+    # With F_8 wrong as well, only the spot value 21 is left to catch it.
+    "tree-counts-spot": (
+        [(verify, "spanning_tree_count", _wrong_at((STRIP5,), _plus(1))),
+         (verify, "brute_force_tree_enumeration", _wrong_at((STRIP5,), _plus(1))),
+         (verify, "fib", _wrong_at((8,), _plus(1)))],
+        "m=3 count is not 21"),
+    "forest-counts-closed": (
+        [(formulas, "forest_closed", _wrong_at((2, 1, 1), _plus(1)))],
+        "(m=2,j=1,k=1): 6 != r*trees = 5"),
+    "forest-counts-enumeration": (
+        [(verify, "two_forest_count", _wrong_at((STRIP5, 1, 3), _plus(1)))],
+        "enumerated forest count mismatch at n=5, (1,3)"),
+    "ranking-golden": (
+        [(ranking, "rank_nonedges", _wrong_at((9,), lambda groups: groups[:-1]))],
+        "got:      " + verify.GOLDEN_RANKING_N9[:-len(", {1,9}")]
+        + "\nexpected: " + verify.GOLDEN_RANKING_N9),
+    "extremal-structure-reflection": (
+        [(formulas, "r_closed", _wrong_at((3, 1, 1), _plus(1)))],
+        "reflection fails at m=3, k=1, j=1"),
+    "extremal-structure-unimodality": (
+        [(formulas, "r_closed", _wrong_at((3, 2, 2), _plus(10)))],
+        "unimodality fails at m=3, k=2, j=1"),
+    # Reflection and strict unimodality place the minimum for any total
+    # order, so only a value whose equality disagrees with its order gets
+    # past them to the minimizer check.
+    "extremal-structure-minimizer": (
+        [(formulas, "r_closed", _wrong_at((3, 2, 2), _EqualToAll))],
+        "minimizer at m=3, k=2: [1, 2, 3] != [2]"),
+    "extremal-structure-separation": (
+        [(formulas, "r_closed", _wrong_at((4, 2, 3), lambda value: Fraction(1, 100)))],
+        "level separation fails at m=4, k=2"),
+    "extremal-structure-min-6": (
+        [(formulas, "min_resistance", _wrong_at((6,), lambda v: (v[0] + 1, v[1])))],
+        "min_resistance(6) = 16/11 at ((3, 4),), expected 5/11 at ((3,4),)"),
+    "extremal-structure-min-50": (
+        [(formulas, "min_resistance", _wrong_at((50,), lambda v: (v[0] + 1, v[1])))],
+        "min_resistance(50) is 1.4472135954999579, off 1/sqrt(5) by 1.000e+00"),
+    "identity-suite-count": (
+        [(verify, "check_all_identities", _wrong_at((), lambda reports: reports[:1]))],
+        "only 3721 instantiations, need >= 10^4"),
+    "bent-reading": (
+        [(engine, "resistance_det", _wrong_at(
+            (bent_linear_2tree(7, 3), 1, 7),
+            lambda report: dataclasses.replace(report, value=report.value + 1)))],
+        "additive reading misses at m=5, bend=3"),
+    "conjecture-probes-k1": (
+        [(conjectures, "_endpoint_value", _wrong_at(
+            (straight_linear_ktree(5, 1), 1, 5), lambda v: (v[0] + 1, v[1])))],
+        "k=1 increment at n=5 is 2, not 1"),
+    "conjecture-probes-k2": (
+        [(conjectures, "_endpoint_value", _wrong_at(
+            (straight_linear_ktree(67, 2), 1, 67), lambda v: (v[0] + 1, v[1])))],
+        "k=2 increment at n=67 off 1/5 by 1.000e+00"),
+    "conjecture-probes-k3": (
+        [(conjectures, "ktree_increments", _wrong_at(
+            (3, 20), lambda table: {**table, "label": "exact"}))],
+        "k=3 table missing or unlabeled"),
+    "conjecture-probes-grid": (
+        [(conjectures, "_endpoint_value", _wrong_at(
+            (GRID2.graph, GRID2.apex, GRID2.bottom_left), lambda v: (v[0] + 1, v[1])))],
+        "grid rows=2 gives 5/3, expected exact 2/3"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_ORACLES))
+def test_a_wrong_oracle_fails_its_criterion(monkeypatch, case):
+    patches, detail = WRONG_ORACLES[case]
+    for module, attribute, patch in patches:
+        monkeypatch.setattr(module, attribute, patch(getattr(module, attribute)))
+    name = next(n for n, _ in verify.CRITERIA if case.startswith(n))
+    func = dict(verify.CRITERIA)[name]
+    assert func() == (False, detail)
+    lines = []
+    assert verify.run_all(only=[name], out=lines.append) == 1
+    assert lines == [f"FAIL  {name}: {detail}"]

@@ -16,7 +16,7 @@ import time
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from twotree import cli, engine, formulas
+from twotree import cli, engine, formulas, ranking
 from twotree.cli import main
 from twotree.engine import STEP_KINDS, two_forest_count
 from twotree.graphs import WeightedGraph, read_edge_list, straight_linear_2tree
@@ -381,6 +381,63 @@ def test_formula_prints_exact_answers_past_the_int_digit_limit(capsys, argv, pat
         sys.set_int_max_str_digits(limit)
 
 
+# 600-digit conductances for `rank --graph`: the non-edge's resistance
+# 1/A + 1/B has a 1200-digit denominator.
+A, B = 10**599 + 7, 10**599 + 9
+
+
+def _expect_res(method, n):
+    def check(out, tmp_path):
+        want = formulas.r_endpoints(n - 2)
+        doc = json.loads(out, parse_int=str)["results"]
+        assert doc == [{"method": method, "value_num": str(want.numerator),
+                        "value_den": str(want.denominator)}]
+    return check
+
+
+def _expect_trace(out, tmp_path):
+    _expect_res("delta-y", 1700)(out, tmp_path)
+    with open(tmp_path / "t.jsonl") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert rows == engine.reduce_straight(1700, 1, 1700).trace.to_dicts()
+
+
+def _expect_trees(out, tmp_path):
+    assert json.loads(out, parse_int=str)["trees"] == str(formulas.spanning_closed(1600))
+
+
+def _expect_rank(out, tmp_path):
+    want = Fraction(1, A) + Fraction(1, B)
+    assert out.splitlines()[1:] == [f"1,1,1,3,{want.numerator},{want.denominator}"]
+
+
+# Every command prints an integer of more digits than the 640 the test
+# allows: about 0.42 n for r(1, n) and its reduction trace, 669 for
+# F_3202, 1200 for the rank file's denominator.
+@pytest.mark.parametrize("argv, check", [
+    (("res", "--family", "straight", "--n", "1700", "--pair", "1", "1700",
+      "--method", "dy", "--trace", "{tmp}/t.jsonl"), _expect_trace),
+    (("res", "--family", "straight", "--n", "1600", "--pair", "1", "1600",
+      "--method", "det"), _expect_res("determinant", 1600)),
+    (("trees", "--family", "straight", "--m", "1600"), _expect_trees),
+    (("rank", "--graph", "{tmp}/big.edges"), _expect_rank),
+], ids=["res-dy-trace", "res-det", "trees", "rank-graph"])
+def test_commands_print_exact_answers_past_the_int_digit_limit(capsys, tmp_path, argv, check):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int -> str digits")
+    (tmp_path / "big.edges").write_text(f"vertices 3\n1 2 1/{A}\n2 3 1/{B}\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640, "digit limit not restored"
+        sys.set_int_max_str_digits(0)
+        check(out, tmp_path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # Each formula with arguments that tell its parameters apart, called
 # directly by keyword; the CLI must print what the call returns.
 FORMULA_CASES = {
@@ -428,6 +485,35 @@ def test_missing_parameter_messages_name_flags_the_parser_accepts(capsys, comman
         assert option.startswith("--")
         # parse_args exits (SystemExit) on an option the parser does not know
         cli.build_parser().parse_args([command, flag, name, option, "1"])
+
+
+@pytest.mark.parametrize("which", ["endpoints", "trees"])
+def test_formula_m_below_one_exits_two(capsys, which):
+    code, out, err = run_cli(capsys, "formula", "--which", which, "--m", "0")
+    assert (code, out, err) == (2, "", "error: m must be >= 1, got 0\n")
+
+
+# Each README exit-1 promise of `formula` and `rank`: one internal is broken
+# at the input the command asks for, so the forms it computes disagree.
+@pytest.mark.parametrize("target, name, broken, argv, message", [
+    (formulas, "lucas", lambda real: lambda k: real(k) + (k == 2),
+     ("formula", "--which", "closed", "--m", "5", "--j", "1", "--k", "2"),
+     "closed-form bracket not divisible by 5 at (m=5, j=1, k=2)"),
+    (formulas, "lucas", lambda real: lambda k: real(k) + (k == 4),
+     ("formula", "--which", "endpoints", "--m", "3"),
+     "endpoint forms disagree at m=3: 17/16 vs 11/10"),
+    (formulas, "_sum_numerator", lambda real: lambda m, j, k: real(m, j, k) + 1,
+     ("formula", "--which", "forests", "--m", "7", "--j", "3", "--k", "3"),
+     "forest count forms disagree at (m=7, j=3, k=3): 782 vs 781"),
+    (ranking, "_structural_groups", lambda real: lambda n: real(n)[::-1],
+     ("rank", "--n", "5"),
+     "structural and value orders disagree for n=5: "
+     "[((1, 5),), ((1, 4), (2, 5))] vs [((1, 4), (2, 5)), ((1, 5),)]"),
+], ids=["formula-closed", "formula-endpoints", "formula-forests", "rank"])
+def test_disagreeing_forms_exit_one_with_one_line(capsys, monkeypatch, target, name, broken,
+                                                   argv, message):
+    monkeypatch.setattr(target, name, broken(getattr(target, name)))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_formula_missing_params_exit_two(capsys):

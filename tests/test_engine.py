@@ -139,6 +139,26 @@ def test_parallel_requires_multiple_edges():
         engine._parallel(engine._Network(g), 1, 2)
 
 
+@pytest.mark.parametrize("plan", [
+    lambda net: engine._delta_y(net, 1, 2, 9),
+    lambda net: engine._series(net, 9),
+], ids=["delta-y", "series"])
+def test_planners_reject_a_missing_vertex(plan):
+    with pytest.raises(ValueError, match="^vertex 9 not in graph$"):
+        plan(engine._Network(straight_linear_2tree(4)))
+
+
+def test_parallel_gives_the_same_step_with_its_ends_reversed():
+    net = engine._Network(WeightedGraph(3, [(1, 2, 2), (1, 2, 1), (2, 3, 1)]))
+    assert engine._parallel(net, 2, 1) == engine._parallel(net, 1, 2)
+
+
+def test_cut_with_nothing_to_cut_away():
+    net = engine._Network(straight_linear_2tree(3))
+    with pytest.raises(ValueError, match="^nothing to cut away at 2$"):
+        engine._cut(net, 2, 1)
+
+
 def test_network_copy_is_independent_and_keeps_lists_shared():
     source = engine._Network(straight_linear_2tree(5))
     engine._apply(source, engine._delta_y(source, 1, 2, 3))
@@ -824,6 +844,29 @@ def test_two_forest_count_across_components_multiplies_tree_counts():
     assert brute_force_two_forest_count(triangle_and_edge, 1, 4) == 3
     three_parts = WeightedGraph(5, [(1, 2, 1), (3, 4, 1)])
     assert two_forest_count(three_parts, 1, 3) == brute_force_two_forest_count(three_parts, 1, 3) == 0
+
+
+def test_counts_read_the_pair_solve_not_the_resistance(monkeypatch):
+    # Both counts are the struck minor rule; the 2-forest count reads the
+    # same pair solve as resistance_det, w_i - w_j = det(M) r(i, j).
+    g = straight_linear_2tree(9)
+    want = {(i, j): resistance_det(g, i, j).value * fib(16)
+            for i in range(1, 10) for j in range(i + 1, 10)}
+    monkeypatch.setattr(engine, "resistance_det", None)
+    monkeypatch.setattr(engine, "Fraction", None)
+    assert spanning_tree_count(g) == fib(16)
+    assert {pair: two_forest_count(g, *pair) for pair in want} == want
+
+
+def test_count_checks_run_in_order():
+    # unit resistances first, then the pair
+    weighted = WeightedGraph(3, [(1, 2, "1/2"), (2, 3, 1)])
+    with pytest.raises(ValueError, match="^two-forest counting needs unit resistances$"):
+        two_forest_count(weighted, 1, 7)
+    with pytest.raises(ValueError, match=r"^pair \(1,7\) out of range 1..3$"):
+        two_forest_count(straight_linear_2tree(3), 1, 7)
+    with pytest.raises(ValueError, match="^terminals must be distinct$"):
+        two_forest_count(straight_linear_2tree(3), 2, 2)
 
 
 def test_brute_force_counters_refuse_more_than_ten_vertices():

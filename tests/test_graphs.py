@@ -34,6 +34,11 @@ def test_edges_are_canonicalized():
     assert g.edges == ((1, 2, Fraction(1, 2)), (1, 3, Fraction(2)))
 
 
+def test_rejects_an_empty_graph():
+    with pytest.raises(ValueError, match="^vertex_count must be >= 1, got 0$"):
+        WeightedGraph(0, [])
+
+
 def test_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         WeightedGraph(3, [(1, 1, 1)])
