@@ -50,10 +50,6 @@ SCHEMA = 1
 METHODS = ("dy", "det", "float")
 
 
-class UsageError(Exception):
-    pass
-
-
 FORMULAS = {
     "sum": (formulas.r_sum, ("m", "j", "k")),
     "closed": (formulas.r_closed, ("m", "j", "k")),
@@ -95,20 +91,20 @@ FAMILY_FLAGS = ("family", *_params(FAMILIES))
 def _call_entry(table, flag, args):
     """Call the table entry that args.<flag> names with its set parameters
     from args, as keywords. A set flag of only other entries' parameters,
-    or an unset parameter that has no default, is a UsageError."""
+    or an unset parameter that has no default, is a ValueError."""
     name = getattr(args, flag)
     if name is None:
-        raise UsageError(f"{args.command} needs --{flag}")
+        raise ValueError(f"{args.command} needs --{flag}")
     func, params = table[name]
     unused = [_flag(p) for p in _params(table) if p not in params and getattr(args, p) is not None]
     if unused:
-        raise UsageError(f"--{flag} {name} does not take " + " ".join(unused))
+        raise ValueError(f"--{flag} {name} does not take " + " ".join(unused))
     given = {p: getattr(args, p) for p in params if getattr(args, p) is not None}
     signature = inspect.signature(func).parameters
     missing = [_flag(p) for p in params
                if p not in given and signature[p].default is inspect.Parameter.empty]
     if missing:
-        raise UsageError(f"--{flag} {name} needs " + " ".join(missing))
+        raise ValueError(f"--{flag} {name} needs " + " ".join(missing))
     return func(**given)
 
 
@@ -116,12 +112,12 @@ def _load_graph(args):
     if getattr(args, "graph", None):
         given = [_flag(p) for p in FAMILY_FLAGS if getattr(args, p, None) is not None]
         if given:
-            raise UsageError("--graph does not take " + " ".join(given))
+            raise ValueError("--graph does not take " + " ".join(given))
         with open(args.graph) as fh:
             return read_edge_list(fh)
     if getattr(args, "family", None):
         return _call_entry(FAMILIES, "family", args)
-    raise UsageError("need either --graph FILE or --family ...")
+    raise ValueError("need either --graph FILE or --family ...")
 
 
 def _frac_fields(value):
@@ -133,16 +129,12 @@ def _frac_fields(value):
 def _any_int_digits():
     # Exact answers may pass Python's 4300-digit limit on int -> str; lift
     # it while output is rendered only, not while input is parsed.
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
     old = sys.get_int_max_str_digits()
-    set_limit(0)
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        set_limit(old)
+        sys.set_int_max_str_digits(old)
 
 
 def _emit_json(doc, out):
@@ -167,7 +159,7 @@ def _cmd_gen(args, out):
 
 def _cmd_res(args, out):
     if not 0 < args.tol < inf:
-        raise UsageError(f"tol must be positive and finite, got {args.tol}")
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     g = _load_graph(args)
     i, j = args.pair
     methods = METHODS if args.method == "all" else [args.method]
@@ -178,7 +170,7 @@ def _cmd_res(args, out):
             if args.family != "straight":
                 if args.method == "all":
                     continue
-                raise UsageError("--method dy only applies to --family straight")
+                raise ValueError("--method dy only applies to --family straight")
             report = reduce_straight(args.n, i, j)
             trace = report.trace
             results.append({"method": report.method, **_frac_fields(report.value)})
@@ -190,7 +182,7 @@ def _cmd_res(args, out):
             results.append({"method": "float", "value": report.value})
     if args.trace:
         if trace is None:
-            raise UsageError("--trace needs the delta-wye method (dy or all, straight family)")
+            raise ValueError("--trace needs the delta-wye method (dy or all, straight family)")
         with open(args.trace, "w") as fh, _any_int_digits():
             for d in trace.to_dicts():
                 fh.write(json.dumps(d) + "\n")
@@ -218,11 +210,11 @@ def _cmd_formula(args, out):
 
 def _cmd_rank(args, out):
     if args.top is not None and args.top < 1:
-        raise UsageError(f"--top must be >= 1, got {args.top}")
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     if args.graph:
         groups = ranking.rank_nonedges_graph(_load_graph(args))
     elif args.n is None:
-        raise UsageError("rank needs --n or --graph FILE")
+        raise ValueError("rank needs --n or --graph FILE")
     else:
         groups = ranking.rank_nonedges(args.n)
     writer = csv.writer(out, lineterminator="\n")
@@ -244,9 +236,9 @@ def _cmd_trees(args, out):
     doc = {"schema": SCHEMA}
     if args.m is not None:
         if args.family != "straight" or args.n is not None or args.graph:
-            raise UsageError("--m is only valid alone with --family straight (no --n or --graph)")
+            raise ValueError("--m is only valid alone with --family straight (no --n or --graph)")
         if args.m < 1:
-            raise UsageError(f"--m must be >= 1, got {args.m}")
+            raise ValueError(f"--m must be >= 1, got {args.m}")
         args.n = args.m + 2
         g = _call_entry(FAMILIES, "family", args)
         doc["params"] = {"family": "straight", "m": args.m, "n": args.n}
@@ -358,7 +350,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args, sys.stdout)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:

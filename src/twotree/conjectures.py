@@ -15,10 +15,36 @@ MAX_EXACT_VERTICES = 300
 LABEL = "conjectural"
 
 
-def _endpoint_value(g, i, j):
-    if g.vertex_count <= MAX_EXACT_VERTICES:
-        return resistance_det(g, i, j).value, "exact"
-    return resistance_float(g, i, j).value, "float"
+def _growth(cases, step):
+    # A probe table: per case (a row's leading fields, a graph and a pair)
+    # the pair's resistance, exact up to MAX_EXACT_VERTICES vertices and
+    # float beyond, then step's comparison columns against the previous
+    # value (None on the first row), then the method.
+    rows = []
+    prev = None
+    for fields, g, i, j in cases:
+        exact = g.vertex_count <= MAX_EXACT_VERTICES
+        value = (resistance_det if exact else resistance_float)(g, i, j).value
+        rows.append({**fields, "value": value, **step(value, prev, exact),
+                     "method": "exact" if exact else "float"})
+        prev = value
+    return rows
+
+
+def _float_increment(value, prev, exact):
+    return {"increment": None if prev is None else float(value) - float(prev)}
+
+
+def _ktree_step(value, prev, exact):
+    # Exact rows follow exact rows, so an exact row's increment is exact.
+    if exact and prev is not None:
+        return {"increment": value - prev}
+    return _float_increment(value, prev, exact)
+
+
+def _grid_step(value, prev, exact):
+    diff = _float_increment(value, prev, exact)["increment"]
+    return {"difference": diff, "increasing": None if diff is None else diff > 0}
 
 
 def ktree_increments(k: int, n_max: int | None = None) -> dict:
@@ -36,17 +62,8 @@ def ktree_increments(k: int, n_max: int | None = None) -> dict:
     if n_max < k + 2:
         raise ValueError(f"n_max must be >= {k + 2}, got {n_max}")
     target = Fraction(6, k * (k + 1) * (2 * k + 1))
-    rows = []
-    prev = None
-    for n in range(k + 1, n_max + 1):
-        g = straight_linear_ktree(n, k)
-        value, method = _endpoint_value(g, 1, n)
-        inc = None
-        if prev is not None:
-            inc = value - prev if method == "exact" else float(value) - float(prev)
-        rows.append({"n": n, "value": value, "increment": inc, "method": method})
-        prev = value
-    return {"target": target, "rows": rows, "label": LABEL}
+    cases = (({"n": n}, straight_linear_ktree(n, k), 1, n) for n in range(k + 1, n_max + 1))
+    return {"target": target, "rows": _growth(cases, _ktree_step), "label": LABEL}
 
 
 def triangle_grid_growth(rows_max: int = 12) -> dict:
@@ -57,30 +74,13 @@ def triangle_grid_growth(rows_max: int = 12) -> dict:
     """
     if rows_max < 2:
         raise ValueError(f"rows_max must be >= 2, got {rows_max}")
-    rows = []
-    prev = None
-    for r in range(2, rows_max + 1):
-        grid = triangular_grid(r)
-        value, method = _endpoint_value(grid.graph, grid.apex, grid.bottom_left)
-        diff = None
-        increasing = None
-        if prev is not None:
-            diff = float(value) - float(prev)
-            increasing = diff > 0
-        rows.append(
-            {
-                "vertex_rows": r,
-                "cell_rows": grid.cell_rows,
-                "cells": grid.cells,
-                "vertices": grid.graph.vertex_count,
-                "value": value,
-                "difference": diff,
-                "increasing": increasing,
-                "method": method,
-            }
-        )
-        prev = value
-    return {"rows": rows, "label": LABEL}
+    sizes = range(2, rows_max + 1)
+    cases = (
+        ({"vertex_rows": r, "cell_rows": grid.cell_rows, "cells": grid.cells,
+          "vertices": grid.graph.vertex_count}, grid.graph, grid.apex, grid.bottom_left)
+        for r, grid in zip(sizes, map(triangular_grid, sizes))
+    )
+    return {"rows": _growth(cases, _grid_step), "label": LABEL}
 
 
 # Where each bend rule puts the bend of the n-vertex strip.
@@ -102,21 +102,9 @@ def bent_diameter_growth(n_max: int = 24, bend_rule: str = "middle") -> dict:
         raise ValueError(f"n_max must be >= 6, got {n_max}")
     if bend_rule not in BEND_RULES:
         raise ValueError(f"unknown bend rule {bend_rule!r}")
-    rows = []
-    prev = None
-    for n in range(6, n_max + 1):
-        bend_k = BEND_RULES[bend_rule](n)
-        g = bent_linear_2tree(n, bend_k)
-        value, method = _endpoint_value(g, 1, n)
-        inc = float(value) - float(prev) if prev is not None else None
-        rows.append(
-            {
-                "n": n,
-                "bend_k": bend_k,
-                "value": value,
-                "increment": inc,
-                "method": method,
-            }
-        )
-        prev = value
-    return {"rows": rows, "label": LABEL}
+    sizes = range(6, n_max + 1)
+    cases = (
+        ({"n": n, "bend_k": bend_k}, bent_linear_2tree(n, bend_k), 1, n)
+        for n, bend_k in zip(sizes, map(BEND_RULES[bend_rule], sizes))
+    )
+    return {"rows": _growth(cases, _float_increment), "label": LABEL}

@@ -44,7 +44,7 @@ def _clip(x):
 
 
 def _as_resistance(r):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     if limit and isinstance(r, str) and _too_long(r, limit):
         raise ValueError(f"resistance {_clip(r)} needs more than {limit} digits")
     try:
@@ -219,27 +219,36 @@ def write_edge_list(g: WeightedGraph, out: TextIO):
 
 
 def read_edge_list(inp: TextIO) -> WeightedGraph:
-    header = None
-    edges = []
-    for lineno, raw in enumerate(inp, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
+    lineno = 0
+
+    def items():  # the vertex count, then (u, v, token) per edge line
+        nonlocal lineno
+        header = None
+        for lineno, raw in enumerate(inp, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
             if header is None:
                 if len(parts) != 2 or parts[0] != "vertices":
                     raise ValueError(f"expected 'vertices N', got {_clip(line)}")
                 header = _as_int(parts[1], "vertex count")
                 if header < 1:
                     raise ValueError(f"vertex count must be >= 1, got {_clip(header)}")
+                yield header
             elif len(parts) != 3:
                 raise ValueError(f"expected 'u v resistance', got {_clip(line)}")
             else:
-                u, v = (_as_int(t, "vertex") for t in parts[:2])
-                edges.append(_edge(header, u, v, parts[2]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if header is None:
-        raise ValueError("missing 'vertices N' header")
-    return WeightedGraph(header, edges)
+                yield _as_int(parts[0], "vertex"), _as_int(parts[1], "vertex"), parts[2]
+
+    lines = items()
+    try:
+        # WeightedGraph checks each edge as items() yields it, so an error it
+        # raises, like one of items(), belongs to the line read last.
+        return WeightedGraph(next(lines), lines)
+    except StopIteration:
+        raise ValueError("missing 'vertices N' header") from None
+    except UnicodeDecodeError:
+        raise  # decoding the file failed, not a line of it
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None

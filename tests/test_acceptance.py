@@ -99,6 +99,10 @@ def _plus(x):
     return lambda value: value + x
 
 
+def _report_plus_one(report):
+    return dataclasses.replace(report, value=report.value + 1)
+
+
 STRIP5 = straight_linear_2tree(5)
 GRID2 = triangular_grid(2)
 
@@ -164,24 +168,23 @@ WRONG_ORACLES = {
         "only 3721 instantiations, need >= 10^4"),
     "bent-reading": (
         [(engine, "resistance_det", _wrong_at(
-            (bent_linear_2tree(7, 3), 1, 7),
-            lambda report: dataclasses.replace(report, value=report.value + 1)))],
+            (bent_linear_2tree(7, 3), 1, 7), _report_plus_one))],
         "additive reading misses at m=5, bend=3"),
     "conjecture-probes-k1": (
-        [(conjectures, "_endpoint_value", _wrong_at(
-            (straight_linear_ktree(5, 1), 1, 5), lambda v: (v[0] + 1, v[1])))],
+        [(conjectures, "resistance_det", _wrong_at(
+            (straight_linear_ktree(5, 1), 1, 5), _report_plus_one))],
         "k=1 increment at n=5 is 2, not 1"),
     "conjecture-probes-k2": (
-        [(conjectures, "_endpoint_value", _wrong_at(
-            (straight_linear_ktree(67, 2), 1, 67), lambda v: (v[0] + 1, v[1])))],
+        [(conjectures, "resistance_det", _wrong_at(
+            (straight_linear_ktree(67, 2), 1, 67), _report_plus_one))],
         "k=2 increment at n=67 off 1/5 by 1.000e+00"),
     "conjecture-probes-k3": (
         [(conjectures, "ktree_increments", _wrong_at(
             (3, 20), lambda table: {**table, "label": "exact"}))],
         "k=3 table missing or unlabeled"),
     "conjecture-probes-grid": (
-        [(conjectures, "_endpoint_value", _wrong_at(
-            (GRID2.graph, GRID2.apex, GRID2.bottom_left), lambda v: (v[0] + 1, v[1])))],
+        [(conjectures, "resistance_det", _wrong_at(
+            (GRID2.graph, GRID2.apex, GRID2.bottom_left), _report_plus_one))],
         "grid rows=2 gives 5/3, expected exact 2/3"),
 }
 

@@ -235,8 +235,6 @@ def test_res_resistance_past_the_int_digit_limit_exits_two(capsys, tmp_path, res
     # one written with an exponent is refused too, before its power of ten
     # is built, so even 1e2000000 is answered at once. Either way the error
     # names the limit and does not echo the whole token.
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no limit on int -> str digits")
     path = _edge_file(tmp_path, f"1 2 {resistance}", "2 3 1")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3")
@@ -364,8 +362,6 @@ def test_formula_sbt_three_weights(capsys):
      lambda: formulas.sbt(12000, 1)[1].numerator),
 ], ids=["closed", "trees", "sbt"])
 def test_formula_prints_exact_answers_past_the_int_digit_limit(capsys, argv, path, want):
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no limit on int -> str digits")
     limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, "formula", "--which", *argv)
     assert (code, err) == (0, "")
@@ -423,8 +419,6 @@ def _expect_rank(out, tmp_path):
     (("rank", "--graph", "{tmp}/big.edges"), _expect_rank),
 ], ids=["res-dy-trace", "res-det", "trees", "rank-graph"])
 def test_commands_print_exact_answers_past_the_int_digit_limit(capsys, tmp_path, argv, check):
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no limit on int -> str digits")
     (tmp_path / "big.edges").write_text(f"vertices 3\n1 2 1/{A}\n2 3 1/{B}\n")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -676,6 +670,8 @@ def test_conjecture_grid_csv(capsys):
         capsys, "conjecture", "--which", "grid", "--rows-max", "4"
     )
     rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["vertex_rows", "cell_rows", "cells", "vertices", "value",
+                       "difference", "increasing", "method", "label"]
     assert rows[1][rows[0].index("value")] == "2/3"
     assert all(r[-1] == "conjectural" for r in rows[1:])
 
@@ -686,6 +682,7 @@ def test_conjecture_bent_rule(capsys):
         "--bend-rule", "first",
     )
     rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["n", "bend_k", "value", "increment", "method", "label"]
     bend_col = rows[0].index("bend_k")
     assert all(r[bend_col] == "3" for r in rows[1:])
 

@@ -103,9 +103,17 @@ def test_bent_growth_validation():
 def test_exact_cutoff_env_override(monkeypatch):
     # The cutoff is read at call time, so moving it moves the methods.
     assert conjectures.MAX_EXACT_VERTICES == 300
+    # Bent increments are floats even between exact rows.
+    bent = bent_diameter_growth(8)["rows"]
+    assert [row["method"] for row in bent] == ["exact"] * 3
+    assert [type(row["increment"]) for row in bent] == [type(None), float, float]
     monkeypatch.setattr(conjectures, "MAX_EXACT_VERTICES", 5)
     table = ktree_increments(1, 8)
     methods = {row["n"]: row["method"] for row in table["rows"]}
     assert methods[5] == "exact"
     assert methods[6] == "float"
+    # An exact row's increment is exact; the first float row's is a float.
+    increments = {row["n"]: row["increment"] for row in table["rows"]}
+    assert type(increments[5]) is Fraction and increments[5] == Fraction(1)
+    assert type(increments[6]) is float and increments[6] == 1.0
 

@@ -246,7 +246,7 @@ def test_edge_list_bad_header():
 def test_edge_list_reads_a_fraction_whose_parts_fit_the_digit_limit():
     # The digit limit bounds the numerator and the denominator one at a
     # time, not the token as a whole.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    limit = sys.get_int_max_str_digits()
     num, den = "1" * limit, "7" * limit
     g = read_edge_list(io.StringIO(f"vertices 2\n1 2 {num}/{den}\n"))
     assert g.edges[0][2] == Fraction(int(num), int(den))
@@ -261,6 +261,16 @@ def test_edge_list_bad_line_reports_number():
         ("vertices 3\n1 2 1\n1 9 1\n", r"line 3: edge \(1,9\) out of range 1..3"),
         ("vertices 3\n\n1 1 1\n", "line 3: self-loop at vertex 1"),
         ("vertices 3\n1 2 1  # side\n", "line 2: expected 'u v resistance', got '1 2 1  # side'"),
+        ("vertices 3\n1 2 1ex\n", "line 2: resistance must be a positive rational, got '1ex'"),
     ):
         with pytest.raises(ValueError, match=message):
             read_edge_list(io.StringIO(text))
+
+
+def test_edge_list_decode_error_passes_through_unnumbered():
+    # A file that cannot be decoded fails in the reading, not in a line:
+    # the decoder's own error comes through as it is.
+    raw = io.TextIOWrapper(io.BytesIO(b"vertices 3\n1 2 \xff\n"), encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as info:
+        read_edge_list(raw)
+    assert not str(info.value).startswith("line")
