@@ -222,13 +222,12 @@ def _cmd_rank(args, out):
     rank = 0
     with _any_int_digits():
         for gid, group in enumerate(groups, start=1):
+            num, den = str(group.value.numerator), str(group.value.denominator)
             for u, v in group.pairs:
                 rank += 1
                 if args.top is not None and rank > args.top:
                     return 0
-                writer.writerow(
-                    [rank, gid, u, v, group.value.numerator, group.value.denominator]
-                )
+                writer.writerow([rank, gid, u, v, num, den])
     return 0
 
 

@@ -28,9 +28,10 @@ def _fib_pair(n):
 
 
 def _nonneg_fib(n):
-    # Small indices come up constantly in the closed-form sweeps, so values
-    # are cached; a miss costs O(log n) doubling steps. The cache is
-    # per-thread so concurrent callers never share mutable state.
+    # The closed-form sweeps read the same small indices over and over (a
+    # ranked strip reads one F per pair, the rest of its row once per
+    # offset), so values are cached; a miss costs O(log n) doubling steps.
+    # The cache is per-thread so concurrent callers never share mutable state.
     cache = getattr(_local, "fib_cache", None)
     if cache is None:
         cache = _local.fib_cache = {0: 0, 1: 1}

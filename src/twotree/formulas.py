@@ -36,16 +36,26 @@ def r_sum(m: int, j: int, k: int) -> Fraction:
     return Fraction(_sum_numerator(m, j, k), fib(2 * m + 2))
 
 
-def _closed_numerator(m, j, k):
-    bracket = fib(m - k) * (k * lucas(k) - fib(k)) + fib(m - k + 1) * (
-        (k - 5) * fib(k + 1) + (2 * k + 2) * fib(k)
+def _closed_numerators(m, k, js):
+    """Closed-form numerators over F_{2m+2} of the pairs (j, j+k), j in js
+    (a non-empty range or tuple). Only the last term depends on j, so the
+    rest is computed once per row; a bracket not divisible by 5 raises,
+    naming the row's first j."""
+    f_k, head = fib(k), fib(m + 1)
+    bracket = fib(m - k) * (k * lucas(k) - f_k) + fib(m - k + 1) * (
+        (k - 5) * fib(k + 1) + (2 * k + 2) * f_k
     )
-    fifth = fib(m + 1) * bracket
+    fifth = head * bracket
     if fifth % 5 != 0:
         raise AssertionError(
-            f"closed-form bracket not divisible by 5 at (m={m}, j={j}, k={k})"
+            f"closed-form bracket not divisible by 5 at (m={m}, j={js[0]}, k={k})"
         )
-    return fib(m + 1) ** 2 + fib(k) ** 2 * fib(m - 2 * j - k + 3) ** 2 + fifth // 5
+    base, f_k2 = head * head + fifth // 5, f_k * f_k
+    return [base + f_k2 * fib(m - 2 * j - k + 3) ** 2 for j in js]
+
+
+def _closed_numerator(m, j, k):
+    return _closed_numerators(m, k, (j,))[0]
 
 
 def r_closed(m: int, j: int, k: int) -> Fraction:

@@ -4,14 +4,18 @@ Lower resistance means a more likely link. On the straight strip the order
 is fully structural: smaller offset k first, and within an offset the
 centered pairs first, moving outward, with mirror pairs exactly tied.
 rank_nonedges builds the order both structurally and by sorting exact
-values, and refuses to answer if the two disagree.
+values, and refuses to answer if the two disagree. Every strip value has
+the one denominator F_{2m+2}, so it sorts the integer closed-form
+numerators, read one offset's row at a time, and makes one Fraction per
+tie group.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import resistance_all_pairs
-from .formulas import r_closed
+from .fib import fib
+from .formulas import _closed_numerators
 from .graphs import WeightedGraph, reachable
 
 
@@ -28,34 +32,39 @@ def _structural_groups(n):
             for k in range(3, n) for j in range((n - k + 1) // 2, 0, -1)]
 
 
-def _tie_groups(values):
-    """TieGroups of the pairs in `values` (pair -> exact value): equal values
-    share a group, ordered by (value, pair)."""
+def _tie_groups(values, value=lambda key: key):
+    """TieGroups of the pairs in `values` (pair -> exact key, ordered as the
+    values are; `value` turns a key into its value): equal keys share a
+    group, ordered by (key, pair)."""
     groups = []
     for pair in sorted(values, key=lambda p: (values[p], p)):
         if groups and values[groups[-1][0]] == values[pair]:
             groups[-1].append(pair)
         else:
             groups.append([pair])
-    return [TieGroup(value=values[g[0]], pairs=tuple(g)) for g in groups]
+    return [TieGroup(value=value(values[g[0]]), pairs=tuple(g)) for g in groups]
 
 
 def rank_nonedges(n: int):
     """Tie groups of non-edges of the straight strip, most likely link first.
 
     The structural order and the exact-value order are both computed; any
-    disagreement raises. Returns a list of TieGroup.
+    disagreement raises. The values are ordered by their closed-form
+    numerators over the one denominator F_{2m+2}, each offset's row read
+    at once. Returns a list of TieGroup, each value a reduced Fraction.
     """
     if n < 5:
         raise ValueError(f"ranking needs n >= 5, got {n}")
     m = n - 2
     structural = _structural_groups(n)
 
-    values = {}
+    numerators = {}
     for k in range(3, n):
-        for j in range(1, n - k + 1):
-            values[(j, j + k)] = r_closed(m, j, k)
-    groups = _tie_groups(values)
+        js = range(1, n - k + 1)
+        for j, num in zip(js, _closed_numerators(m, k, js)):
+            numerators[(j, j + k)] = num
+    den = fib(2 * m + 2)
+    groups = _tie_groups(numerators, lambda num: Fraction(num, den))
     value_order = [g.pairs for g in groups]
     if structural != value_order:
         raise AssertionError(

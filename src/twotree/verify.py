@@ -129,9 +129,11 @@ def extremal_structure():
     m_hi = 30
     for m in range(1, m_hi + 1):
         n = m + 2
-        for k in range(1, n - 1):
+        # rows[k - 1] holds offset k; each row is read once.
+        rows = [[formulas.r_closed(m, j, k) for j in range(1, n - k + 1)]
+                for k in range(1, n - 1)]
+        for k, vals in enumerate(rows, start=1):
             q = n - k
-            vals = [formulas.r_closed(m, j, k) for j in range(1, q + 1)]
             for j in range(q // 2):
                 if vals[j] != vals[q - 1 - j]:
                     return False, f"reflection fails at m={m}, k={k}, j={j + 1}"
@@ -149,10 +151,8 @@ def extremal_structure():
             # Strict separation between consecutive offsets holds from k=2
             # up; the k=1 to k=2 boundary genuinely overlaps (the end edge
             # beats the most central offset-2 pair once m >= 2).
-            if 2 <= k < n - 2:
-                nxt = min(formulas.r_closed(m, j, k + 1) for j in range(1, n - k))
-                if not max(vals) < nxt:
-                    return False, f"level separation fails at m={m}, k={k}"
+            if 2 <= k < n - 2 and not max(vals) < min(rows[k]):
+                return False, f"level separation fails at m={m}, k={k}"
     v6, edges6 = formulas.min_resistance(6)
     if v6 != Fraction(5, 11) or edges6 != ((3, 4),):
         return False, f"min_resistance(6) = {v6} at {edges6}, expected 5/11 at ((3,4),)"

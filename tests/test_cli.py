@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 from fractions import Fraction
+import hashlib
 import inspect
 import io
 import json
@@ -503,7 +504,10 @@ def test_formula_m_below_one_exits_two(capsys, which):
      ("rank", "--n", "5"),
      "structural and value orders disagree for n=5: "
      "[((1, 5),), ((1, 4), (2, 5))] vs [((1, 4), (2, 5)), ((1, 5),)]"),
-], ids=["formula-closed", "formula-endpoints", "formula-forests", "rank"])
+    (formulas, "lucas", lambda real: lambda k: real(k) + (k == 4),
+     ("rank", "--n", "9"),
+     "closed-form bracket not divisible by 5 at (m=7, j=1, k=4)"),
+], ids=["formula-closed", "formula-endpoints", "formula-forests", "rank", "rank-closed"])
 def test_disagreeing_forms_exit_one_with_one_line(capsys, monkeypatch, target, name, broken,
                                                    argv, message):
     monkeypatch.setattr(target, name, broken(getattr(target, name)))
@@ -537,6 +541,23 @@ def test_rank_csv_matches_golden_order(capsys):
         ["4", "2", "5", "8"],
     ]
     assert rows[-1][:4] == ["21", "12", "1", "9"]
+
+
+# SHA-256 of `rank --n 60` and `rank --n 204 --top 50` stdout, as printed
+# when each value was its own reduced Fraction: ranking by numerators over
+# the one denominator must not move a byte.
+RANK_DIGESTS = {
+    ("--n", "60"): "abef0ce79ddc7403fb899c89d551866935f4e811a4ebb931b798f0180f2c06b7",
+    ("--n", "204", "--top", "50"):
+        "41ebf09e9c9a7b605e6bad74acd341df294297bd1c6bc47ced95cdd0c533e417",
+}
+
+
+@pytest.mark.parametrize("argv", RANK_DIGESTS, ids=["n60", "n204-top50"])
+def test_rank_output_is_frozen(capsys, argv):
+    code, out, err = run_cli(capsys, "rank", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK_DIGESTS[argv]
 
 
 def test_rank_top_truncates(capsys):

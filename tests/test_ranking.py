@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twotree import engine
+from twotree.formulas import _closed_numerator, _closed_numerators, _sum_numerator, r_closed
 from twotree.graphs import WeightedGraph, straight_linear_2tree, triangular_grid
 from twotree.ranking import (
     TieGroup,
@@ -71,6 +72,41 @@ def test_structural_order_verified_up_to_sixty():
     for n in range(5, 61):
         groups = rank_nonedges(n)
         assert len(groups) >= 1
+
+
+def _fraction_ranking(n):
+    # The referee: r_closed for every non-edge, sorted by (value, pair),
+    # grouped on equality.
+    values = {(j, j + k): r_closed(n - 2, j, k)
+              for k in range(3, n) for j in range(1, n - k + 1)}
+    groups = []
+    for pair in sorted(values, key=lambda p: (values[p], p)):
+        if groups and values[groups[-1][0]] == values[pair]:
+            groups[-1].append(pair)
+        else:
+            groups.append([pair])
+    return [TieGroup(values[g[0]], tuple(g)) for g in groups]
+
+
+def test_rank_equals_the_fraction_ranking():
+    for n in (*range(5, 81), 200, 204):
+        groups = rank_nonedges(n)
+        assert groups == _fraction_ranking(n), f"n={n}"
+        assert all(type(g.value) is Fraction for g in groups), f"n={n}"
+
+
+def test_row_reader_equals_the_single_pair_numerator():
+    # Every row of every strip with m <= 40, the j with a negative index
+    # m - 2j - k + 3 included; the summation form is an independent check.
+    negative = 0
+    for m in range(1, 41):
+        for k in range(1, m + 2):
+            js = range(1, m + 3 - k)
+            row = _closed_numerators(m, k, js)
+            assert row == [_closed_numerator(m, j, k) for j in js]
+            assert row == [_sum_numerator(m, j, k) for j in js]
+            negative += sum(m - 2 * j - k + 3 < 0 for j in js)
+    assert negative > 0
 
 
 def test_rank_rejects_small_n():
