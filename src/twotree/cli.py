@@ -14,19 +14,20 @@ Every subcommand exits with the same codes, and any error is one
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
 
-FORMULAS, FAMILIES and PROBES declare each input once: the parser's
-choices and entry flags (bend_k -> --bend-k) come from them, and
-_call_entry checks and calls the chosen entry. Only a parameter with a
-default in its function, as the probes' sizes have, may be left unset.
+FORMULAS, FAMILIES and PROBES name each entry once; its signature, read
+at import, declares its parameters. The parser's choices and entry flags
+(bend_k -> --bend-k) come from them, and _call_entry checks and calls the
+chosen entry. Only a parameter with a default, as the probes' sizes have,
+may be left unset.
 """
 
 import argparse
 import csv
-import inspect
 import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from inspect import Parameter, signature
 from math import inf
 
 from . import conjectures, formulas, ranking, verify
@@ -47,32 +48,34 @@ from .graphs import (
 )
 
 SCHEMA = 1
-METHODS = ("dy", "det", "float")
-
-
-FORMULAS = {
-    "sum": (formulas.r_sum, ("m", "j", "k")),
-    "closed": (formulas.r_closed, ("m", "j", "k")),
-    "endpoints": (formulas.r_endpoints, ("m",)),
-    "min": (formulas.min_resistance, ("n",)),
-    "bent": (formulas.r_bent, ("m", "bend_k")),
-    "trees": (formulas.spanning_closed, ("m",)),
-    "forests": (formulas.forest_closed, ("m", "j", "k")),
-    "sbt": (formulas.sbt, ("i", "p")),
-    "diff": (formulas.r_diff, ("m", "j", "k")),
+# --method -> the engine's report on the pair (i, j) of g; dy reduces the
+# straight strip of --n itself.
+METHODS = {
+    "dy": lambda args, g, i, j: reduce_straight(args.n, i, j),
+    "det": lambda args, g, i, j: resistance_det(g, i, j),
+    "float": lambda args, g, i, j: resistance_float(g, i, j, tol=args.tol),
 }
 
-FAMILIES = {
-    "straight": (straight_linear_2tree, ("n",)),
-    "bent": (bent_linear_2tree, ("n", "bend_k")),
-    "ktree": (straight_linear_ktree, ("n", "k")),
-    "grid": (lambda rows: triangular_grid(rows).graph, ("rows",)),
-}
-PROBES = {
-    "ktree": (conjectures.ktree_increments, ("k", "n_max")),
-    "grid": (conjectures.triangle_grid_growth, ("rows_max",)),
-    "bent": (conjectures.bent_diameter_growth, ("n_max", "bend_rule")),
-}
+
+def _entries(namespace, **funcs):
+    """name -> (namespace, function name, {parameter: default}), each
+    function's parameters read once, here, from its signature."""
+    return {name: (namespace, f.__name__, {p: v.default for p, v in signature(f).parameters.items()})
+            for name, f in funcs.items()}
+
+
+def _grid(rows):
+    return triangular_grid(rows).graph
+
+
+FORMULAS = _entries(vars(formulas), sum=formulas.r_sum, closed=formulas.r_closed,
+                    endpoints=formulas.r_endpoints, min=formulas.min_resistance,
+                    bent=formulas.r_bent, trees=formulas.spanning_closed,
+                    forests=formulas.forest_closed, sbt=formulas.sbt, diff=formulas.r_diff)
+FAMILIES = _entries(globals(), straight=straight_linear_2tree, bent=bent_linear_2tree,
+                    ktree=straight_linear_ktree, grid=_grid)
+PROBES = _entries(vars(conjectures), ktree=conjectures.ktree_increments,
+                  grid=conjectures.triangle_grid_growth, bent=conjectures.bent_diameter_growth)
 
 
 def _flag(param):
@@ -81,7 +84,7 @@ def _flag(param):
 
 def _params(table):
     """Every parameter of the table's entries once, in table order."""
-    return dict.fromkeys(p for _, params in table.values() for p in params)
+    return dict.fromkeys(p for *_, params in table.values() for p in params)
 
 
 # The flags that name or size a family; --graph takes none of them.
@@ -90,22 +93,23 @@ FAMILY_FLAGS = ("family", *_params(FAMILIES))
 
 def _call_entry(table, flag, args):
     """Call the table entry that args.<flag> names with its set parameters
-    from args, as keywords. A set flag of only other entries' parameters,
-    or an unset parameter that has no default, is a ValueError."""
+    from args, as keywords; the signature read at import declares them,
+    and the function is looked up by name now, so a rebound name is the
+    one run. A set flag of only other entries' parameters, or an unset
+    parameter that has no default, is a ValueError."""
     name = getattr(args, flag)
     if name is None:
         raise ValueError(f"{args.command} needs --{flag}")
-    func, params = table[name]
+    namespace, attr, params = table[name]
     unused = [_flag(p) for p in _params(table) if p not in params and getattr(args, p) is not None]
     if unused:
         raise ValueError(f"--{flag} {name} does not take " + " ".join(unused))
     given = {p: getattr(args, p) for p in params if getattr(args, p) is not None}
-    signature = inspect.signature(func).parameters
-    missing = [_flag(p) for p in params
-               if p not in given and signature[p].default is inspect.Parameter.empty]
+    missing = [_flag(p) for p, default in params.items()
+               if p not in given and default is Parameter.empty]
     if missing:
         raise ValueError(f"--{flag} {name} needs " + " ".join(missing))
-    return func(**given)
+    return namespace[attr](**given)
 
 
 def _load_graph(args):
@@ -162,30 +166,19 @@ def _cmd_res(args, out):
         raise ValueError(f"tol must be positive and finite, got {args.tol}")
     g = _load_graph(args)
     i, j = args.pair
-    methods = METHODS if args.method == "all" else [args.method]
-    results = []
-    trace = None
-    for method in methods:
-        if method == "dy":
-            if args.family != "straight":
-                if args.method == "all":
-                    continue
-                raise ValueError("--method dy only applies to --family straight")
-            report = reduce_straight(args.n, i, j)
-            trace = report.trace
-            results.append({"method": report.method, **_frac_fields(report.value)})
-        elif method == "det":
-            report = resistance_det(g, i, j)
-            results.append({"method": report.method, **_frac_fields(report.value)})
-        elif method == "float":
-            report = resistance_float(g, i, j, tol=args.tol)
-            results.append({"method": "float", "value": report.value})
+    methods = [m for m in METHODS
+               if args.method in (m, "all") and (m != "dy" or args.family == "straight")]
+    if not methods:
+        raise ValueError("--method dy only applies to --family straight")
+    reports = {m: METHODS[m](args, g, i, j) for m in methods}
     if args.trace:
-        if trace is None:
+        if "dy" not in reports:
             raise ValueError("--trace needs the delta-wye method (dy or all, straight family)")
         with open(args.trace, "w") as fh, _any_int_digits():
-            for d in trace.to_dicts():
+            for d in reports["dy"].trace.to_dicts():
                 fh.write(json.dumps(d) + "\n")
+    results = [{"method": r.method, **({"value": r.value} if m == "float" else _frac_fields(r.value))}
+               for m, r in reports.items()]
     doc = {"schema": SCHEMA, "pair": [i, j], "results": results}
     if args.n is not None:
         doc["n"] = args.n
@@ -195,7 +188,7 @@ def _cmd_res(args, out):
 
 def _cmd_formula(args, out):
     value = _call_entry(FORMULAS, "which", args)
-    params = FORMULAS[args.which][1]
+    params = FORMULAS[args.which][2]
     doc = {"schema": SCHEMA, "which": args.which, "params": {p: getattr(args, p) for p in params}}
     if isinstance(value, formulas.StripWeights):
         doc["values"] = value._asdict()
@@ -232,22 +225,20 @@ def _cmd_rank(args, out):
 
 
 def _cmd_trees(args, out):
-    doc = {"schema": SCHEMA}
     if args.m is not None:
         if args.family != "straight" or args.n is not None or args.graph:
             raise ValueError("--m is only valid alone with --family straight (no --n or --graph)")
         if args.m < 1:
             raise ValueError(f"--m must be >= 1, got {args.m}")
         args.n = args.m + 2
-        g = _call_entry(FAMILIES, "family", args)
-        doc["params"] = {"family": "straight", "m": args.m, "n": args.n}
+    g = _load_graph(args)
+    if args.m is not None:
+        params = {"family": "straight", "m": args.m, "n": args.n}
     else:
-        g = _load_graph(args)
-        doc["params"] = {"vertices": g.vertex_count}
+        params = {"vertices": g.vertex_count}
         if args.family:
-            doc["params"]["family"] = args.family
-    count = spanning_tree_count(g)
-    doc["trees"] = count
+            params["family"] = args.family
+    doc = {"schema": SCHEMA, "params": params, "trees": spanning_tree_count(g)}
     if args.pair:
         i, j = args.pair
         doc["pair"] = [i, j]

@@ -349,10 +349,10 @@ def _reduce_from(g, a, bs):
         fork, fork_steps = net.copy(), steps.copy()
         if swept:
             _fold(fork, fork_steps, star, b)
-        for _ in _sweep(fork, fork_steps, a, 1, (n - 3) if b == n else (b - a - 1)):
+        for _ in _sweep(fork, fork_steps, a, 1, min(b - a - 1, n - 3)):
             pass
         _cleanup(fork, fork_steps, a, b)
-        yield b, tuple(fork_steps), fork.edge_items()[0][2]
+        yield b, tuple(fork_steps), fork.adj[a][b][0]
 
 
 def _report(g, pair, terminals, steps, value):

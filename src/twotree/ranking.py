@@ -27,8 +27,9 @@ class TieGroup:
 
 def _structural_groups(n):
     # Per offset k, the pair (j, j + k) with its mirror (n - k + 1 - j,
-    # n + 1 - j), from the center outward; a centered pair is its own mirror.
-    return [tuple(sorted({(j, j + k), (n - k + 1 - j, n + 1 - j)}))
+    # n + 1 - j), from the center outward; j never passes its mirror's
+    # first vertex, and a centered pair is its own mirror.
+    return [((j, j + k),) if 2 * j == n - k + 1 else ((j, j + k), (n - k + 1 - j, n + 1 - j))
             for k in range(3, n) for j in range((n - k + 1) // 2, 0, -1)]
 
 

@@ -90,15 +90,17 @@ def tree_counts():
 
 
 def forest_counts():
-    """Two-forest closed count equals resistance * tree count exactly for
-    all (j,k), m <= 20; both printed forms agree; enumeration to n=8."""
+    """Two-forest closed count equals the strip's Laplacian resistance times
+    its tree count exactly for all (j,k), m <= 20; both printed forms
+    agree; enumeration to n=8."""
     checked = 0
     for m in range(1, 21):
-        trees = formulas.spanning_closed(m)
+        g = straight_linear_2tree(m + 2)
+        dets, trees = resistance_all_pairs(g), spanning_tree_count(g)
         for j in range(1, m + 2):
             for k in range(1, m + 3 - j):
                 forests = formulas.forest_closed(m, j, k)  # asserts both forms
-                expect = formulas.r_closed(m, j, k) * trees
+                expect = dets[(j, j + k)] * trees
                 if forests != expect:
                     return False, f"(m={m},j={j},k={k}): {forests} != r*trees = {expect}"
                 checked += 1

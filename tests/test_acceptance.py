@@ -135,6 +135,11 @@ WRONG_ORACLES = {
     "forest-counts-closed": (
         [(formulas, "forest_closed", _wrong_at((2, 1, 1), _plus(1)))],
         "(m=2,j=1,k=1): 6 != r*trees = 5"),
+    # Both printed forms wrong alike: only the Laplacian oracle is left.
+    "forest-counts-consistent": (
+        [(formulas, "_closed_numerator", _wrong_at((2, 1, 1), _plus(1))),
+         (formulas, "_sum_numerator", _wrong_at((2, 1, 1), _plus(1)))],
+        "(m=2,j=1,k=1): 6 != r*trees = 5"),
     "forest-counts-enumeration": (
         [(verify, "two_forest_count", _wrong_at((STRIP5, 1, 3), _plus(1)))],
         "enumerated forest count mismatch at n=5, (1,3)"),

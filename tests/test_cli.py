@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 from pathlib import Path
+import random
 import re
 import shlex
 import sys
@@ -17,7 +18,7 @@ import time
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from twotree import cli, engine, formulas, ranking
+from twotree import cli, conjectures, engine, formulas, ranking
 from twotree.cli import main
 from twotree.engine import STEP_KINDS, two_forest_count
 from twotree.graphs import WeightedGraph, read_edge_list, straight_linear_2tree
@@ -86,6 +87,29 @@ def test_res_all_methods_agree(capsys):
     assert (dy["value_num"], dy["value_den"]) == (det["value_num"], det["value_den"])
     exact = dy["value_num"] / dy["value_den"]
     assert abs(by_method["float"]["value"] - exact) < 1e-9
+
+
+@pytest.mark.parametrize("source, methods", [
+    (("--family", "straight", "--n", "6"), ["delta-y", "determinant", "float"]),
+    (("--family", "grid", "--rows", "3"), ["determinant", "float"]),
+    (("--graph", None), ["determinant", "float"]),
+], ids=["straight", "grid", "graph"])
+def test_res_all_reports_methods_in_order(capsys, tmp_path, source, methods):
+    # delta-y only on the straight family, the rest always, in METHODS order
+    if source[0] == "--graph":
+        source = ("--graph", str(tmp_path / "g.edges"))
+        run_cli(capsys, "gen", "--family", "straight", "--n", "6", "--out", source[1])
+    code, out, err = run_cli(capsys, "res", *source, "--pair", "1", "6", "--method", "all")
+    assert (code, err) == (0, "")
+    assert [r["method"] for r in json.loads(out)["results"]] == methods
+
+
+def test_emit_json_refuses_what_json_cannot_hold():
+    out = io.StringIO()
+    cli._emit_json({"value": Fraction(2, 3)}, out)
+    assert json.loads(out.getvalue()) == {"value": {"num": 2, "den": 3}}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._emit_json({"value": {1, 2}}, io.StringIO())
 
 
 def test_res_single_method_det_on_graph_file(capsys, tmp_path):
@@ -739,14 +763,66 @@ def _subparser(command):
     (cli.PROBES, ("conjecture",)),
 ], ids=["formulas", "families", "probes"])
 def test_every_table_parameter_is_a_function_parameter_with_a_flag(table, commands):
-    for name, (func, params) in table.items():
-        signature = inspect.signature(func).parameters
-        required = {p for p, v in signature.items() if v.default is inspect.Parameter.empty}
-        assert required <= set(params) <= set(signature), name
+    for name, (namespace, attr, params) in table.items():
+        signature = inspect.signature(namespace[attr]).parameters
+        assert params == {p: v.default for p, v in signature.items()}, name
         for command in commands:
             options = _subparser(command)._option_string_actions
             for p in params:
                 assert options["--" + p.replace("_", "-")].dest == p, (command, name, p)
+
+
+@pytest.mark.parametrize("namespace, attr, argv", [
+    (vars(formulas), "r_sum", ("formula", "--which", "sum", "--m", "5", "--j", "1", "--k", "2")),
+    (vars(cli), "straight_linear_2tree", ("gen", "--family", "straight", "--n", "5")),
+    (vars(conjectures), "bent_diameter_growth", ("conjecture", "--which", "bent")),
+], ids=["formulas", "families", "probes"])
+def test_entries_are_looked_up_when_called(capsys, monkeypatch, namespace, attr, argv):
+    # A name rebound after import, by a test or a profiler, is the one run.
+    monkeypatch.setitem(namespace, attr, _raises(RuntimeError(f"{attr} was called")))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {attr} was called\n")
+
+
+def _option(flag, kind=None, choices=None, default=None, required=False, nargs=None):
+    return (flag,), flag[2:].replace("-", "_"), choices, kind, default, required, nargs
+
+
+# Each subcommand's options, in parser order: (option strings, dest,
+# choices, type, default, required, nargs), as built before the tables
+# read their entries' signatures.
+_HELP = (("-h", "--help"), "help", None, None, "==SUPPRESS==", False, 0)
+_FAMILY_OPTIONS = [
+    _option("--family", choices=["straight", "bent", "ktree", "grid"]),
+    *(_option(flag, "int") for flag in ("--n", "--bend-k", "--k", "--rows")),
+]
+OPTION_TABLES = {
+    "gen": [_HELP, *_FAMILY_OPTIONS, _option("--out")],
+    "res": [_HELP, *_FAMILY_OPTIONS, _option("--graph"),
+            _option("--pair", "int", required=True, nargs=2),
+            _option("--method", choices=["dy", "det", "float", "all"], default="all"),
+            _option("--tol", "float", default=1e-09), _option("--trace")],
+    "formula": [_HELP,
+                _option("--which", required=True, choices=[
+                    "sum", "closed", "endpoints", "min", "bent", "trees", "forests", "sbt", "diff"]),
+                *(_option(flag, "int") for flag in ("--m", "--j", "--k", "--n", "--bend-k", "--i", "--p"))],
+    "rank": [_HELP, _option("--n", "int"), _option("--top", "int"), _option("--graph")],
+    "trees": [_HELP, *_FAMILY_OPTIONS, _option("--graph"), _option("--m", "int"),
+              _option("--pair", "int", nargs=2)],
+    "verify": [_HELP, _option("--only")],
+    "conjecture": [_HELP, _option("--which", required=True, choices=["ktree", "grid", "bent"]),
+                   _option("--k", "int"), _option("--n-max", "int"), _option("--rows-max", "int"),
+                   _option("--bend-rule", choices=["middle", "first", "last"])],
+}
+
+
+def test_option_tables_are_frozen():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {command: [(tuple(a.option_strings), a.dest, a.choices, a.type and a.type.__name__,
+                         a.default, a.required, a.nargs) for a in p._actions]
+              for command, p in sub.choices.items()}
+    assert list(tables) == list(OPTION_TABLES)
+    for command, table in tables.items():
+        assert table == OPTION_TABLES[command], command
 
 
 # === flags the chosen entry does not take ===
@@ -797,6 +873,99 @@ def test_graph_with_family_flags_exits_two(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--graph", str(target), *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# === a frozen corpus ===
+
+
+# Per entry, the range each parameter's values are drawn from. Now and
+# then a value falls below it, a flag of another entry is set, or a pair
+# is out of range, so the error paths run as well. Strips stay at 40
+# vertices or fewer, so every probe answers exactly.
+_CORPUS_FAMILIES = {
+    "straight": {"n": (9, 40)},
+    "bent": {"n": (9, 30), "bend_k": (3, 6)},
+    "ktree": {"n": (9, 30), "k": (1, 4)},
+    "grid": {"rows": (4, 7)},
+}
+_CORPUS_RANGES = {"m": (4, 40), "j": (1, 4), "k": (1, 4), "n": (3, 40), "bend_k": (3, 6),
+                  "i": (1, 30), "p": (1, 5)}
+_CORPUS_FORMULAS = {
+    which: {p: _CORPUS_RANGES[p] for p in params.split()} for which, params in {
+        "sum": "m j k", "closed": "m j k", "endpoints": "m", "min": "n", "bent": "m bend_k",
+        "trees": "m", "forests": "m j k", "sbt": "i p", "diff": "m j k",
+    }.items()
+}
+_CORPUS_PROBES = {"ktree": {"k": (1, 4), "n_max": (4, 40)}, "grid": {"rows_max": (2, 8)},
+                  "bent": {"n_max": (6, 30)}}
+
+
+def _corpus_flags(rng, ranges, every):
+    argv = []
+    for p in every:
+        if p in ranges and rng.random() < 0.9 or rng.random() < 0.03:
+            lo, hi = ranges.get(p, (1, 9))
+            argv += ["--" + p.replace("_", "-"), str(rng.randint(-1 if rng.random() < 0.1 else lo, hi))]
+    return argv
+
+
+def _corpus_argv(rng, graphs, trace):
+    command = rng.choice(["res", "res", "trees", "formula", "gen", "conjecture"])
+    if command == "formula":
+        which = rng.choice(list(_CORPUS_FORMULAS))
+        return [command, "--which", which,
+                *_corpus_flags(rng, _CORPUS_FORMULAS[which], ("m", "j", "k", "n", "bend_k", "i", "p"))]
+    if command == "conjecture":
+        which = rng.choice(list(_CORPUS_PROBES))
+        argv = [command, "--which", which,
+                *_corpus_flags(rng, _CORPUS_PROBES[which], ("k", "n_max", "rows_max"))]
+        if rng.random() < (0.5 if which == "bent" else 0.03):
+            argv += ["--bend-rule", rng.choice(["middle", "first", "last"])]
+        return argv
+    if command == "trees" and rng.random() < 0.2:
+        argv = [command, "--family", "straight", "--m", str(rng.randint(-1, 30))]
+    elif command != "gen" and rng.random() < 0.1:
+        argv = [command, "--graph", rng.choice(graphs)]
+    else:
+        family = rng.choice(["straight", *_CORPUS_FAMILIES, None])
+        argv = [command, *(["--family", family] if family else []),
+                *_corpus_flags(rng, _CORPUS_FAMILIES.get(family, {}), ("n", "bend_k", "k", "rows"))]
+    pair = [str(rng.randint(1, 5)), str(rng.randint(5, 9))]
+    if rng.random() < 0.1:
+        pair = [str(rng.randint(-1, 12)), str(rng.randint(-1, 12))]
+    if command == "res":
+        argv += ["--pair", *pair, "--method", rng.choice(["dy", "det"])]
+        if rng.random() < 0.1:
+            argv += ["--trace", trace]
+        if rng.random() < 0.03:
+            argv += ["--tol", rng.choice(["0", "nan", "inf"])]
+    elif command == "trees" and rng.random() < 0.5:
+        argv += ["--pair", *pair]
+    return argv
+
+
+# SHA-256 of (exit code, stdout, stderr, trace file) of the 500 argv that
+# _corpus_argv draws from seed 22, as printed before the tables read their
+# entries' signatures: a rework of the CLI must not move a byte. Float
+# methods and parser errors are left out; their text depends on the
+# numpy/scipy build, the Python version and the terminal width.
+CLI_CORPUS_SHA256 = "0c3d4ff3a6a241badb7de7d12f258306215bf743e4bc1b453629754d095acb1f"
+
+
+def test_cli_corpus_is_frozen(capsys, tmp_path):
+    graphs = [str(tmp_path / "bent.edges"), str(tmp_path / "grid.edges")]
+    run_cli(capsys, "gen", "--family", "bent", "--n", "9", "--bend-k", "4", "--out", graphs[0])
+    run_cli(capsys, "gen", "--family", "grid", "--rows", "4", "--out", graphs[1])
+    trace = tmp_path / "trace.jsonl"
+    rng = random.Random(22)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        argv = _corpus_argv(rng, graphs, str(trace))
+        trace.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *argv)
+        written = trace.read_text() if trace.exists() else ""
+        digest.update(json.dumps([code, out, err, written]).encode())
+    assert digest.hexdigest() == CLI_CORPUS_SHA256
 
 
 # === README ===
