@@ -18,7 +18,7 @@ each pivot row from its diagonal on: that tuple is the factorization.
 det_int is its last pivot, the determinant. solve_int is the one solve:
 it replays the multipliers, read from U's columns, on one sparse vector c
 and back-substitutes for adj(M) diag(scales) c, which is det(M) S^-1 c,
-in O(n * bw) work.
+from c's first nonzero down, in O(n * bw) work.
 """
 
 
@@ -87,17 +87,17 @@ def det_int(rows, scales) -> int:
     return lu[-1][len(lu) - 1] if lu else 1
 
 
-def solve_int(lu, scales, c, read):
-    """adj(M) diag(scales) c, which is det(M) S^-1 c, at the positions in
-    `read`, in that order, for the factorization lu of M = diag(scales) S
-    and a sparse int vector c (dict position -> int).
+def solve_int(lu, scales, c):
+    """adj(M) diag(scales) c, which is det(M) S^-1 c, at rows min(c)..n-1,
+    in order, for the factorization lu of M = diag(scales) S and a sparse
+    int vector c (dict position -> int); [] for an empty c.
 
     The forward pass replays the elimination on diag(scales) c from c's
     first nonzero on (above it the result is zero), divided by the scales
     row by row: step t's multiplier on row i is then U's lu[t][i], and by
     S's symmetry every value is an integer. Back substitution applies
-    scales[i] once per row, from the last row down to the first position
-    read. Every division is exact: O(n * bw) integer work.
+    scales[i] once per row, from the last row down to c's first nonzero.
+    Every division is exact: O(n * bw) integer work.
     """
     n = len(lu)
     pivots = [1] + [row[k] for k, row in enumerate(lu)]  # entry k is prev at step k
@@ -114,10 +114,10 @@ def solve_int(lu, scales, c, read):
         for i in range(t + 1, min(n, t + bw + 1)):
             y[i] = (y[i] * piv - row[i] * yt) // prev
     # Back substitution in place: y[col] is the solve at col once col > i.
-    for i in range(n - 1, min(read, default=n) - 1, -1):
+    for i in range(n - 1, first - 1, -1):
         row = lu[i]
         acc = det * scales[i] * y[i]
         for col in range(i + 1, min(n, i + bw + 1)):
             acc -= row[col] * y[col]
         y[i] = acc // row[i]
-    return [y[p] for p in read]
+    return y[first:]

@@ -471,12 +471,12 @@ def _graph_facts(g: WeightedGraph):
 def _forest_minor(comp: _Component, i, j) -> int:
     """det(M) r(i, j) as w_i - w_j. With M = diag(scales) L0,
     L0^-1 = adj(M) diag(scales) / det(M), so one exact solve against U
-    gives w = adj(M) diag(scales) c for c = e_i - e_j over the pair's rows
-    (the grounded vertex has none, and w is zero there)."""
+    gives w = adj(M) diag(scales) c from c's first row down, for c = e_i - e_j
+    over the pair's rows (the grounded vertex has none, and w is zero there)."""
     ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
     c = {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0}
-    w = dict(zip(c, solve_int(comp.lu, comp.scales, c, list(c))))
-    return w.get(ki, 0) - w.get(kj, 0)
+    w, first = solve_int(comp.lu, comp.scales, c), min(c)
+    return sum(s * w[k - first] for k, s in c.items())
 
 
 def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
@@ -513,7 +513,7 @@ def resistance_all_pairs(g: WeightedGraph) -> dict:
         # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
         # zero at the grounded verts[0], then one solve per row k
         cols = [[0] * len(verts)]
-        cols += [solve_int(lu, comp.scales, {k: 1}, range(k, len(lu))) for k in range(len(lu))]
+        cols += [solve_int(lu, comp.scales, {k: 1}) for k in range(len(lu))]
         for p, u in enumerate(verts):
             col = cols[p]
             for q in range(p + 1, len(verts)):

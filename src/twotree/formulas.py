@@ -103,7 +103,8 @@ def sbt(i: int, p: int) -> StripWeights:
 def r_diff(m: int, j: int, k: int) -> Fraction:
     """r(j, j+k+1) - r(j, j+k) on the straight strip, closed form."""
     _check_strip(m, j, k)
-    _check_strip(m, j, k + 1)
+    if j + k + 1 > m + 2:
+        raise ValueError(f"j+k+1 must be <= n = {m + 2}, got j={j}, k={k}")
     coeff = fib(k + 1) * fib(2 * j + k - 1) - fib(k) * fib(2 * j + k - 2)
     return Fraction(coeff * fib(2 * m - 2 * j - 2 * k + 3), fib(2 * m + 2))
 

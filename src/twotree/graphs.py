@@ -121,13 +121,16 @@ def reachable(adj, start, skip=None) -> set:
     return seen
 
 
+def _band(n, k):
+    # The unit edges {i, j}, 0 < j - i <= k, on vertices 1..n.
+    return [(i, j, 1) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)]
+
+
 def straight_linear_2tree(n: int) -> WeightedGraph:
     """Straight linear 2-tree on n >= 3 vertices: {i,j} an edge iff 0 < |i-j| <= 2."""
     if n < 3:
         raise ValueError(f"straight linear 2-tree needs n >= 3, got {n}")
-    edges = [(i, i + 1, 1) for i in range(1, n)]
-    edges += [(i, i + 2, 1) for i in range(1, n - 1)]
-    return WeightedGraph(n, edges)
+    return WeightedGraph(n, _band(n, 2))
 
 
 def bent_linear_2tree(n: int, bend_k: int) -> WeightedGraph:
@@ -141,8 +144,7 @@ def bent_linear_2tree(n: int, bend_k: int) -> WeightedGraph:
         raise ValueError(f"bent linear 2-tree needs n >= 6, got {n}")
     if not (3 <= bend_k <= n - 3):
         raise ValueError(f"bend_k must be in [3, {n - 3}], got {bend_k}")
-    edges = [(i, i + 1, 1) for i in range(1, n)]
-    edges += [(i, i + 2, 1) for i in range(1, n - 1) if i != bend_k + 1]
+    edges = [e for e in _band(n, 2) if e != (bend_k + 1, bend_k + 3, 1)]
     edges.append((bend_k, bend_k + 3, 1))
     return WeightedGraph(n, edges)
 
@@ -153,10 +155,7 @@ def straight_linear_ktree(n: int, k: int) -> WeightedGraph:
         raise ValueError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValueError(f"straight linear {k}-tree needs n >= {k + 1}, got {n}")
-    edges = [
-        (i, j, 1) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)
-    ]
-    return WeightedGraph(n, edges)
+    return WeightedGraph(n, _band(n, k))
 
 
 @dataclass(frozen=True)

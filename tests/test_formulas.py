@@ -43,9 +43,16 @@ def test_params_accept_valid_triples():
 def test_params_reject_bad_triples(m, j, k, message):
     with pytest.raises(ValueError, match=message):
         _check_strip(m, j, k)
-    for formula in (r_sum, r_closed, forest_closed):
+    for formula in (r_sum, r_closed, forest_closed, r_diff):
         with pytest.raises(ValueError, match=message):
             formula(m, j, k)
+
+
+def test_diff_rejects_its_far_terminal_off_the_strip():
+    # r_diff also reads r(j, j+k+1); the message names the k given.
+    assert r_diff(2, 1, 2) == r_closed(2, 1, 3) - r_closed(2, 1, 2)
+    with pytest.raises(ValueError, match=r"^j\+k\+1 must be <= n = 4, got j=1, k=3$"):
+        r_diff(2, 1, 3)
 
 
 # === Pairwise resistance forms ===

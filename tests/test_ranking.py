@@ -155,8 +155,8 @@ def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch
     real_elim, real_solve = engine.lu_int, engine.solve_int
     monkeypatch.setattr(engine, "lu_int", lambda rows, scales:
                         eliminations.append(len(rows)) or real_elim(rows, scales))
-    monkeypatch.setattr(engine, "solve_int", lambda lu, scales, c, read:
-                        solves.append(len(lu)) or real_solve(lu, scales, c, read))
+    monkeypatch.setattr(engine, "solve_int", lambda lu, scales, c:
+                        solves.append(len(lu)) or real_solve(lu, scales, c))
     grid = triangular_grid(6).graph
     split = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1)])
     for g in (grid, split):

@@ -44,22 +44,60 @@ def _defined(tree):
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
-def _referenced(tree):
-    # Every name read, attribute taken or name imported (re-exports count).
+def _uses(module, tree):
+    # (module, name) for each module-level name this module uses: a name
+    # it reads is its own; a sibling's counts when imported from it by
+    # `from .mod import name` or read as `mod.name` after `from . import mod`.
+    siblings = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    yield node.module, alias.name
+                else:
+                    siblings[alias.asname or alias.name] = alias.name
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
+            yield module, node.id
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in siblings:
+            yield siblings[node.value.id], node.attr
+
+
+def _unreferenced(trees):
+    # The module-level names of modules {name: tree} that nothing uses.
+    used = {pair for module, tree in trees.items() for pair in _uses(module, tree)}
+    return sorted(
+        f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)
+        if (module, name) not in used and not name.startswith("__")
+    )
 
 
 def test_every_module_level_name_is_used():
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
-    used = {name for tree in trees.values() for name in _referenced(tree)}
-    unused = sorted(
-        f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)
-        if name not in used and not name.startswith("__")
-    )
+    unused = _unreferenced(trees)
     assert unused == sorted(UNREFERENCED), f"module-level names nothing references: {unused}"
+
+
+def test_a_name_is_used_only_through_its_own_module():
+    # a's dead _grid is not kept by b's live _grid, nor b's unused by a
+    # local of that name in a; b's other names are used by a's import and
+    # a's attribute read.
+    a = """from . import b
+from .b import imported
+
+
+def _grid():
+    unused = b.read
+    return unused, imported
+"""
+    b = """imported = read = unused = 1
+
+
+def _grid():
+    return 0
+
+
+GRID = _grid()
+"""
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert _unreferenced(trees) == ["a._grid", "b.GRID", "b.unused"]
