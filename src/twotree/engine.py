@@ -602,46 +602,60 @@ def brute_force_two_forest_count(g: WeightedGraph, i, j) -> int:
 def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> ResistanceReport:
     """r(i, j) in floating point: ground j, inject unit current at i.
 
-    The grounded Laplacian of the component of i (without j) is assembled
-    once as a sparse CSC matrix and solved directly by sparse LU
-    (scipy.sparse.linalg.splu). The returned value's linear-system residual
-    is checked against tol, which must be positive and finite. Every edge's
-    conductance must be a positive finite float.
+    One Python pass over the edges takes each conductance as 1.0 / float(r);
+    the rest is array work. The component of i comes from a breadth-first
+    search on the edge endpoints (scipy.sparse.csgraph), and the grounded
+    Laplacian of that component (without j) is assembled once as a sparse
+    CSC matrix and solved directly by sparse LU (scipy.sparse.linalg.splu).
+    The returned value's linear-system residual is checked against tol,
+    which must be positive and finite. Every edge's conductance must be a
+    positive finite float; a disconnected pair is reported first.
     """
     import numpy as np
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
     from scipy.sparse.linalg import splu
 
     if not 0 < tol < inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    _check_pair(g.vertex_count, i, j)
-    comp = reachable(g.adjacency(), i)
-    if j not in comp:
-        raise ValueError(f"vertices {i} and {j} are disconnected")
-    comp.discard(j)
-    row_of = {v: idx for idx, v in enumerate(sorted(comp))}
-    # Laplacian entries whose row and column are both kept; duplicates add.
-    rows, cols, vals = [], [], []
-    for u, v, r in g.edges:
+    n = g.vertex_count
+    _check_pair(n, i, j)
+    us, vs, rs = zip(*g.edges) if g.edges else ((), (), ())
+    conductance = []
+    for r in rs:
         try:
             c = 1.0 / float(r)
         except (OverflowError, ZeroDivisionError):
             c = 0.0
-        if not 0 < c < inf:
-            raise ValueError(f"edge ({u},{v}): conductance is not a positive finite float")
-        for a, b, x in ((u, u, c), (v, v, c), (u, v, -c), (v, u, -c)):
-            if a in row_of and b in row_of:
-                rows.append(row_of[a])
-                cols.append(row_of[b])
-                vals.append(x)
-    m = len(row_of)
-    reduced = csc_matrix((vals, (rows, cols)), shape=(m, m))
+        conductance.append(c)
+    c = np.array(conductance)
+    ends = np.array((us, vs), dtype=np.intp) - 1
+    links = csr_matrix((np.ones(len(c)), (ends[0], ends[1])), shape=(n, n))
+    comp = breadth_first_order(links, i - 1, directed=False, return_predecessors=False)
+    if not (comp == j - 1).any():
+        raise ValueError(f"vertices {i} and {j} are disconnected")
+    bad = np.flatnonzero(~((0 < c) & (c < inf)))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"edge ({us[k]},{vs[k]}): conductance is not a positive finite float")
+    kept = np.sort(comp[comp != j - 1])
+    row_of = np.full(n, -1)
+    row_of[kept] = np.arange(len(kept))
+    # Laplacian entries (u,u), (v,v), (u,v), (v,u) edge by edge, those whose
+    # row and column are both kept; duplicates add in that order.
+    ru, rv = row_of[ends]
+    rows = np.stack((ru, rv, ru, rv), axis=1).ravel()
+    cols = np.stack((ru, rv, rv, ru), axis=1).ravel()
+    vals = np.stack((c, c, -c, -c), axis=1).ravel()
+    both = (rows >= 0) & (cols >= 0)
+    m = len(kept)
+    reduced = csc_matrix((vals[both], (rows[both], cols[both])), shape=(m, m))
     rhs = np.zeros(m)
-    rhs[row_of[i]] = 1.0
+    rhs[row_of[i - 1]] = 1.0
     x = splu(reduced).solve(rhs)
     # rhs = e_i has norm 1, so the residual is relative as it stands
     residual = float(np.linalg.norm(reduced @ x - rhs))
     if residual > tol:
         raise RuntimeError(f"residual {residual} exceeds tolerance {tol}")
-    value = float(x[row_of[i]])
+    value = float(x[row_of[i - 1]])
     return ResistanceReport(pair=(i, j), value=value, method="float")

@@ -44,14 +44,15 @@ def _clip(x):
 
 
 def _as_resistance(r):
-    limit = sys.get_int_max_str_digits()
-    if limit and isinstance(r, str) and _too_long(r, limit):
-        raise ValueError(f"resistance {_clip(r)} needs more than {limit} digits")
+    if isinstance(r, str):
+        limit = sys.get_int_max_str_digits()
+        if limit and _too_long(r, limit):
+            raise ValueError(f"resistance {_clip(r)} needs more than {limit} digits")
     try:
         r = Fraction(r)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"resistance must be a positive rational, got {_clip(r)}") from None
-    if r <= 0:
+    if r.numerator <= 0:  # a Fraction keeps its sign in its numerator
         raise ValueError(f"resistance must be positive, got {_clip(r)}")
     return r
 
@@ -85,11 +86,13 @@ class WeightedGraph:
         edges = tuple(sorted(_edge(vertex_count, *e) for e in edges))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
-        # The dataclass hash of the same fields, computed once: graphs key
-        # caches, and hashing every Fraction per lookup adds up.
-        object.__setattr__(self, "_hash", hash((vertex_count, edges)))
 
     def __hash__(self):
+        # The dataclass hash of the same fields, computed on first use and
+        # kept: graphs key caches, and hashing every Fraction per lookup adds
+        # up, while a graph that keys no cache never hashes them at all.
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
         return self._hash
 
     @property

@@ -4,11 +4,15 @@ The engine builds each component's grounded rows directly and factors
 them; these helpers build the full row-scaled Laplacian of every
 component straight from a graph's edges, and strike rows and columns
 from it, so tests can check the engine against minors it never built.
-det_ref is the dense determinant those minors are refereed by.
+det_ref is the dense determinant those minors are refereed by, and
+resistance_float_ref the float solve assembled one edge entry at a time.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
+
+from twotree.engine import _check_pair
+from twotree.graphs import reachable
 
 
 def det_ref(rows):
@@ -79,3 +83,44 @@ def scaled_laplacian_components(g):
         rows = [{pos[u]: int(x * s) for u, x in lap[v].items()} for v, s in zip(verts, scales)]
         out.append((verts, rows, scales))
     return out
+
+
+def resistance_float_ref(g, i, j, tol=1e-9):
+    """engine.resistance_float's value, assembled entry by entry in Python:
+    the component by a set walk, each edge's four Laplacian entries appended
+    in the order (u,u), (v,v), (u,v), (v,u). The engine's answer must equal
+    it bit for bit, and its errors by type and message."""
+    import numpy as np
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_pair(g.vertex_count, i, j)
+    comp = reachable(g.adjacency(), i)
+    if j not in comp:
+        raise ValueError(f"vertices {i} and {j} are disconnected")
+    comp.discard(j)
+    row_of = {v: idx for idx, v in enumerate(sorted(comp))}
+    rows, cols, vals = [], [], []
+    for u, v, r in g.edges:
+        try:
+            c = 1.0 / float(r)
+        except (OverflowError, ZeroDivisionError):
+            c = 0.0
+        if not 0 < c < inf:
+            raise ValueError(f"edge ({u},{v}): conductance is not a positive finite float")
+        for a, b, x in ((u, u, c), (v, v, c), (u, v, -c), (v, u, -c)):
+            if a in row_of and b in row_of:
+                rows.append(row_of[a])
+                cols.append(row_of[b])
+                vals.append(x)
+    m = len(row_of)
+    reduced = csc_matrix((vals, (rows, cols)), shape=(m, m))
+    rhs = np.zeros(m)
+    rhs[row_of[i]] = 1.0
+    x = splu(reduced).solve(rhs)
+    residual = float(np.linalg.norm(reduced @ x - rhs))
+    if residual > tol:
+        raise RuntimeError(f"residual {residual} exceeds tolerance {tol}")
+    return float(x[row_of[i]])

@@ -42,7 +42,7 @@ from twotree.graphs import (
     triangular_grid,
 )
 
-from laplacian_reference import det_ref, scaled_laplacian_components, strike
+from laplacian_reference import det_ref, resistance_float_ref, scaled_laplacian_components, strike
 
 
 def _edge_value(step_edges, u, v):
@@ -943,3 +943,73 @@ def test_float_validation():
     for tol in (0.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             resistance_float(g, 1, 7, tol=tol)
+
+
+def _float_outcomes(g, i, j, tol=1e-9):
+    # The engine's and the referee's value bits, or each error's type and
+    # message.
+    def outcome(solve):
+        try:
+            return solve().hex()
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), str(exc)
+
+    return (outcome(lambda: resistance_float(g, i, j, tol=tol).value),
+            outcome(lambda: resistance_float_ref(g, i, j, tol=tol)))
+
+
+def _random_multigraph(rng):
+    # A forest over a few blocks of vertices, most vertices joined to an
+    # earlier one of their block and the rest left isolated, plus extra
+    # edges inside blocks, some drawn twice; resistances spread widely.
+    n = rng.randrange(2, 30)
+    blocks = rng.randrange(1, 4)
+    block = [rng.randrange(blocks) for _ in range(n + 1)]
+    edges = []
+    for v in range(2, n + 1):
+        mates = [u for u in range(1, v) if block[u] == block[v]]
+        if mates and rng.random() < 0.85:
+            edges.append((rng.choice(mates), v))
+    for _ in range(rng.randrange(2 * n)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        if block[u] == block[v]:
+            edges += [(u, v)] * rng.choice((1, 1, 2))
+    digits = rng.choice((3, 3, 20))
+    return WeightedGraph(n, [(u, v, Fraction(rng.randrange(1, 10 ** digits),
+                                             rng.randrange(1, 10 ** digits)))
+                             for u, v in edges])
+
+
+def test_float_solve_matches_the_entry_by_entry_referee_bit_for_bit():
+    rng = random.Random(24)
+    for _ in range(150):
+        g = _random_multigraph(rng)
+        for _ in range(4):
+            i, j = rng.sample(g.vertices, 2)
+            tol = rng.choice((1e-9, 1e-9, 1e-17))
+            got, want = _float_outcomes(g, i, j, tol)
+            assert got == want
+
+
+@pytest.mark.parametrize("graph, pair, message", [
+    # a resistance too large or too small for a float conductance, on an
+    # edge inside i's component and on one outside it
+    ([(1, 2, 1), (2, 3, "1e400"), (3, 4, 1)], (1, 4), "edge (2,3): conductance"),
+    ([(1, 2, 1), (2, 3, 1), (4, 5, "1e-400")], (1, 3), "edge (4,5): conductance"),
+    ([(1, 2, "1e-400"), (2, 3, 1), (4, 5, 1)], (2, 3), "edge (1,2): conductance"),
+    ([(1, 2, 1), (2, 3, 1), (4, 5, "1e400")], (1, 3), "edge (4,5): conductance"),
+    # a disconnected pair is named so even when an edge is bad too
+    ([(1, 2, "1e400"), (3, 4, 1), (4, 5, "1e-400")], (1, 3), "vertices 1 and 3 are disconnected"),
+], ids=["1e400-inside", "1e-400-outside", "1e-400-inside", "1e400-outside", "disconnected-first"])
+def test_float_errors_match_the_referee(graph, pair, message):
+    g = WeightedGraph(5, graph)
+    got, want = _float_outcomes(g, *pair)
+    assert got == want
+    assert got[0] is ValueError and got[1].startswith(message)
+
+
+def test_float_on_a_header_of_isolated_vertices():
+    g = WeightedGraph(300000, [(1, 2, 1)])
+    assert resistance_float(g, 1, 2).value == 1.0
+    with pytest.raises(ValueError, match="^vertices 1 and 3 are disconnected$"):
+        resistance_float(g, 1, 3)

@@ -52,10 +52,9 @@ def test_rejects_out_of_range_vertex():
 
 
 def test_rejects_nonpositive_resistance():
-    with pytest.raises(ValueError, match="positive"):
-        WeightedGraph(2, [(1, 2, 0)])
-    with pytest.raises(ValueError, match="positive"):
-        WeightedGraph(2, [(1, 2, -3)])
+    for token, shown in ((0, "0"), (-3, "-3"), ("-3", "-3"), (Fraction(-1, 2), "-1/2"), ("0/5", "0")):
+        with pytest.raises(ValueError, match=f"^resistance must be positive, got {shown}$"):
+            WeightedGraph(2, [(1, 2, token)])
 
 
 def test_degree_and_neighbors_count_multiplicity():
@@ -68,11 +67,21 @@ def test_degree_and_neighbors_count_multiplicity():
 def test_equal_graphs_hash_alike_and_share_cached_facts():
     edges = [(1, 2, "1/2"), (2, 3, 3), (1, 3, 1)]
     g, h = WeightedGraph(3, edges), WeightedGraph(3, edges[::-1])
+    # the resistance 1 written as each kind of token
+    same = [h] + [WeightedGraph(3, edges[:2] + [(1, 3, r)]) for r in ("1", "2/2", "1.0", Fraction(1))]
     assert g is not h and g == h
     assert hash(g) == hash(h) == hash((g.vertex_count, g.edges))
+    assert all(x == g and hash(x) == hash(g) for x in same)
     _graph_facts.cache_clear()
-    assert _graph_facts(g) is _graph_facts(h)
+    assert all(_graph_facts(x) is _graph_facts(g) for x in same)
     assert _graph_facts.cache_info().misses == 1
+
+
+def test_an_over_long_resistance_token_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as info:
+        WeightedGraph(2, [(1, 2, "1" * (limit + 1))])
+    assert str(info.value) == f"resistance '{'1' * 20}'... needs more than {limit} digits"
 
 
 def test_connectivity():
