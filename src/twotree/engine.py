@@ -11,7 +11,7 @@ call. The determinant path is the independent oracle: r(i,j) equals the
 ratio of two Laplacian minors. Each component's grounded Laplacian is
 factored once, by a fraction-free LU kept with the graph's facts, and
 every exact answer is read from that factorization: resistance_det one
-pair by one exact solve, resistance_all_pairs every pair of a component
+pair by one exact solve, _pair_numerators every pair of a component
 by one solve per vertex, and the tree and 2-forest counts by one rule,
 a product over components of tree minors and that pair solve. All are exact.
 """
@@ -495,30 +495,35 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     return ResistanceReport(pair=(i, j), value=value, method="determinant")
 
 
-def resistance_all_pairs(g: WeightedGraph) -> dict:
-    """Exact r(i, j) for every pair i < j of one component, as a dict
-    (i, j) -> Fraction; pairs in different components are absent.
+def _pair_numerators(comp: _Component):
+    """Yield ((u, v), det(M) r(u, v)) for every pair u < v of the component,
+    in (u, v) order: integers over the one denominator det(M).
 
     Grounding the component's first vertex leaves the grounded Laplacian
     L0, whose rows scaled to integers form M = diag(scales) L0, factored
     once by _graph_facts. Then X = L0^-1 = adj(M) diag(scales) / det(M),
-    and r(i, j) = X_ii + X_jj - 2 X_ij with X zero at the grounded vertex.
+    and r(u, v) = X_uu + X_vv - 2 X_uv with X zero at the grounded vertex.
     X is symmetric, so one exact solve per row k, of e_k read from k
     down, gives det(M) times its column on and below the diagonal:
     O(n^2 * bw) work per component. Computed on demand; X is not cached.
     """
-    out = {}
-    for comp in _graph_facts(g)[1]:
-        verts, lu, det = comp.verts, comp.lu, comp.tree_minor
-        # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
-        # zero at the grounded verts[0], then one solve per row k
-        cols = [[0] * len(verts)]
-        cols += [solve_int(lu, comp.scales, {k: 1}) for k in range(len(lu))]
-        for p, u in enumerate(verts):
-            col = cols[p]
-            for q in range(p + 1, len(verts)):
-                out[(u, verts[q])] = Fraction(col[0] + cols[q][0] - 2 * col[q - p], det)
-    return out
+    verts, lu = comp.verts, comp.lu
+    # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
+    # zero at the grounded verts[0], then one solve per row k
+    cols = [[0] * len(verts)]
+    cols += [solve_int(lu, comp.scales, {k: 1}) for k in range(len(lu))]
+    for p, u in enumerate(verts):
+        col = cols[p]
+        for q in range(p + 1, len(verts)):
+            yield (u, verts[q]), col[0] + cols[q][0] - 2 * col[q - p]
+
+
+def resistance_all_pairs(g: WeightedGraph) -> dict:
+    """Exact r(i, j) for every pair i < j of one component, as a dict
+    (i, j) -> Fraction: _pair_numerators' integers over each component's
+    tree minor, component by component. Pairs across components are absent."""
+    return {pair: Fraction(num, comp.tree_minor)
+            for comp in _graph_facts(g)[1] for pair, num in _pair_numerators(comp)}
 
 
 def _struck_minor(g: WeightedGraph, struck, what) -> int:
@@ -607,8 +612,9 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     search on the edge endpoints (scipy.sparse.csgraph), and the grounded
     Laplacian of that component (without j) is assembled once as a sparse
     CSC matrix and solved directly by sparse LU (scipy.sparse.linalg.splu).
-    The returned value's linear-system residual is checked against tol,
-    which must be positive and finite. Every edge's conductance must be a
+    A grounded Laplacian that is singular in float arithmetic raises
+    RuntimeError, and so does a linear-system residual above tol, which
+    must be positive and finite. Every edge's conductance must be a
     positive finite float; a disconnected pair is reported first.
     """
     import numpy as np
@@ -652,7 +658,11 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     reduced = csc_matrix((vals[both], (rows[both], cols[both])), shape=(m, m))
     rhs = np.zeros(m)
     rhs[row_of[i - 1]] = 1.0
-    x = splu(reduced).solve(rhs)
+    try:
+        x = splu(reduced).solve(rhs)
+    except RuntimeError as exc:  # splu's "Factor is exactly singular"
+        raise RuntimeError("float solve failed: the grounded Laplacian is singular "
+                           f"in float arithmetic ({exc})") from None
     # rhs = e_i has norm 1, so the residual is relative as it stands
     residual = float(np.linalg.norm(reduced @ x - rhs))
     if residual > tol:

@@ -111,8 +111,8 @@ class WeightedGraph:
 def reachable(adj, start, skip=None) -> set:
     """Vertices reachable from `start` without entering `skip`.
 
-    `adj` maps each vertex to an iterable of its neighbours, so both
-    WeightedGraph.adjacency() and a vertex -> {neighbour: ...} dict work.
+    `adj` maps each vertex to an iterable of its neighbours, such as the
+    reduction network's or _graph_facts' vertex -> {neighbour: ...} dict.
     """
     seen = {start}
     stack = [start]

@@ -1,22 +1,22 @@
-"""Resistance ranking of non-edges, for link prediction on the strip.
+"""Resistance ranking of non-edges, for link prediction.
 
 Lower resistance means a more likely link. On the straight strip the order
 is fully structural: smaller offset k first, and within an offset the
 centered pairs first, moving outward, with mirror pairs exactly tied.
 rank_nonedges builds the order both structurally and by sorting exact
-values, and refuses to answer if the two disagree. Every strip value has
-the one denominator F_{2m+2}, so it sorts the integer closed-form
-numerators, read one offset's row at a time, and makes one Fraction per
-tie group.
+values, and refuses to answer if the two disagree. rank_nonedges_graph
+ranks any connected graph. Either way every value shares one denominator,
+F_{2m+2} on the strip and the tree minor on a graph, so both sort integer
+numerators and make one Fraction per tie group.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import resistance_all_pairs
+from .engine import _graph_facts, _pair_numerators
 from .fib import fib
 from .formulas import _closed_numerators
-from .graphs import WeightedGraph, reachable
+from .graphs import WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,17 @@ def _structural_groups(n):
             for k in range(3, n) for j in range((n - k + 1) // 2, 0, -1)]
 
 
-def _tie_groups(values, value=lambda key: key):
-    """TieGroups of the pairs in `values` (pair -> exact key, ordered as the
-    values are; `value` turns a key into its value): equal keys share a
-    group, ordered by (key, pair)."""
+def _tie_groups(numerators, den):
+    """TieGroups of the pairs in `numerators` (pair -> integer numerator over
+    the shared positive denominator den): equal numerators share a group,
+    ordered by (numerator, pair), valued Fraction(numerator, den)."""
     groups = []
-    for pair in sorted(values, key=lambda p: (values[p], p)):
-        if groups and values[groups[-1][0]] == values[pair]:
+    for pair in sorted(numerators, key=lambda p: (numerators[p], p)):
+        if groups and numerators[groups[-1][0]] == numerators[pair]:
             groups[-1].append(pair)
         else:
             groups.append([pair])
-    return [TieGroup(value=value(values[g[0]]), pairs=tuple(g)) for g in groups]
+    return [TieGroup(value=Fraction(numerators[g[0]], den), pairs=tuple(g)) for g in groups]
 
 
 def rank_nonedges(n: int):
@@ -64,8 +64,7 @@ def rank_nonedges(n: int):
         js = range(1, n - k + 1)
         for j, num in zip(js, _closed_numerators(m, k, js)):
             numerators[(j, j + k)] = num
-    den = fib(2 * m + 2)
-    groups = _tie_groups(numerators, lambda num: Fraction(num, den))
+    groups = _tie_groups(numerators, fib(2 * m + 2))
     value_order = [g.pairs for g in groups]
     if structural != value_order:
         raise AssertionError(
@@ -113,23 +112,15 @@ def predict_links(n: int, count: int, tie_policy: str = "lowest-index"):
 def rank_nonedges_graph(g: WeightedGraph):
     """Resistance ranking of non-edges of an arbitrary connected graph.
 
-    Exact values from resistance_all_pairs, one exact solve per vertex, so
-    ties are exact. Returns TieGroups; ties are grouped by equal value, ordered by
-    (value, pair). On a disconnected graph the first non-edge in (u, v)
-    order whose ends lie in different components raises
-    ValueError("vertices u and v are disconnected") before any elimination.
+    Exact values from _pair_numerators, one exact solve per vertex: integers
+    over the one tree minor, so ties are exact. Returns TieGroups; ties are
+    grouped by equal value, ordered by (value, pair). A disconnected graph
+    raises ValueError("vertices 1 and v are disconnected"), v the smallest
+    vertex outside the component of 1: the first such pair in (u, v) order.
     """
-    adj = g.adjacency()
-    # The first cross pair in (u, v) order is vertex 1 and the smallest
-    # vertex it cannot reach.
-    seen = reachable(adj, 1)
-    if len(seen) < g.vertex_count:
-        v = min(v for v in g.vertices if v not in seen)
-        raise ValueError(f"vertices 1 and {v} are disconnected")
-    values = resistance_all_pairs(g)
-    return _tie_groups({
-        (u, v): values[(u, v)]
-        for u in g.vertices
-        for v in range(u + 1, g.vertex_count + 1)
-        if v not in adj[u]
-    })
+    comps = _graph_facts(g)[1]
+    if len(comps) > 1:  # components come in order of their smallest vertex
+        raise ValueError(f"vertices 1 and {comps[1].verts[0]} are disconnected")
+    edges = {(u, v) for u, v, _ in g.edges}
+    return _tie_groups({pair: num for pair, num in _pair_numerators(comps[0]) if pair not in edges},
+                       comps[0].tree_minor)

@@ -4,7 +4,8 @@ The engine builds each component's grounded rows directly and factors
 them; these helpers build the full row-scaled Laplacian of every
 component straight from a graph's edges, and strike rows and columns
 from it, so tests can check the engine against minors it never built.
-det_ref is the dense determinant those minors are refereed by, and
+det_ref is the dense determinant those minors are refereed by,
+minor_ratio_ref the exact resistance as a ratio of two such minors, and
 resistance_float_ref the float solve assembled one edge entry at a time.
 """
 
@@ -85,6 +86,16 @@ def scaled_laplacian_components(g):
     return out
 
 
+def minor_ratio_ref(g, i, j):
+    """Exact r(i, j) for a pair of one component: the Laplacian minor with
+    i and j struck over the one with i struck, each a dense det_ref of the
+    test-local assembly. The first lacks rows i and j, the second row i,
+    so the ratio regains j's scale."""
+    (verts, rows, scales), = (c for c in scaled_laplacian_components(g) if i in c[0])
+    pi, pj = verts.index(i), verts.index(j)
+    return Fraction(det_ref(strike(rows, (pi, pj))) * scales[pj], det_ref(strike(rows, (pi,))))
+
+
 def resistance_float_ref(g, i, j, tol=1e-9):
     """engine.resistance_float's value, assembled entry by entry in Python:
     the component by a set walk, each edge's four Laplacian entries appended
@@ -119,7 +130,11 @@ def resistance_float_ref(g, i, j, tol=1e-9):
     reduced = csc_matrix((vals, (rows, cols)), shape=(m, m))
     rhs = np.zeros(m)
     rhs[row_of[i]] = 1.0
-    x = splu(reduced).solve(rhs)
+    try:
+        x = splu(reduced).solve(rhs)
+    except RuntimeError as exc:
+        raise RuntimeError("float solve failed: the grounded Laplacian is singular "
+                           f"in float arithmetic ({exc})") from None
     residual = float(np.linalg.norm(reduced @ x - rhs))
     if residual > tol:
         raise RuntimeError(f"residual {residual} exceeds tolerance {tol}")

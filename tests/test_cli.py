@@ -311,6 +311,22 @@ def test_float_residual_above_tol_exits_one(capsys):
     assert err.count("\n") == 1
 
 
+def test_float_solve_singular_in_floats_exits_one_and_det_still_answers(capsys, tmp_path):
+    # Conductances 1e20 and 1e-20 on a connected path: in floats the
+    # grounded Laplacian [[1e20, -1e20], [-1e20, 1e20 + 1e-20]] is singular,
+    # while the exact solve reads r(1, 3) = 1e-20 + 1e20.
+    path = _edge_file(tmp_path, "1 2 1e-20", "2 3 1e20")
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3",
+                             "--method", "float")
+    assert (code, out) == (1, "")
+    assert err == ("error: float solve failed: the grounded Laplacian is singular "
+                   "in float arithmetic (Factor is exactly singular)\n")
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "1", "3", "--method", "det")
+    assert (code, err) == (0, "")
+    result, = json.loads(out)["results"]
+    assert (result["value_num"], result["value_den"]) == (10 ** 40 + 1, 10 ** 20)
+
+
 def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "two_forest_count", _raises(AssertionError("minor is not positive definite: pivot 2 of 4 is 0"))
@@ -567,18 +583,41 @@ def test_rank_csv_matches_golden_order(capsys):
     assert rows[-1][:4] == ["21", "12", "1", "9"]
 
 
-# SHA-256 of `rank --n 60` and `rank --n 204 --top 50` stdout, as printed
-# when each value was its own reduced Fraction: ranking by numerators over
-# the one denominator must not move a byte.
+# The edge files the frozen `rank --graph` runs read, each written into
+# tmp_path: by `gen` from its arguments, or as text. The 6-cycle has
+# rational resistances, a doubled chord {1,4} and doubled edges {2,3} and
+# {5,6}, symmetric under 2 <-> 6, 3 <-> 5, so mirror pairs tie exactly.
+RANK_GRAPHS = {
+    "bent40.edges": ("--family", "bent", "--n", "40", "--bend-k", "17"),
+    "grid8.edges": ("--family", "grid", "--rows", "8"),
+    "cycle6.edges": "vertices 6\n1 2 1/2\n2 3 2/3\n3 4 3/4\n4 5 3/4\n5 6 2/3\n1 6 1/2\n"
+                    "1 4 5/3\n1 4 5/2\n2 3 7/5\n5 6 7/5\n",
+}
+
+# SHA-256 of `rank` stdout. The --n runs are as printed when each value
+# was its own reduced Fraction: ranking by numerators over the one
+# denominator must not move a byte. The --graph runs are as printed when
+# rank_nonedges_graph sorted one reduced Fraction per non-edge.
 RANK_DIGESTS = {
     ("--n", "60"): "abef0ce79ddc7403fb899c89d551866935f4e811a4ebb931b798f0180f2c06b7",
     ("--n", "204", "--top", "50"):
         "41ebf09e9c9a7b605e6bad74acd341df294297bd1c6bc47ced95cdd0c533e417",
+    ("--graph", "bent40.edges"): "07a6c64d0073385aaae59d35f224c1da3064d75821d5ff8c54e4b5eb4c81f863",
+    ("--graph", "grid8.edges"): "60f5d22f99ef5d691999b4e44e631f825051a5c7cf8c88e07146bd7888c38084",
+    ("--graph", "cycle6.edges"): "7067f8691cbdae960c25a7cd52dfbc41c37b707da2e40d72519d1016de75bd6c",
 }
 
 
-@pytest.mark.parametrize("argv", RANK_DIGESTS, ids=["n60", "n204-top50"])
-def test_rank_output_is_frozen(capsys, argv):
+@pytest.mark.parametrize("argv", RANK_DIGESTS,
+                         ids=["n60", "n204-top50", "graph-bent40", "graph-grid8", "graph-cycle6"])
+def test_rank_output_is_frozen(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "--graph":
+        source = RANK_GRAPHS[argv[1]]
+        if isinstance(source, str):
+            Path(argv[1]).write_text(source)
+        else:
+            assert run_cli(capsys, "gen", *source, "--out", argv[1])[0] == 0
     code, out, err = run_cli(capsys, "rank", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == RANK_DIGESTS[argv]

@@ -1,7 +1,9 @@
 from fractions import Fraction
+import random
 
 import pytest
 
+from laplacian_reference import minor_ratio_ref
 from twotree import engine
 from twotree.formulas import _closed_numerator, _closed_numerators, _sum_numerator, r_closed
 from twotree.graphs import WeightedGraph, straight_linear_2tree, triangular_grid
@@ -74,11 +76,9 @@ def test_structural_order_verified_up_to_sixty():
         assert len(groups) >= 1
 
 
-def _fraction_ranking(n):
-    # The referee: r_closed for every non-edge, sorted by (value, pair),
+def _fraction_groups(values):
+    # The referees' ranking of pair -> Fraction: sorted by (value, pair),
     # grouped on equality.
-    values = {(j, j + k): r_closed(n - 2, j, k)
-              for k in range(3, n) for j in range(1, n - k + 1)}
     groups = []
     for pair in sorted(values, key=lambda p: (values[p], p)):
         if groups and values[groups[-1][0]] == values[pair]:
@@ -86,6 +86,12 @@ def _fraction_ranking(n):
         else:
             groups.append([pair])
     return [TieGroup(values[g[0]], tuple(g)) for g in groups]
+
+
+def _fraction_ranking(n):
+    # The referee: r_closed for every non-edge.
+    return _fraction_groups({(j, j + k): r_closed(n - 2, j, k)
+                             for k in range(3, n) for j in range(1, n - k + 1)})
 
 
 def test_rank_equals_the_fraction_ranking():
@@ -147,6 +153,47 @@ def test_graph_ranking_agrees_with_strip_ranking():
     assert [grp.pairs for grp in generic] == [grp.pairs for grp in special]
 
 
+def _connected_multigraph(rng):
+    # A random spanning tree on 2 to 10 vertices plus extra edges, some
+    # drawn twice, with resistances from a few small rationals so that
+    # exact ties are common.
+    n = rng.randint(2, 10)
+    edges = [(v, rng.randrange(1, v)) for v in range(2, n + 1)]
+    for _ in range(rng.randrange(2 * n)):
+        edges += [tuple(rng.sample(range(1, n + 1), 2))] * rng.choice((1, 1, 2))
+    return WeightedGraph(n, [(u, v, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+                             for u, v in edges])
+
+
+def test_graph_ranking_equals_the_minor_ratio_ranking_seeded():
+    # The referee: every non-edge's minor ratio from the test-local
+    # Laplacian assembly.
+    rng = random.Random(25)
+    shapes = set()
+    for _ in range(120):
+        g = _connected_multigraph(rng)
+        edges = {(u, v) for u, v, _ in g.edges}
+        groups = rank_nonedges_graph(g)
+        assert groups == _fraction_groups({
+            (u, v): minor_ratio_ref(g, u, v)
+            for u in g.vertices for v in range(u + 1, g.vertex_count + 1) if (u, v) not in edges
+        }), g
+        assert all(type(grp.value) is Fraction for grp in groups)
+        if any(len(grp.pairs) > 1 for grp in groups):
+            shapes.add("tie")
+        if len(edges) < len(g.edges):
+            shapes.add("parallel")
+        if any(grp.value.denominator > 1 for grp in groups):
+            shapes.add("rational")
+    assert shapes == {"tie", "parallel", "rational"}
+
+
+def test_graph_ranking_refuses_a_disconnected_graph_and_ranks_one_vertex_to_nothing():
+    with pytest.raises(ValueError, match="^vertices 1 and 2 are disconnected$"):
+        rank_nonedges_graph(WeightedGraph(5, [(1, 3, 1), (3, 5, 1), (2, 4, 1)]))
+    assert rank_nonedges_graph(WeightedGraph(1, [])) == []
+
+
 def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch):
     # With the Laplacian facts warm, ranking reads every value from one
     # adjugate per component, one solve per vertex of the kept
@@ -166,7 +213,7 @@ def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch
     n = grid.vertex_count
     assert (eliminations, solves) == ([], [n - 1] * (n - 1))
     solves.clear()
-    # A disconnected graph is refused before any component is eliminated.
+    # With its facts warm, a disconnected graph is refused before any solve.
     with pytest.raises(ValueError, match="vertices 1 and 4 are disconnected"):
         rank_nonedges_graph(split)
     assert (eliminations, solves) == ([], [])
