@@ -210,17 +210,19 @@ def _cmd_rank(args, out):
         raise ValueError("rank needs --n or --graph FILE")
     else:
         groups = ranking.rank_nonedges(args.n)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "group_id", "u", "v", "value_num", "value_den"])
+    # Every field is an int, so no CSV field needs quoting: each row is one
+    # f-string, and each group's value tail is rendered once.
+    out.write("rank,group_id,u,v,value_num,value_den\n")
     rank = 0
     with _any_int_digits():
         for gid, group in enumerate(groups, start=1):
-            num, den = str(group.value.numerator), str(group.value.denominator)
-            for u, v in group.pairs:
-                rank += 1
-                if args.top is not None and rank > args.top:
-                    return 0
-                writer.writerow([rank, gid, u, v, num, den])
+            tail = f",{group.value.numerator},{group.value.denominator}\n"
+            pairs = group.pairs if args.top is None else group.pairs[:args.top - rank]
+            for r, (u, v) in enumerate(pairs, start=rank + 1):
+                out.write(f"{r},{gid},{u},{v}{tail}")
+            rank += len(pairs)
+            if rank == args.top:
+                break
     return 0
 
 

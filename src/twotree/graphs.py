@@ -48,10 +48,11 @@ def _as_resistance(r):
         limit = sys.get_int_max_str_digits()
         if limit and _too_long(r, limit):
             raise ValueError(f"resistance {_clip(r)} needs more than {limit} digits")
-    try:
-        r = Fraction(r)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"resistance must be a positive rational, got {_clip(r)}") from None
+    if type(r) is not Fraction:  # Fractions are immutable: a plain one is kept, not copied
+        try:
+            r = Fraction(r)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"resistance must be a positive rational, got {_clip(r)}") from None
     if r.numerator <= 0:  # a Fraction keeps its sign in its numerator
         raise ValueError(f"resistance must be positive, got {_clip(r)}")
     return r
@@ -124,9 +125,14 @@ def reachable(adj, start, skip=None) -> set:
     return seen
 
 
+# The one unit resistance every generated edge carries: a Fraction per edge
+# would be as many objects for the allocator and the cyclic GC to walk.
+_UNIT = Fraction(1)
+
+
 def _band(n, k):
     # The unit edges {i, j}, 0 < j - i <= k, on vertices 1..n.
-    return [(i, j, 1) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)]
+    return [(i, j, _UNIT) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)]
 
 
 def straight_linear_2tree(n: int) -> WeightedGraph:
@@ -148,7 +154,7 @@ def bent_linear_2tree(n: int, bend_k: int) -> WeightedGraph:
     if not (3 <= bend_k <= n - 3):
         raise ValueError(f"bend_k must be in [3, {n - 3}], got {bend_k}")
     edges = [e for e in _band(n, 2) if e != (bend_k + 1, bend_k + 3, 1)]
-    edges.append((bend_k, bend_k + 3, 1))
+    edges.append((bend_k, bend_k + 3, _UNIT))
     return WeightedGraph(n, edges)
 
 
@@ -185,11 +191,11 @@ def triangular_grid(rows: int) -> TriangularGrid:
     edges = []
     for t in range(1, rows + 1):
         for p in range(1, t):
-            edges.append((vid(t, p), vid(t, p + 1), 1))
+            edges.append((vid(t, p), vid(t, p + 1), _UNIT))
         if t < rows:
             for p in range(1, t + 1):
-                edges.append((vid(t, p), vid(t + 1, p), 1))
-                edges.append((vid(t, p), vid(t + 1, p + 1), 1))
+                edges.append((vid(t, p), vid(t + 1, p), _UNIT))
+                edges.append((vid(t, p), vid(t + 1, p + 1), _UNIT))
     n = rows * (rows + 1) // 2
     return TriangularGrid(
         graph=WeightedGraph(n, edges),

@@ -623,10 +623,21 @@ def test_rank_output_is_frozen(capsys, tmp_path, monkeypatch, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == RANK_DIGESTS[argv]
 
 
-def test_rank_top_truncates(capsys):
-    code, out, _ = run_cli(capsys, "rank", "--n", "9", "--top", "4")
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 1 + 4
+def test_rank_top_truncates(capsys, tmp_path):
+    # `rank SOURCE --top T` is the header and the first T rows of the full
+    # ranking, byte for byte, for every T up to one past the last row, so
+    # that some cut falls inside a tie group and one past the end. Mirror
+    # pairs tie on the strip and in the symmetric 6-cycle file.
+    cycle = tmp_path / "cycle6.edges"
+    cycle.write_text(RANK_GRAPHS["cycle6.edges"])
+    for source in [("--n", str(n)) for n in range(5, 13)] + [("--graph", str(cycle))]:
+        code, full, err = run_cli(capsys, "rank", *source)
+        assert (code, err) == (0, "")
+        lines = full.splitlines(keepends=True)
+        group_ids = [line.split(",")[1] for line in lines[1:]]
+        assert len(set(group_ids)) < len(group_ids)  # some group holds a tie
+        for top in range(1, len(lines) + 1):
+            assert run_cli(capsys, "rank", *source, "--top", str(top)) == (0, "".join(lines[:top + 1]), "")
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

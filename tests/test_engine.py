@@ -926,12 +926,14 @@ def test_float_on_long_path_graph():
 
 
 def test_float_on_20000_vertex_strip():
-    n = 20000
-    got = resistance_float(straight_linear_2tree(n), 1, n).value
     # r(1, n) by the closed form; r_endpoints gives the same value but also
-    # sums its 20 000-term series, which takes over a minute
-    want = float(r_closed(n - 2, 1, n - 1))
-    assert abs(got - want) <= 1e-9 * want
+    # sums its 20 000-term series, which takes over a minute. The bits are
+    # pinned too: how the strip is built must not move any of them.
+    for n, bits in ((20000, "0x1.f4050c7573b1cp+11"), (2000, "0x1.902863ac113dep+8")):
+        got = resistance_float(straight_linear_2tree(n), 1, n).value
+        want = float(r_closed(n - 2, 1, n - 1))
+        assert abs(got - want) <= 1e-9 * want
+        assert got.hex() == bits
 
 
 def test_float_validation():

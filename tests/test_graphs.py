@@ -8,6 +8,7 @@ from twotree.bareiss import det_int
 from twotree.engine import _graph_facts
 from twotree.graphs import (
     WeightedGraph,
+    _as_resistance,
     bent_linear_2tree,
     format_resistance,
     reachable,
@@ -55,6 +56,34 @@ def test_rejects_nonpositive_resistance():
     for token, shown in ((0, "0"), (-3, "-3"), ("-3", "-3"), (Fraction(-1, 2), "-1/2"), ("0/5", "0")):
         with pytest.raises(ValueError, match=f"^resistance must be positive, got {shown}$"):
             WeightedGraph(2, [(1, 2, token)])
+
+
+def test_generated_edges_share_one_unit_resistance():
+    graphs = (straight_linear_2tree(50), bent_linear_2tree(50, 7), straight_linear_ktree(20, 3),
+              triangular_grid(6).graph)
+    unit = graphs[0].edges[0][2]
+    assert type(unit) is Fraction and unit == 1
+    assert all(r is unit for g in graphs for _, _, r in g.edges)
+
+
+def test_a_plain_fraction_token_is_kept_and_others_become_one():
+    f = Fraction(3, 7)
+    assert _as_resistance(f) is f
+
+    class SubFraction(Fraction):
+        pass
+
+    for token, value in ((3, Fraction(3)), ("3/7", f), ("0.5", Fraction(1, 2)), (SubFraction(3, 7), f)):
+        r = _as_resistance(token)
+        assert type(r) is Fraction and r == value
+    for token, message in ((0, "resistance must be positive, got 0"),
+                           (Fraction(-1, 2), "resistance must be positive, got -1/2"),
+                           ("-1/2", "resistance must be positive, got -1/2"),
+                           ("abc", "resistance must be a positive rational, got 'abc'"),
+                           ("1/0", "resistance must be a positive rational, got '1/0'")):
+        with pytest.raises(ValueError) as info:
+            _as_resistance(token)
+        assert str(info.value) == message
 
 
 def test_degree_and_neighbors_count_multiplicity():
