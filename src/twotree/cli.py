@@ -22,7 +22,6 @@ may be left unset.
 """
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -265,11 +264,12 @@ def _cmd_conjecture(args, out):
             return f"{x:.12g}"
         return str(x)
 
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*table["rows"][0], "label"])
+    # No cell holds a comma, quote or newline (column names, numbers,
+    # num/den strings, True/False and words), so nothing needs quoting.
+    out.write(",".join([*table["rows"][0], "label"]) + "\n")
     with _any_int_digits():
         for row in table["rows"]:
-            writer.writerow([*map(show, row.values()), table["label"]])
+            out.write(",".join([*map(show, row.values()), table["label"]]) + "\n")
     return 0
 
 

@@ -2,9 +2,12 @@
 Laplacian-minor determinants, and spanning tree / two-forest counting.
 
 The reduction path rewrites the circuit step by step and records every
-rewrite, so a trace can be replayed mechanically and audited. Each rewrite
-is planned as a step and carried out by _apply, which replay runs too; a
-step that does not apply raises ValueError. reduce_straight reduces one
+rewrite, so a trace can be replayed mechanically and audited. Its network
+keeps each vertex pair's parallel resistances as one tuple, held by both
+ends, and logs its own steps. Each rewrite is planned as a step and
+carried out by _apply, which replay runs too and which logs the step; a
+step that does not apply raises ValueError. A fork of the reduction is one
+copy of its network, steps included. reduce_straight reduces one
 pair of a straight strip; reduce_straight_all yields the same reports for
 every pair of one strip, running the schedule's shared phases once per
 call. The determinant path is the independent oracle: r(i,j) equals the
@@ -67,27 +70,29 @@ class ResistanceReport:
 
 
 class _Network:
-    """Mutable multigraph the reduction engine rewrites in place.
+    """Mutable multigraph the reduction engine rewrites in place, with the
+    steps that rewrote it.
 
-    adj[u][v] is a list of parallel resistances; adj[u][v] and adj[v][u]
-    are the same list object. next_id is one past the largest id seen, the
-    id the next delta-y star takes. Only _apply rewrites a network.
+    adj[u][v] is the tuple of parallel resistances between u and v, in the
+    order they were linked; link and unlink put each new tuple at both ends.
+    next_id is one past the largest id seen, the id the next delta-y star
+    takes. steps lists the steps _apply carried out since the network was
+    built. Only _apply rewrites a network.
     """
 
     def __init__(self, g: WeightedGraph):
         self.adj = {v: {} for v in g.vertices}
         self.next_id = g.vertex_count + 1
+        self.steps = []
         for u, v, r in g.edges:
             self.link(u, v, r)
 
     def copy(self):
-        """An independent network with the same edges and next_id, whose
-        edge lists are again each shared by their two ends."""
+        """An independent network with the same edges, next_id and steps."""
         twin = _Network.__new__(_Network)
+        twin.adj = {u: nbrs.copy() for u, nbrs in self.adj.items()}
         twin.next_id = self.next_id
-        twin.adj = adj = {}
-        for u, nbrs in self.adj.items():
-            adj[u] = {v: adj[v][u] if v in adj else lst.copy() for v, lst in nbrs.items()}
+        twin.steps = self.steps.copy()
         return twin
 
     def link(self, u, v, r):
@@ -97,35 +102,33 @@ class _Network:
             raise ValueError(f"edge ({u},{v}) touches missing vertex {exc.args[0]}") from None
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        lst = nbrs_u.get(v)
-        if lst is None:
-            lst = nbrs_u[v] = nbrs_v[u] = []
-        lst.append(r)
+        nbrs_u[v] = nbrs_v[u] = nbrs_u.get(v, ()) + (r,)
 
     def unlink(self, u, v, r):
         try:
-            lst = self.adj[u][v]
-            lst.remove(r)
+            rs = self.adj[u][v]
+            k = rs.index(r)
         except (KeyError, ValueError):
             raise ValueError(f"edge ({u},{v},{r}) not present") from None
-        if not lst:
-            del self.adj[u][v]
-            del self.adj[v][u]
+        if len(rs) > 1:
+            self.adj[u][v] = self.adj[v][u] = rs[:k] + rs[k + 1:]
+        else:
+            del self.adj[u][v], self.adj[v][u]
 
     def single_edge(self, u, v):
-        lst = self.adj[u].get(v)
-        if lst is None:
+        rs = self.adj[u].get(v)
+        if rs is None:
             raise ValueError(f"no edge between {u} and {v}")
-        if len(lst) != 1:
+        if len(rs) != 1:
             raise ValueError(f"parallel edges between {u} and {v}; combine them first")
-        return lst[0]
+        return rs[0]
 
     def edge_items(self):
         out = []
         for u in self.adj:
-            for v, lst in self.adj[u].items():
+            for v, rs in self.adj[u].items():
                 if u < v:
-                    out.extend((u, v, r) for r in lst)
+                    out.extend((u, v, r) for r in rs)
         out.sort()
         return out
 
@@ -135,8 +138,9 @@ def _apply(net: _Network, step: ReductionStep):
     reduction and in replay alike. A merge-rename renames its vertex; then
     each consumed edge is unlinked, a delta-y adds its star, a series or
     cut-vertex step drops the vertices it frees (which must have no edges
-    left), and each produced edge is linked. A step that does not apply
-    raises ValueError."""
+    left), and each produced edge is linked; the step is then logged in
+    net.steps. A step that does not apply raises ValueError and is not
+    logged."""
     kind = step.kind
     adj = net.adj
     if kind == "merge-rename":
@@ -167,6 +171,7 @@ def _apply(net: _Network, step: ReductionStep):
             _drop(adj, v)
     for u, v, r in step.produced:
         net.link(u, v, r)
+    net.steps.append(step)
 
 
 def _drop(adj, v):
@@ -225,7 +230,7 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
 def _series(net: _Network, middle) -> ReductionStep:
     if middle not in net.adj:
         raise ValueError(f"vertex {middle} not in graph")
-    incident = [(nb, r) for nb, lst in net.adj[middle].items() for r in lst]
+    incident = [(nb, r) for nb, rs in net.adj[middle].items() for r in rs]
     if len(incident) != 2:
         raise ValueError(f"series elimination needs degree 2 at {middle}, got {len(incident)}")
     (a, ra), (b, rb) = incident
@@ -244,10 +249,10 @@ def _series(net: _Network, middle) -> ReductionStep:
 def _parallel(net: _Network, u, v) -> ReductionStep:
     if u > v:
         u, v = v, u
-    lst = net.adj.get(u, {}).get(v)
-    if lst is None or len(lst) < 2:
+    rs = net.adj.get(u, {}).get(v, ())
+    if len(rs) < 2:
         raise ValueError(f"no parallel edges between {u} and {v}")
-    resistances = sorted(lst)
+    resistances = sorted(rs)
     combined = 1 / sum(1 / r for r in resistances)
     return ReductionStep(
         kind="parallel",
@@ -269,7 +274,7 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
         # each edge is taken once, from its smaller end or its removed end.
         consumed=tuple(sorted(
             (min(u, v), max(u, v), r)
-            for u in removed for v, lst in net.adj[u].items() for r in lst
+            for u in removed for v, rs in net.adj[u].items() for r in rs
             if u < v or v == cut_vertex
         )),
         produced=(),
@@ -279,34 +284,29 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
 # === Straight-strip reduction schedule ===
 
 
-def _commit(net, steps, step):
-    _apply(net, step)
-    steps.append(step)
-    return step
-
-
-def _sweep(net, steps, start, d, count):
-    # A generator of `count` delta-y steps walking from `start` in direction
-    # d (+1 or -1), yielding each step's star. Each step works the triangle
-    # (c+2d, c+d, c). Before the next step, the middle vertex the last one
-    # freed merges onward through its chord under the star's name.
-    for t in range(count):
+def _sweep(net, start, d, t0, t1):
+    # Delta-y steps t0..t1-1 of the sweep walking from `start` in direction
+    # d (+1 or -1): step t works the triangle (c+2d, c+d, c), c = start + d*t.
+    # Before it, the middle vertex step t-1 freed merges onward through its
+    # chord under that step's star's name, net.next_id - 1: each delta-y
+    # sets next_id to its star + 1, and nothing between two steps changes it.
+    for t in range(t0, t1):
         c = start + d * t
         if t:
-            _commit(net, steps, _series(net, c))
-            _commit(net, steps, ReductionStep("merge-rename", (star, c), (), ()))
-        star = _commit(net, steps, _delta_y(net, c + 2 * d, c + d, c)).vertices[3]
-        yield star
+            _apply(net, _series(net, c))
+            _apply(net, ReductionStep("merge-rename", (net.next_id - 1, c), (), ()))
+        _apply(net, _delta_y(net, c + 2 * d, c + d, c))
 
 
-def _fold(net, steps, star, keep):
-    # Cut away the dangling tail on the far side of a sweep's last star and
-    # fold the star into a single edge at `keep`.
-    _commit(net, steps, _cut(net, star, keep))
-    _commit(net, steps, _series(net, star))
+def _fold(net, keep):
+    # Cut away the dangling tail on the far side of the last sweep's star
+    # and fold the star into a single edge at `keep`.
+    star = net.next_id - 1
+    _apply(net, _cut(net, star, keep))
+    _apply(net, _series(net, star))
 
 
-def _cleanup(net, steps, a, b):
+def _cleanup(net, a, b):
     # The endgame the sweeps leave behind: series-eliminate every
     # non-terminal vertex in ascending id order (the last star has the
     # largest id, so it goes last), combining each new edge with its
@@ -318,9 +318,10 @@ def _cleanup(net, steps, a, b):
             step = _series(net, v)
         except ValueError as exc:
             raise AssertionError(f"reduction stuck: {exc}") from None
-        u, _, w = _commit(net, steps, step).vertices
+        _apply(net, step)
+        u, _, w = step.vertices
         if len(net.adj[u][w]) > 1:
-            _commit(net, steps, _parallel(net, u, w))
+            _apply(net, _parallel(net, u, w))
     if len(net.adj) != 2 or len(net.adj[a].get(b, ())) != 1:
         raise AssertionError("reduction did not converge to one edge between the terminals")
 
@@ -329,30 +330,25 @@ def _reduce_from(g, a, bs):
     # The reduction schedule of the strip g for terminals a < b, for each b
     # of bs in descending order (b = n only with a = 1): yields (b, steps,
     # value). Left of a: eliminate 1..a-1, folding into the edge {a, a+1}.
-    # Right of b: eliminate b+1..n, folding into {b, b+1}; the sweep for b
-    # is the one for b+1 run one triangle further, so one running sweep
-    # serves every b. Each b then finishes on a copy of the network: the
-    # right fold, the sweep between the terminals and the endgame.
+    # Right of b: eliminate b+1..n in n-1-b triangles (none for b = n),
+    # folding into {b, b+1}; the sweep for b is the one for b+1 run one
+    # triangle further, so one running sweep serves every b. Each b then
+    # finishes on a copy of the network, which carries the steps so far:
+    # the right fold, the sweep between the terminals and the endgame.
     n = g.vertex_count
     net = _Network(g)
-    steps = []
-    for star in _sweep(net, steps, 1, 1, a - 1):
-        pass
+    _sweep(net, 1, 1, 0, a - 1)
     if a > 1:
-        _fold(net, steps, star, a)
-    right = _sweep(net, steps, n, -1, n - 2 - a)
+        _fold(net, a)
     swept = 0
     for b in bs:
-        while swept < n - 1 - b:
-            star = next(right)
-            swept += 1
-        fork, fork_steps = net.copy(), steps.copy()
+        _sweep(net, n, -1, swept, swept := max(n - 1 - b, 0))
+        fork = net.copy()
         if swept:
-            _fold(fork, fork_steps, star, b)
-        for _ in _sweep(fork, fork_steps, a, 1, min(b - a - 1, n - 3)):
-            pass
-        _cleanup(fork, fork_steps, a, b)
-        yield b, tuple(fork_steps), fork.adj[a][b][0]
+            _fold(fork, b)
+        _sweep(fork, a, 1, 0, min(b - a - 1, n - 3))
+        _cleanup(fork, a, b)
+        yield b, tuple(fork.steps), fork.adj[a][b][0]
 
 
 def _report(g, pair, terminals, steps, value):

@@ -159,20 +159,48 @@ def test_cut_with_nothing_to_cut_away():
         engine._cut(net, 2, 1)
 
 
-def test_network_copy_is_independent_and_keeps_lists_shared():
+def test_network_copy_is_independent():
     source = engine._Network(straight_linear_2tree(5))
     engine._apply(source, engine._delta_y(source, 1, 2, 3))
-    edges, next_id = source.edge_items(), source.next_id
+    edges, next_id, steps = source.edge_items(), source.next_id, list(source.steps)
     twin = source.copy()
-    assert (twin.edge_items(), twin.next_id) == (edges, next_id)
-    for u, nbrs in twin.adj.items():
-        for v, lst in nbrs.items():
-            assert twin.adj[v][u] is lst
-            assert lst is not source.adj[u][v]
+    assert (twin.edge_items(), twin.next_id, twin.steps) == (edges, next_id, steps)
     engine._apply(twin, engine._series(twin, 2))
     engine._apply(twin, engine._delta_y(twin, 3, 4, 5))
     assert twin.next_id == next_id + 1
-    assert (source.edge_items(), source.next_id) == (edges, next_id)
+    assert twin.steps[:-2] == steps
+    for u, nbrs in twin.adj.items():
+        for v, rs in nbrs.items():
+            assert twin.adj[v][u] is rs
+    assert (source.edge_items(), source.next_id, source.steps) == (edges, next_id, steps)
+
+
+def test_a_replay_logs_the_trace_steps():
+    for n in range(3, 11):
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                trace = reduce_straight(n, i, j).trace
+                net = engine._Network(trace.initial)
+                for step in trace.steps:
+                    engine._apply(net, step)
+                assert net.steps == list(trace.steps), (n, i, j)
+
+
+# After the first delta-y of the 4-strip, star 5 holds three edges of 1/3.
+@pytest.mark.parametrize("step, message", [
+    (ReductionStep("swap", (1, 2), (), ()), "unknown step kind"),
+    (ReductionStep("merge-rename", (5, 4), (), ()), "vertex 4 already present"),
+    (ReductionStep("parallel", (1, 2), ((1, 2, Fraction(1)),), ()), r"edge \(1,2,1\) not present"),
+    # unlinks one edge of star 5 before it finds the other two
+    (ReductionStep("series", (2, 5, 3), ((2, 5, Fraction(1, 3)),), ()), "vertex 5 still has edges"),
+], ids=["unknown-kind", "rename-onto-a-vertex", "missing-edge", "middle-keeps-edges"])
+def test_a_refused_step_is_not_logged(step, message):
+    net = engine._Network(straight_linear_2tree(4))
+    first = engine._delta_y(net, 1, 2, 3)
+    engine._apply(net, first)
+    with pytest.raises(ValueError, match=message):
+        engine._apply(net, step)
+    assert net.steps == [first]
 
 
 # === Strip reduction schedule ===
@@ -493,7 +521,7 @@ def test_trace_steps_are_frozen(pair):
 def test_cleanup_failure_is_an_assertion(vertex_count, edges):
     net = engine._Network(WeightedGraph(vertex_count, edges))
     with pytest.raises(AssertionError):
-        engine._cleanup(net, [], 1, 2)
+        engine._cleanup(net, 1, 2)
 
 
 # sha256 of the steps, value and terminals of the traces of every ordered
