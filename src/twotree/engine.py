@@ -21,7 +21,6 @@ a product over components of tree minors and that pair solve. All are exact.
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
@@ -33,16 +32,14 @@ from .graphs import WeightedGraph, format_resistance, reachable, straight_linear
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     kind: str
     vertices: tuple
     consumed: tuple
     produced: tuple
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     initial: WeightedGraph
     terminals: tuple
     steps: tuple
@@ -61,8 +58,7 @@ class ReductionTrace:
         ]
 
 
-@dataclass(frozen=True)
-class ResistanceReport:
+class ResistanceReport(NamedTuple):
     pair: tuple
     value: object
     method: str

@@ -6,8 +6,8 @@ F_{n+1} = F_n + F_{n-1} holds on all of Z through a single code path.
 """
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 MAX_INDEX = 1_000_000
 
@@ -74,11 +74,10 @@ def lucas(n: int) -> int:
 # report is useful even when something breaks.
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     checked: int = 0
-    violations: list = field(default_factory=list)
+    violations: list = []
 
     @property
     def passed(self) -> bool:
@@ -251,13 +250,13 @@ def check_identity(name: str) -> IdentityReport:
     if row is None:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
     cases, evaluate = row
-    report = IdentityReport(name=name)
+    checked, violations = 0, []
     for indices in cases():
         lhs, rhs = evaluate(*indices)
-        report.checked += 1
+        checked += 1
         if lhs != rhs:
-            report.violations.append((indices, lhs, rhs))
-    return report
+            violations.append((indices, lhs, rhs))
+    return IdentityReport(name, checked, violations)
 
 
 def check_all_identities() -> list:

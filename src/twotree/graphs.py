@@ -7,7 +7,7 @@ parallel edges are allowed and their conductances add in the Laplacian.
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 
 def _too_long(token, limit):
@@ -167,8 +167,7 @@ def straight_linear_ktree(n: int, k: int) -> WeightedGraph:
     return WeightedGraph(n, _band(n, k))
 
 
-@dataclass(frozen=True)
-class TriangularGrid:
+class TriangularGrid(NamedTuple):
     graph: WeightedGraph
     apex: int
     bottom_left: int

@@ -10,8 +10,8 @@ F_{2m+2} on the strip and the tree minor on a graph, so both sort integer
 numerators and make one Fraction per tie group.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import _graph_facts, _pair_numerators
 from .fib import fib
@@ -19,8 +19,7 @@ from .formulas import _closed_numerators
 from .graphs import WeightedGraph
 
 
-@dataclass(frozen=True)
-class TieGroup:
+class TieGroup(NamedTuple):
     value: Fraction
     pairs: tuple
 

@@ -1,8 +1,9 @@
 """Self-contained verification of every advertised numeric claim.
 
-Each criterion function returns (ok, detail). run_all prints one PASS/FAIL
-line per criterion (a passing bent-reading detail goes on with its evidence
-table) and returns a process exit code: 0 all pass, 1 otherwise.
+Each criterion function returns (ok, detail); one whose internal
+cross-check raises AssertionError fails with its message. run_all prints one
+PASS/FAIL line per criterion (a passing bent-reading detail goes on with its
+evidence table) and returns a process exit code: 0 all pass, 1 otherwise.
 Everything is deterministic.
 """
 
@@ -55,7 +56,7 @@ def endpoint_forms():
     r_endpoints(2) = 1 and r_endpoints(1) = 2/3."""
     m_hi = 60
     for m in range(1, m_hi + 1):
-        formulas.r_endpoints(m)  # raises on disagreement
+        formulas.r_endpoints(m)  # AssertionError on disagreement, a FAIL line in run_all
     if formulas.r_endpoints(2) != 1:
         return False, f"r_endpoints(2) = {formulas.r_endpoints(2)}, expected 1"
     if formulas.r_endpoints(1) != Fraction(2, 3):
@@ -251,7 +252,10 @@ def run_all(only=None, out=print):
     for name, func in CRITERIA:
         if only and name not in only:
             continue
-        ok, detail = func()
+        try:
+            ok, detail = func()
+        except AssertionError as exc:
+            ok, detail = False, str(exc)
         out(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         if not ok:
             failures += 1

@@ -5,13 +5,12 @@ The same checks back the `twotree verify` command, so a release can be
 gated either through pytest or through the CLI.
 """
 
-import dataclasses
 from fractions import Fraction
 import hashlib
 
 import pytest
 
-from twotree import conjectures, engine, formulas, ranking, verify
+from twotree import cli, conjectures, engine, formulas, ranking, verify
 from twotree.graphs import (
     bent_linear_2tree,
     straight_linear_2tree,
@@ -100,7 +99,7 @@ def _plus(x):
 
 
 def _report_plus_one(report):
-    return dataclasses.replace(report, value=report.value + 1)
+    return report._replace(value=report.value + 1)
 
 
 STRIP5 = straight_linear_2tree(5)
@@ -205,3 +204,32 @@ def test_a_wrong_oracle_fails_its_criterion(monkeypatch, case):
     lines = []
     assert verify.run_all(only=[name], out=lines.append) == 1
     assert lines == [f"FAIL  {name}: {detail}"]
+
+
+def test_a_raising_cross_check_fails_its_criterion_and_the_rest_still_run(capsys, monkeypatch):
+    # lucas off by one at k = 4: the closed form's bracket check and the
+    # endpoint-form check raise AssertionError inside six criteria; each is
+    # one FAIL line with the assert's message, and the other four pass.
+    real = formulas.lucas
+    monkeypatch.setattr(formulas, "lucas", lambda k: real(k) + (k == 4))
+    not_divisible = "closed-form bracket not divisible by 5 at (m={}, j=1, k=4)"
+    failed = {
+        "four-way-agreement": not_divisible.format(3),
+        "endpoint-forms": "endpoint forms disagree at m=3: 17/16 vs 11/10",
+        "increment-limit": "endpoint forms disagree at m=65: "
+                           "73826805485236943/5465966034356784 vs 421058608590874/31056625195209",
+        "forest-counts": not_divisible.format(3),
+        "ranking-golden": not_divisible.format(7),
+        "extremal-structure": not_divisible.format(5),
+    }
+    lines = []
+    assert verify.run_all(out=lines.append) == 1
+    assert len(lines) == len(verify.CRITERIA)
+    for line, (name, _) in zip(lines, verify.CRITERIA):
+        if name in failed:
+            assert line == f"FAIL  {name}: {failed[name]}"
+        else:
+            assert line.startswith(f"PASS  {name}: ")
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out == "".join(line + "\n" for line in lines)

@@ -5,7 +5,6 @@ per-step invariants, trace replay, the determinant path, counting,
 and the floating-point solver.
 """
 
-import dataclasses
 from fractions import Fraction
 import hashlib
 import json
@@ -31,7 +30,7 @@ from twotree.engine import (
     spanning_tree_count,
     two_forest_count,
 )
-from twotree.fib import fib, lucas
+from twotree.fib import check_identity, fib, lucas
 from twotree.formulas import r_closed
 from twotree.graphs import (
     WeightedGraph,
@@ -41,6 +40,7 @@ from twotree.graphs import (
     straight_linear_ktree,
     triangular_grid,
 )
+from twotree.ranking import rank_nonedges
 
 from laplacian_reference import det_ref, resistance_float_ref, scaled_laplacian_components, strike
 
@@ -393,7 +393,7 @@ _LOOP = ((3, 3, Fraction(1)),)
 def test_replay_rejects_a_step_that_does_not_apply(inserted, message):
     trace = reduce_straight(6, 1, 6).trace
     assert trace.steps[0].vertices == (3, 2, 1, 7)
-    doctored = dataclasses.replace(trace, steps=trace.steps[:1] + tuple(inserted) + trace.steps[1:])
+    doctored = trace._replace(steps=trace.steps[:1] + tuple(inserted) + trace.steps[1:])
     with pytest.raises(ValueError, match=message):
         replay_trace(doctored)
 
@@ -404,7 +404,7 @@ def _mutated_step(data, step, n):
     # one edge is dropped or has an endpoint or its resistance changed.
     field = data.draw(st.sampled_from(["kind", "vertices", "consumed", "produced"]))
     if field == "kind":
-        return dataclasses.replace(step, kind=data.draw(st.sampled_from(STEP_KINDS + ("swap",))))
+        return step._replace(kind=data.draw(st.sampled_from(STEP_KINDS + ("swap",))))
     entries = list(getattr(step, field))
     if not entries:
         return step
@@ -419,7 +419,7 @@ def _mutated_step(data, step, n):
         part = data.draw(st.integers(0, 2))
         edge[part] = data.draw(vertex if part < 2 else st.fractions(-1, 3, max_denominator=9))
         entries[at] = tuple(edge)
-    return dataclasses.replace(step, **{field: tuple(entries)})
+    return step._replace(**{field: tuple(entries)})
 
 
 @settings(max_examples=400, deadline=None)
@@ -434,7 +434,7 @@ def test_replay_of_a_mutated_trace_returns_a_graph_or_raises_value_error(data):
     steps = list(trace.steps)
     steps[at] = _mutated_step(data, steps[at], n)
     try:
-        result = replay_trace(dataclasses.replace(trace, steps=tuple(steps)))
+        result = replay_trace(trace._replace(steps=tuple(steps)))
     except ValueError:
         return
     assert isinstance(result, WeightedGraph)
@@ -504,6 +504,21 @@ def test_trace_steps_are_frozen(pair):
     assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
     assert set(rows[0]) == {"kind", "vertices", "consumed", "produced", "step"}
     assert [_trace_line(row) for row in rows] == GOLDEN_TRACES[pair]
+
+
+def test_records_are_immutable_and_replace_makes_a_changed_copy():
+    report = reduce_straight(6, 1, 6)
+    step = report.trace.steps[0]
+    fields = tuple(step)
+    changed = step._replace(kind="series")
+    assert changed == ("series",) + fields[1:]
+    assert step == fields and step.kind == "delta-y"
+    records = [step, report.trace, report, rank_nonedges(5)[0], triangular_grid(2),
+               check_identity("lucas-split")]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 @pytest.mark.parametrize(
