@@ -116,7 +116,7 @@ def _load_graph(args):
         given = [_flag(p) for p in FAMILY_FLAGS if getattr(args, p, None) is not None]
         if given:
             raise ValueError("--graph does not take " + " ".join(given))
-        with open(args.graph) as fh:
+        with open(args.graph, encoding="utf-8-sig") as fh:
             return read_edge_list(fh)
     if getattr(args, "family", None):
         return _call_entry(FAMILIES, "family", args)

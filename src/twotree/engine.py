@@ -4,19 +4,21 @@ Laplacian-minor determinants, and spanning tree / two-forest counting.
 The reduction path rewrites the circuit step by step and records every
 rewrite, so a trace can be replayed mechanically and audited. Its network
 keeps each vertex pair's parallel resistances as one tuple, held by both
-ends, and logs its own steps. Each rewrite is planned as a step and
-carried out by _apply, which replay runs too and which logs the step; a
-step that does not apply raises ValueError. A fork of the reduction is one
-copy of its network, steps included. reduce_straight reduces one
-pair of a straight strip; reduce_straight_all yields the same reports for
-every pair of one strip, running the schedule's shared phases once per
-call. The determinant path is the independent oracle: r(i,j) equals the
-ratio of two Laplacian minors. Each component's grounded Laplacian is
-factored once, by a fraction-free LU kept with the graph's facts, and
-every exact answer is read from that factorization: resistance_det one
-pair by one exact solve, _pair_numerators every pair of a component
-by one solve per vertex, and the tree and 2-forest counts by one rule,
-a product over components of tree minors and that pair solve. All are exact.
+ends, and logs its own steps. Each rewrite is planned as a step by a
+planner that only reads the network, and carried out by _apply, which
+replay runs too and which logs the step. A missing vertex or edge is
+refused, as ValueError, by _Network's reads or by _apply, not by the
+planners. A fork of the reduction is one copy of its network, steps
+included. reduce_straight reduces one pair of a straight strip;
+reduce_straight_all yields the same reports for every pair of one strip,
+running the schedule's shared phases once per call. The determinant path
+is the independent oracle: r(i,j) equals the ratio of two Laplacian
+minors. Each component's grounded Laplacian is factored once, by a
+fraction-free LU kept with the graph's facts, and every exact answer is
+read from that factorization: resistance_det one pair by one exact solve,
+_pair_numerators every pair of a component by one solve per vertex, and
+the tree and 2-forest counts by one rule, a product over components of
+tree minors and that pair solve. All are exact.
 """
 
 import itertools
@@ -112,7 +114,7 @@ class _Network:
             del self.adj[u][v], self.adj[v][u]
 
     def single_edge(self, u, v):
-        rs = self.adj[u].get(v)
+        rs = self.adj.get(u, {}).get(v)
         if rs is None:
             raise ValueError(f"no edge between {u} and {v}")
         if len(rs) != 1:
@@ -187,8 +189,8 @@ def _check_pair(n, i, j):
 
 # === Rewrite steps ===
 #
-# The four rewrite ops only read the network: each validates one rewrite
-# and returns its step, which _apply then carries out.
+# The four rewrite ops only read the network: each plans one rewrite and
+# returns its step, which _apply then carries out.
 
 
 @lru_cache(maxsize=1024)
@@ -204,11 +206,6 @@ def _star(an, ad, bn, bd, cn, cd):
 
 
 def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
-    if len({n1, n2, n3}) != 3:
-        raise ValueError(f"triangle vertices must be distinct, got ({n1},{n2},{n3})")
-    for v in (n1, n2, n3):
-        if v not in net.adj:
-            raise ValueError(f"vertex {v} not in graph")
     ra = net.single_edge(n2, n3)
     rb = net.single_edge(n1, n3)
     rc = net.single_edge(n1, n2)
@@ -224,9 +221,7 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
 
 
 def _series(net: _Network, middle) -> ReductionStep:
-    if middle not in net.adj:
-        raise ValueError(f"vertex {middle} not in graph")
-    incident = [(nb, r) for nb, rs in net.adj[middle].items() for r in rs]
+    incident = [(nb, r) for nb, rs in net.adj.get(middle, {}).items() for r in rs]
     if len(incident) != 2:
         raise ValueError(f"series elimination needs degree 2 at {middle}, got {len(incident)}")
     (a, ra), (b, rb) = incident
@@ -511,7 +506,7 @@ def _pair_numerators(comp: _Component):
 
 
 def resistance_all_pairs(g: WeightedGraph) -> dict:
-    """Exact r(i, j) for every pair i < j of one component, as a dict
+    """Exact r(i, j) for every pair i < j within each component, as a dict
     (i, j) -> Fraction: _pair_numerators' integers over each component's
     tree minor, component by component. Pairs across components are absent."""
     return {pair: Fraction(num, comp.tree_minor)

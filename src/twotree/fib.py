@@ -58,10 +58,6 @@ def fib(n: int) -> int:
 
 def lucas(n: int) -> int:
     """L_n = F_{n+1} + F_{n-1} for any integer n with |n| < MAX_INDEX."""
-    if not isinstance(n, int):
-        raise TypeError(f"index must be an int, got {type(n).__name__}")
-    if abs(n) >= MAX_INDEX:
-        raise ValueError(f"index {n} exceeds bound {MAX_INDEX}")
     return fib(n + 1) + fib(n - 1)
 
 

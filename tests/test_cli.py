@@ -8,10 +8,12 @@ import hashlib
 import inspect
 import io
 import json
+import os
 from pathlib import Path
 import random
 import re
 import shlex
+import subprocess
 import sys
 import time
 
@@ -731,6 +733,72 @@ def test_trees_on_grid(capsys):
     assert code == 0 and doc["trees"] > 0
 
 
+# === edge files across commands ===
+
+
+def _json_out(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_DEGENERATE_EDGE_FILES = {"lone": "vertices 1\n", "single-edge": "vertices 3\n1 2 1\n"}
+_DEGENERATE_CASES = [
+    ("lone", ("res", "--method", "det", "--pair", "1", "2"), 2, "", "error: pair (1,2) out of range 1..1\n"),
+    ("lone", ("res", "--method", "float", "--pair", "1", "2"), 2, "", "error: pair (1,2) out of range 1..1\n"),
+    ("lone", ("rank",), 0, "rank,group_id,u,v,value_num,value_den\n", ""),
+    ("lone", ("trees",), 0, _json_out({"schema": 1, "params": {"vertices": 1}, "trees": 1}), ""),
+    ("lone", ("trees", "--pair", "1", "2"), 2, "", "error: pair (1,2) out of range 1..1\n"),
+    ("single-edge", ("res", "--method", "det", "--pair", "1", "3"), 2, "",
+     "error: vertices 1 and 3 are disconnected\n"),
+    ("single-edge", ("res", "--method", "float", "--pair", "1", "3"), 2, "",
+     "error: vertices 1 and 3 are disconnected\n"),
+    ("single-edge", ("res", "--method", "det", "--pair", "1", "2"), 0, _json_out(
+        {"schema": 1, "pair": [1, 2], "results": [{"method": "determinant", "value_num": 1, "value_den": 1}]}), ""),
+    ("single-edge", ("res", "--method", "float", "--pair", "1", "2"), 0, _json_out(
+        {"schema": 1, "pair": [1, 2], "results": [{"method": "float", "value": 1.0}]}), ""),
+    ("single-edge", ("rank",), 2, "", "error: vertices 1 and 3 are disconnected\n"),
+    ("single-edge", ("trees",), 0, _json_out({"schema": 1, "params": {"vertices": 3}, "trees": 0}), ""),
+    ("single-edge", ("trees", "--pair", "1", "3"), 0, _json_out(
+        {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [1, 3], "two_forests": 1}), ""),
+    ("single-edge", ("trees", "--pair", "1", "2"), 0, _json_out(
+        {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [1, 2], "two_forests": 0}), ""),
+]
+
+
+@pytest.mark.parametrize("name, argv, code, out, err", _DEGENERATE_CASES,
+                         ids=["-".join((name,) + argv) for name, argv, *_ in _DEGENERATE_CASES])
+def test_degenerate_edge_files_across_commands(capsys, tmp_path, name, argv, code, out, err):
+    # One vertex and no edges, and one edge beside an isolated vertex: each
+    # command's exact answer or refusal on the smallest graphs is pinned.
+    path = tmp_path / f"{name}.edges"
+    path.write_text(_DEGENERATE_EDGE_FILES[name])
+    assert run_cli(capsys, argv[0], "--graph", str(path), *argv[1:]) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("res", "--pair", "1", "4", "--method", "det"),
+    ("rank",),
+    ("trees", "--pair", "1", "4"),
+], ids=["res", "rank", "trees"])
+def test_edge_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, argv):
+    # A BOM is what some editors put at the head of a UTF-8 file.
+    text = "vertices 4\n1 2 1\n1 3 1\n2 3 1\n2 4 1\n3 4 1\n"
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run_cli(capsys, argv[0], "--graph", str(plain), *argv[1:])
+    assert want[0] == 0 and want[2] == ""
+    assert run_cli(capsys, argv[0], "--graph", str(marked), *argv[1:]) == want
+
+
+def test_edge_file_that_is_not_utf8_exits_two_with_one_line(capsys, tmp_path):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(b"vertices 3\n1 2 1\n2 3 \xff\n")
+    code, out, err = run_cli(capsys, "res", "--graph", str(path), "--pair", "1", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # === verify ===
 
 
@@ -1052,3 +1120,22 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_no_arguments_exits_two(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# === entry point ===
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--only", "ranking-golden"), 0),
+    (("rank", "--n", "4"), 2),
+], ids=["verify", "rank-n-4"])
+def test_module_entry_passes_the_exit_code_to_the_shell(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "twotree.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code
+    if code == 0:
+        assert done.stdout.startswith("PASS  ranking-golden") and done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -98,7 +98,7 @@ def test_delta_y_rejects_parallel_edges():
 
 def test_delta_y_rejects_repeated_vertex():
     g = straight_linear_2tree(3)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="^no edge between 2 and 2$"):
         engine._delta_y(engine._Network(g), 1, 2, 2)
 
 
@@ -139,13 +139,43 @@ def test_parallel_requires_multiple_edges():
         engine._parallel(engine._Network(g), 1, 2)
 
 
-@pytest.mark.parametrize("plan", [
-    lambda net: engine._delta_y(net, 1, 2, 9),
-    lambda net: engine._series(net, 9),
+@pytest.mark.parametrize("plan,message", [
+    (lambda net: engine._delta_y(net, 1, 2, 9), "^no edge between 2 and 9$"),
+    (lambda net: engine._series(net, 9), "^series elimination needs degree 2 at 9, got 0$"),
 ], ids=["delta-y", "series"])
-def test_planners_reject_a_missing_vertex(plan):
-    with pytest.raises(ValueError, match="^vertex 9 not in graph$"):
+def test_planners_reject_a_missing_vertex(plan, message):
+    with pytest.raises(ValueError, match=message):
         plan(engine._Network(straight_linear_2tree(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_planners_refuse_only_with_value_error(data):
+    # Midway through a strip's reduction, plan a delta-y or a series step
+    # on ids present, absent (never used, or dropped) and repeated. The
+    # planners keep no checks of their own: each bad input must still be
+    # refused as a ValueError by the network, and each step they do plan
+    # must apply.
+    n = data.draw(st.integers(3, 10))
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    trace = reduce_straight(n, i, j).trace
+    net = engine._Network(trace.initial)
+    for step in trace.steps[:data.draw(st.integers(0, len(trace.steps)))]:
+        engine._apply(net, step)
+    ids = st.one_of(st.sampled_from(sorted(net.adj)), st.integers(-1, net.next_id + 1))
+    for _ in range(8):
+        if data.draw(st.booleans()):
+            first = data.draw(ids)
+            rest = data.draw(st.lists(st.one_of(st.just(first), ids), min_size=2, max_size=2))
+            plan, args = engine._delta_y, (first, *rest)
+        else:
+            plan, args = engine._series, (data.draw(ids),)
+        try:
+            step = plan(net, *args)
+        except ValueError:
+            continue
+        engine._apply(net.copy(), step)
 
 
 def test_parallel_gives_the_same_step_with_its_ends_reversed():
