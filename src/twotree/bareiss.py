@@ -15,10 +15,10 @@ positive, so no row is ever swapped, and by S's symmetry each multiplier
 of the L factor is an entry of U times scales[r] / scales[k]. So lu_int,
 the one elimination, keeps only the fraction-free U (Zhou & Jeffrey 2008),
 each pivot row from its diagonal on: that tuple is the factorization.
-det_int is its last pivot, the determinant. solve_int is the one solve:
-it replays the multipliers, read from U's columns, on one sparse vector c
-and back-substitutes for adj(M) diag(scales) c, which is det(M) S^-1 c,
-from c's first nonzero down, in O(n * bw) work.
+det_int reads its determinant, the last pivot, and runs no elimination.
+solve_int is the one solve: it replays the multipliers, read from U's
+columns, on one sparse vector c and back-substitutes for adj(M) diag(scales)
+c, which is det(M) S^-1 c, from c's first nonzero down, in O(n * bw) work.
 """
 
 
@@ -78,12 +78,9 @@ def lu_int(rows, scales):
     return tuple(lu)
 
 
-def det_int(rows, scales) -> int:
-    """Exact determinant of a matrix lu_int takes: the last pivot of its
-    factorization, 1 for the empty matrix. Raises AssertionError on a
-    pivot <= 0, as lu_int does.
-    """
-    lu = lu_int(rows, scales)
+def det_int(lu) -> int:
+    """The determinant of the matrix lu_int factored into lu: its last
+    pivot, 1 for the empty matrix. No elimination runs."""
     return lu[-1][len(lu) - 1] if lu else 1
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import NamedTuple, Optional
 
-from .bareiss import lu_int, solve_int
+from .bareiss import det_int, lu_int, solve_int
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -404,7 +404,7 @@ def replay_trace(trace: ReductionTrace) -> WeightedGraph:
 
 class _Component(NamedTuple):
     """A component's facts: row k of its grounded Laplacian is verts[k + 1]'s,
-    scaled by scales[k]; lu is their U and tree_minor its last pivot."""
+    scaled by scales[k]; lu is their U and tree_minor is det_int(lu)."""
 
     verts: tuple
     scales: tuple
@@ -451,7 +451,7 @@ def _graph_facts(g: WeightedGraph):
             scales.append(scale)
             rows.append(row)
         lu = lu_int(rows, scales)
-        comps.append(_Component(verts, tuple(scales), lu, lu[-1][len(lu) - 1] if lu else 1))
+        comps.append(_Component(verts, tuple(scales), lu, det_int(lu)))
     return comp_of, tuple(comps)
 
 

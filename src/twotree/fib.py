@@ -57,8 +57,8 @@ def fib(n: int) -> int:
 
 
 def lucas(n: int) -> int:
-    """L_n = F_{n+1} + F_{n-1} for any integer n with |n| < MAX_INDEX."""
-    return fib(n + 1) + fib(n - 1)
+    """L_n = F_{n+1} + F_{n-1} for |n| < MAX_INDEX; the index farther from 0 first."""
+    return fib(n - 1) + fib(n + 1) if n < 0 else fib(n + 1) + fib(n - 1)
 
 
 # === Identity suite ===

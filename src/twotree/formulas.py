@@ -22,12 +22,13 @@ def _check_strip(m, j, k):
         raise ValueError(f"j+k must be <= n = {m + 2}, got j={j}, k={k}")
 
 
+def _sum_term(m, j, i):
+    coeff = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
+    return coeff * fib(2 * m - 2 * i - 2 * j + 5)
+
+
 def _sum_numerator(m, j, k):
-    total = 0
-    for i in range(1, k + 1):
-        coeff = fib(i) * fib(i + 2 * j - 2) - fib(i - 1) * fib(i + 2 * j - 3)
-        total += coeff * fib(2 * m - 2 * i - 2 * j + 5)
-    return total
+    return sum(_sum_term(m, j, i) for i in range(1, k + 1))
 
 
 def r_sum(m: int, j: int, k: int) -> Fraction:
@@ -101,12 +102,11 @@ def sbt(i: int, p: int) -> StripWeights:
 
 
 def r_diff(m: int, j: int, k: int) -> Fraction:
-    """r(j, j+k+1) - r(j, j+k) on the straight strip, closed form."""
+    """r(j, j+k+1) - r(j, j+k) on the straight strip: term k + 1 of r_sum."""
     _check_strip(m, j, k)
     if j + k + 1 > m + 2:
         raise ValueError(f"j+k+1 must be <= n = {m + 2}, got j={j}, k={k}")
-    coeff = fib(k + 1) * fib(2 * j + k - 1) - fib(k) * fib(2 * j + k - 2)
-    return Fraction(coeff * fib(2 * m - 2 * j - 2 * k + 3), fib(2 * m + 2))
+    return Fraction(_sum_term(m, j, k + 1), fib(2 * m + 2))
 
 
 def spanning_closed(m: int) -> int:

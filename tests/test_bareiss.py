@@ -6,10 +6,11 @@ dense fraction-free elimination with row pivoting that works for any
 square matrix, plus a handful of determinants known in closed form. The exact
 solve adj(M) diag(scales) c, and the adjugate times diag(scales) it
 gives column by column, are refereed by the signed cofactors that
-reference gives. det_int and lu_int take only M = diag(scales) S with S
-symmetric positive definite, so they are fed minors of row-scaled
-Laplacians and symmetric strictly diagonally dominant matrices times
-positive row scales, and must refuse any pivot <= 0 on symmetric ones.
+reference gives. lu_int takes only M = diag(scales) S with S symmetric
+positive definite, so it is fed minors of row-scaled Laplacians and
+symmetric strictly diagonally dominant matrices times positive row
+scales, and must refuse any pivot <= 0 on symmetric ones; det_int reads
+the determinant from its factorization.
 """
 
 from fractions import Fraction
@@ -88,45 +89,45 @@ def _times(rows, adj):
 
 
 def test_empty_matrix():
-    assert det_int([], ()) == 1
+    assert det_int(lu_int([], ())) == 1
 
 
 def test_one_by_one():
-    assert det_int([{0: 7}], (1,)) == 7
+    assert det_int(lu_int([{0: 7}], (1,))) == 7
     for bad in ([{0: -7}], [{}]):
         with pytest.raises(AssertionError, match=NOT_PD):
-            det_int(bad, (1,))
+            det_int(lu_int(bad, (1,)))
 
 
 def test_identity_and_permutation():
     eye = [{i: 1} for i in range(5)]
-    assert det_int(eye, _ones(5)) == 1
+    assert det_int(lu_int(eye, _ones(5))) == 1
     swap = [{1: 1}, {0: 1}] + eye[2:]
     with pytest.raises(AssertionError, match=NOT_PD):
-        det_int(swap, _ones(5))
+        det_int(lu_int(swap, _ones(5)))
 
 
 def test_known_dense_values():
     # diag(1, 2, 3) times the symmetric [[2, 0, 1], [0, 3, 1], [1, 1, 2]] of det 7
-    assert det_int(_sparse([[2, 0, 1], [0, 6, 2], [3, 3, 6]]), (1, 2, 3)) == 42
+    assert det_int(lu_int(_sparse([[2, 0, 1], [0, 6, 2], [3, 3, 6]]), (1, 2, 3))) == 42
     # negative last pivot, then a zero one (diag(2, 1, 3) times a singular
     # symmetric matrix): both are the determinant
     for mat, scales in (([[1, 2], [2, 3]], (1, 1)), ([[2, 2, 2], [1, 2, 1], [3, 3, 3]], (2, 1, 3))):
         with pytest.raises(AssertionError, match=NOT_PD):
-            det_int(_sparse(mat), scales)
+            det_int(lu_int(_sparse(mat), scales))
 
 
 def test_singular_matrices():
     for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 5]]):
         with pytest.raises(AssertionError, match=NOT_PD):
-            det_int(_sparse(mat), (1, 1))
+            det_int(lu_int(_sparse(mat), (1, 1)))
 
 
 def test_zero_pivot_needs_row_swap():
     # leading entry zero but matrix regular: only a row swap could go on
     for mat in ([[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 1], [0, 1, 1]]):
         with pytest.raises(AssertionError, match="pivot 0 of"):
-            det_int(_sparse(mat), _ones(len(mat)))
+            det_int(lu_int(_sparse(mat), _ones(len(mat))))
 
 
 def test_tridiagonal_continuant():
@@ -135,7 +136,7 @@ def test_tridiagonal_continuant():
     for n in range(1, 12):
         rows = [{c: 2 if c == i else -1 for c in (i - 1, i, i + 1) if 0 <= c < n}
                 for i in range(n)]
-        assert det_int(rows, _ones(n)) == n + 1, f"continuant wrong at n={n}"
+        assert det_int(lu_int(rows, _ones(n))) == n + 1, f"continuant wrong at n={n}"
 
 
 def test_strike_removes_row_and_column():
@@ -143,12 +144,12 @@ def test_strike_removes_row_and_column():
     rows = [{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2, 3: -1}, {2: -1, 3: 1}]
     assert strike(rows, (1,)) == [{0: 2}, {1: 2, 2: -1}, {1: -1, 2: 1}]
     assert strike(rows, (0, 3)) == [{0: 2, 1: -1}, {0: -1, 1: 2}]
-    assert det_int(strike(rows, (0,)), _ones(3)) == 1
+    assert det_int(lu_int(strike(rows, (0,)), _ones(3))) == 1
 
 
 def test_sparse_rows_must_fit_the_square():
     with pytest.raises(ValueError, match="square"):
-        det_int([{0: 1, 2: 1}, {1: 1}], (1, 1))
+        det_int(lu_int([{0: 1, 2: 1}, {1: 1}], (1, 1)))
 
 
 def _dominant(randint, n, bw):
@@ -205,13 +206,13 @@ def test_banded_agrees_with_dense_seeded(bw):
     # the two kinds in turn. Every other long one is then checked again
     # with row k zeroed up to the diagonal and column k down to it, which
     # keeps it symmetric after scaling: its leading minor of order k+1
-    # vanishes, so step k meets a zero pivot, which det_int must refuse.
+    # vanishes, so step k meets a zero pivot, which lu_int must refuse.
     for n_max, count in ((8, 40), (40, 20)):
         for t in range(count):
             n = rng.randint(1, n_max)
             rows, scales = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
             expect = det_ref(rows)
-            assert expect > 0 and det_int(rows, scales) == expect, \
+            assert expect > 0 and det_int(lu_int(rows, scales)) == expect, \
                 f"bw={bw} disagreement on {rows}"
             if n_max > 8 and t % 2:
                 k = rng.randrange(n)
@@ -219,7 +220,7 @@ def test_banded_agrees_with_dense_seeded(bw):
                 for row in rows[:k]:
                     row.pop(k, None)
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
-                    det_int(rows, scales)
+                    det_int(lu_int(rows, scales))
                 with pytest.raises(AssertionError, match=f"pivot {k} of"):
                     lu_int(rows, scales)
 
@@ -231,7 +232,7 @@ def test_banded_agrees_with_dense(data):
     bw = data.draw(st.integers(0, n))
     make = data.draw(st.sampled_from([_laplacian_minor, _dominant]))
     rows, scales = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
-    assert det_int(rows, scales) == det_ref(rows)
+    assert det_int(lu_int(rows, scales)) == det_ref(rows)
     lu, adj = lu_int(rows, scales), _scaled(_adj_ref(rows), scales)
     assert _adj_by_solves(lu, scales) == adj
     for c in _vectors(lambda lo, hi: data.draw(st.integers(lo, hi)), n):
@@ -254,7 +255,7 @@ def test_adjugate_agrees_with_cofactors_seeded(bw):
     rng = random.Random(2000 + bw)
     for _ in range(30):
         rows, scales = _laplacian_minor(rng.randint, rng.randint(1, 7), bw)
-        assert det_int(rows, scales) == det_ref(rows), f"bw={bw} determinant differs on {rows}"
+        assert det_int(lu_int(rows, scales)) == det_ref(rows), f"bw={bw} determinant differs on {rows}"
         assert _adj_by_solves(lu_int(rows, scales), scales) == _scaled(_adj_ref(rows), scales), \
             f"bw={bw} adjugate differs on {rows}"
 
@@ -282,7 +283,8 @@ def test_solve_on_long_matrices_from_the_last_rows():
     for bw in (1, 2, 5):
         n = 40
         rows, scales = _laplacian_minor(rng.randint, n, bw)
-        lu, det = lu_int(rows, scales), det_int(rows, scales)
+        lu = lu_int(rows, scales)
+        det = det_int(lu)
         for c in ({n - 1: 1}, {n - 3: 2, n - 1: -5}):
             assert solve_int(lu, scales, c) == _solve_ref(rows, scales, c)
         c = {0: 1, n - 1: -1}
@@ -298,7 +300,7 @@ def test_adjugate_on_long_matrices_inverts_times_det(bw):
     for t in range(6):
         n = rng.randint(20, 40)
         rows, scales = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
-        det, adj = det_int(rows, scales), _adj_by_solves(lu_int(rows, scales), scales)
+        det, adj = det_int(lu_int(rows, scales)), _adj_by_solves(lu_int(rows, scales), scales)
         assert det == det_ref(rows)
         assert _times(rows, adj) == [[det * scales[p] * (p == q) for q in range(n)]
                                      for p in range(n)]
@@ -321,7 +323,7 @@ def test_adjugate_on_a_band_of_zero_one_and_two():
     ], (0,))
     for rows, want in ((diagonal, 30), (continuant, 6), (strip, 144)):
         n = len(rows)
-        det, adj = det_int(rows, _ones(n)), _adj_by_solves(lu_int(rows, _ones(n)), _ones(n))
+        det, adj = det_int(lu_int(rows, _ones(n))), _adj_by_solves(lu_int(rows, _ones(n)), _ones(n))
         assert det == want and adj == _adj_ref(rows)
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 
@@ -340,7 +342,7 @@ def test_adjugate_refuses_what_det_int_refuses(mat, scales):
     # The adjugate is read from lu_int's factorization, so lu_int refuses.
     rows = _sparse(mat)
     with pytest.raises(AssertionError, match=NOT_PD) as refused:
-        det_int(rows, scales)
+        det_int(lu_int(rows, scales))
     with pytest.raises(AssertionError, match=NOT_PD) as also_refused:
         lu_int(rows, scales)
     assert str(also_refused.value) == str(refused.value)

@@ -740,7 +740,8 @@ def _json_out(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-_DEGENERATE_EDGE_FILES = {"lone": "vertices 1\n", "single-edge": "vertices 3\n1 2 1\n"}
+_DEGENERATE_EDGE_FILES = {"lone": "vertices 1\n", "single-edge": "vertices 3\n1 2 1\n",
+                          "isolated-one": "vertices 3\n2 3 1\n"}
 _DEGENERATE_CASES = [
     ("lone", ("res", "--method", "det", "--pair", "1", "2"), 2, "", "error: pair (1,2) out of range 1..1\n"),
     ("lone", ("res", "--method", "float", "--pair", "1", "2"), 2, "", "error: pair (1,2) out of range 1..1\n"),
@@ -761,14 +762,30 @@ _DEGENERATE_CASES = [
         {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [1, 3], "two_forests": 1}), ""),
     ("single-edge", ("trees", "--pair", "1", "2"), 0, _json_out(
         {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [1, 2], "two_forests": 0}), ""),
+    # Vertex 1 is a component of its own, whose tree minor is det_int of an empty U.
+    ("isolated-one", ("res", "--method", "det", "--pair", "2", "3"), 0, _json_out(
+        {"schema": 1, "pair": [2, 3], "results": [{"method": "determinant", "value_num": 1, "value_den": 1}]}), ""),
+    ("isolated-one", ("res", "--method", "float", "--pair", "2", "3"), 0, _json_out(
+        {"schema": 1, "pair": [2, 3], "results": [{"method": "float", "value": 1.0}]}), ""),
+    ("isolated-one", ("res", "--method", "det", "--pair", "1", "2"), 2, "",
+     "error: vertices 1 and 2 are disconnected\n"),
+    ("isolated-one", ("res", "--method", "float", "--pair", "1", "2"), 2, "",
+     "error: vertices 1 and 2 are disconnected\n"),
+    ("isolated-one", ("rank",), 2, "", "error: vertices 1 and 2 are disconnected\n"),
+    ("isolated-one", ("trees",), 0, _json_out({"schema": 1, "params": {"vertices": 3}, "trees": 0}), ""),
+    ("isolated-one", ("trees", "--pair", "1", "2"), 0, _json_out(
+        {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [1, 2], "two_forests": 1}), ""),
+    ("isolated-one", ("trees", "--pair", "2", "3"), 0, _json_out(
+        {"schema": 1, "params": {"vertices": 3}, "trees": 0, "pair": [2, 3], "two_forests": 0}), ""),
 ]
 
 
 @pytest.mark.parametrize("name, argv, code, out, err", _DEGENERATE_CASES,
                          ids=["-".join((name,) + argv) for name, argv, *_ in _DEGENERATE_CASES])
 def test_degenerate_edge_files_across_commands(capsys, tmp_path, name, argv, code, out, err):
-    # One vertex and no edges, and one edge beside an isolated vertex: each
-    # command's exact answer or refusal on the smallest graphs is pinned.
+    # One vertex and no edges, one edge beside an isolated vertex 3, and one
+    # beside an isolated vertex 1: each command's exact answer or refusal on
+    # the smallest graphs is pinned.
     path = tmp_path / f"{name}.edges"
     path.write_text(_DEGENERATE_EDGE_FILES[name])
     assert run_cli(capsys, argv[0], "--graph", str(path), *argv[1:]) == (code, out, err)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from twotree import engine
-from twotree.bareiss import det_int
+from twotree.bareiss import det_int, lu_int
 from twotree.engine import (
     STEP_KINDS,
     ReductionStep,
@@ -758,8 +758,8 @@ def _minor_ratio(g, i, j):
     # scale[pj].
     (verts, rows, scales), = (c for c in scaled_laplacian_components(g) if i in c[0])
     pi, pj = verts.index(i), verts.index(j)
-    num = det_int(strike(rows, (pi, pj)), [s for k, s in enumerate(scales) if k not in (pi, pj)])
-    den = det_int(strike(rows, (pi,)), [s for k, s in enumerate(scales) if k != pi])
+    num = det_int(lu_int(strike(rows, (pi, pj)), [s for k, s in enumerate(scales) if k not in (pi, pj)]))
+    den = det_int(lu_int(strike(rows, (pi,)), [s for k, s in enumerate(scales) if k != pi]))
     return Fraction(num * scales[pj], den)
 
 
@@ -797,7 +797,7 @@ def test_all_pairs_equal_det_on_every_pair(g):
 def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
     # A multigraph on at most 8 vertices: a random tree, or no tree, so
     # that most draws are disconnected, plus up to 6 more edges, parallel
-    # ones allowed. Every minor det_int sees here must pass its
+    # ones allowed. Every minor lu_int factors here must pass its
     # positive-pivot check.
     n = data.draw(st.integers(2, 8))
     pairs = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]

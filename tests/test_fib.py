@@ -1,3 +1,4 @@
+import importlib
 import threading
 
 import pytest
@@ -62,6 +63,21 @@ def test_index_bound():
     with pytest.raises(ValueError):
         lucas(MAX_INDEX)
     assert isinstance(fib(MAX_INDEX // 100), int)
+
+
+def test_lucas_refuses_an_out_of_range_index_before_any_work(monkeypatch):
+    # The package re-exports the function fib under the submodule's name.
+    fib_module = importlib.import_module("twotree.fib")
+
+    def no_work(n):
+        raise RuntimeError(f"F_{n} computed before the index was refused")
+
+    monkeypatch.setattr(fib_module, "_fib_pair", no_work)
+    monkeypatch.delattr(fib_module._local, "fib_cache", raising=False)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        lucas(MAX_INDEX)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        lucas(-MAX_INDEX)
 
 
 def test_rejects_non_int():
