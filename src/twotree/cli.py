@@ -10,7 +10,8 @@ Every subcommand exits with the same codes, and any error is one
   0  success;
   1  a check failed: a verify criterion, an internal cross-check
      (AssertionError), or a float solve whose residual exceeds --tol
-     (RuntimeError);
+     (RuntimeError); or the process ran out of memory (MemoryError,
+     reported as "error: out of memory");
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
 
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # which carries no message of its own
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

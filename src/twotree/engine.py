@@ -5,11 +5,12 @@ The reduction path rewrites the circuit step by step and records every
 rewrite, so a trace can be replayed mechanically and audited. Its network
 keeps each vertex pair's parallel resistances as one tuple, held by both
 ends, and logs its own steps. Each rewrite is planned as a step by a
-planner that only reads the network, and carried out by _apply, which
-replay runs too and which logs the step. A missing vertex or edge is
-refused, as ValueError, by _Network's reads or by _apply, not by the
-planners. A fork of the reduction is one copy of its network, steps
-included. reduce_straight reduces one pair of a straight strip;
+planner that only reads the network, and carried out by _apply, the
+network's one writer once built: it keeps both ends on one tuple, replay
+runs it too, and it logs the step. A missing vertex or edge is refused,
+as ValueError, by _Network's reads or by _apply, not by the planners. A
+fork of the reduction is one copy of its network, steps included.
+reduce_straight reduces one pair of a straight strip;
 reduce_straight_all yields the same reports for every pair of one strip,
 running the schedule's shared phases once per call. The determinant path
 is the independent oracle: r(i,j) equals the ratio of two Laplacian
@@ -72,18 +73,18 @@ class _Network:
     steps that rewrote it.
 
     adj[u][v] is the tuple of parallel resistances between u and v, in the
-    order they were linked; link and unlink put each new tuple at both ends.
+    order they were linked; _apply puts each new tuple at both ends.
     next_id is one past the largest id seen, the id the next delta-y star
     takes. steps lists the steps _apply carried out since the network was
     built. Only _apply rewrites a network.
     """
 
     def __init__(self, g: WeightedGraph):
-        self.adj = {v: {} for v in g.vertices}
+        self.adj = adj = {v: {} for v in g.vertices}
         self.next_id = g.vertex_count + 1
         self.steps = []
-        for u, v, r in g.edges:
-            self.link(u, v, r)
+        for u, v, r in g.edges:  # WeightedGraph has refused loops and missing ends
+            adj[u][v] = adj[v][u] = adj[u].get(v, ()) + (r,)
 
     def copy(self):
         """An independent network with the same edges, next_id and steps."""
@@ -92,26 +93,6 @@ class _Network:
         twin.next_id = self.next_id
         twin.steps = self.steps.copy()
         return twin
-
-    def link(self, u, v, r):
-        try:
-            nbrs_u, nbrs_v = self.adj[u], self.adj[v]
-        except KeyError as exc:
-            raise ValueError(f"edge ({u},{v}) touches missing vertex {exc.args[0]}") from None
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        nbrs_u[v] = nbrs_v[u] = nbrs_u.get(v, ()) + (r,)
-
-    def unlink(self, u, v, r):
-        try:
-            rs = self.adj[u][v]
-            k = rs.index(r)
-        except (KeyError, ValueError):
-            raise ValueError(f"edge ({u},{v},{r}) not present") from None
-        if len(rs) > 1:
-            self.adj[u][v] = self.adj[v][u] = rs[:k] + rs[k + 1:]
-        else:
-            del self.adj[u][v], self.adj[v][u]
 
     def single_edge(self, u, v):
         rs = self.adj.get(u, {}).get(v)
@@ -154,7 +135,15 @@ def _apply(net: _Network, step: ReductionStep):
     elif kind not in STEP_KINDS:
         raise ValueError(f"unknown step kind {kind!r}")
     for u, v, r in step.consumed:
-        net.unlink(u, v, r)
+        try:
+            rs = adj[u][v]
+            k = rs.index(r)
+        except (KeyError, ValueError):
+            raise ValueError(f"edge ({u},{v},{r}) not present") from None
+        if len(rs) > 1:
+            adj[u][v] = adj[v][u] = rs[:k] + rs[k + 1:]
+        else:
+            del adj[u][v], adj[v][u]
     if kind == "delta-y":
         _, _, _, star = step.vertices
         if star in adj:
@@ -168,7 +157,13 @@ def _apply(net: _Network, step: ReductionStep):
         for v in step.vertices[2:]:
             _drop(adj, v)
     for u, v, r in step.produced:
-        net.link(u, v, r)
+        try:
+            nbrs_u, nbrs_v = adj[u], adj[v]
+        except KeyError as exc:
+            raise ValueError(f"edge ({u},{v}) touches missing vertex {exc.args[0]}") from None
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        nbrs_u[v] = nbrs_v[u] = nbrs_u.get(v, ()) + (r,)
     net.steps.append(step)
 
 

@@ -102,6 +102,17 @@ def _report_plus_one(report):
     return report._replace(value=report.value + 1)
 
 
+def _report_wrong_at(n, pair):
+    """A patch for reduce_straight_all: the real reports, but the one for
+    `pair` of the n-strip off by one."""
+    def patch(real):
+        def reports(m):
+            for report in real(m):
+                yield _report_plus_one(report) if (m, report.pair) == (n, pair) else report
+        return reports
+    return patch
+
+
 STRIP5 = straight_linear_2tree(5)
 GRID2 = triangular_grid(2)
 
@@ -110,6 +121,16 @@ WRONG_ORACLES = {
     "four-way-agreement": (
         [(formulas, "r_closed", _wrong_at((3, 1, 2), _plus(1)))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=13/21, closed=34/21"),
+    "four-way-agreement-reduction": (
+        [(verify, "reduce_straight_all", _report_wrong_at(5, (1, 3)))],
+        "mismatch at n=5, pair=(1,3): reduce=34/21, det=13/21, sum=13/21, closed=13/21"),
+    "four-way-agreement-determinant": (
+        [(verify, "resistance_all_pairs", _wrong_at(
+            (STRIP5,), lambda dets: {**dets, (1, 3): dets[1, 3] + 1}))],
+        "mismatch at n=5, pair=(1,3): reduce=13/21, det=34/21, sum=13/21, closed=13/21"),
+    "four-way-agreement-summation": (
+        [(formulas, "r_sum", _wrong_at((3, 1, 2), _plus(1)))],
+        "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=34/21, closed=13/21"),
     "endpoint-forms-2": (
         [(formulas, "r_endpoints", _wrong_at((2,), _plus(1)))],
         "r_endpoints(2) = 2, expected 1"),

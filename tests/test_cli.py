@@ -303,6 +303,15 @@ def test_float_residual_failure_exits_one_without_traceback(capsys, monkeypatch)
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_one_with_one_line(capsys, monkeypatch):
+    # str(MemoryError()) is empty: the line says what happened all the same.
+    monkeypatch.setattr(cli, "resistance_det", _raises(MemoryError()))
+    code, out, err = run_cli(
+        capsys, "res", "--family", "straight", "--n", "5", "--pair", "1", "2", "--method", "det"
+    )
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_float_residual_above_tol_exits_one(capsys):
     code, out, err = run_cli(
         capsys, "res", "--family", "straight", "--n", "30", "--pair", "1", "30",

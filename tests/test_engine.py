@@ -205,15 +205,34 @@ def test_network_copy_is_independent():
     assert (source.edge_items(), source.next_id, source.steps) == (edges, next_id, steps)
 
 
+def _assert_both_ends_agree(adj):
+    # Each pair's tuple is held, equal, at both ends, and none is empty.
+    for u, nbrs in adj.items():
+        for v, rs in nbrs.items():
+            assert rs and adj[v][u] == rs, (u, v)
+
+
 def test_a_replay_logs_the_trace_steps():
     for n in range(3, 11):
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 trace = reduce_straight(n, i, j).trace
                 net = engine._Network(trace.initial)
+                _assert_both_ends_agree(net.adj)
                 for step in trace.steps:
                     engine._apply(net, step)
+                    _assert_both_ends_agree(net.adj)
                 assert net.steps == list(trace.steps), (n, i, j)
+
+
+def test_unlinking_one_of_two_equal_parallel_edges_keeps_the_other():
+    net = engine._Network(WeightedGraph(3, [(1, 2, 2), (1, 2, 2), (2, 3, 1)]))
+    engine._apply(net, ReductionStep("parallel", (1, 2), ((1, 2, Fraction(2)),), ()))
+    assert net.adj[1][2] == net.adj[2][1] == (Fraction(2),)
+    _assert_both_ends_agree(net.adj)
+    engine._apply(net, ReductionStep("parallel", (1, 2), ((2, 1, Fraction(2)),), ()))
+    assert 2 not in net.adj[1] and 1 not in net.adj[2]
+    assert net.edge_items() == [(2, 3, Fraction(1))]
 
 
 # After the first delta-y of the 4-strip, star 5 holds three edges of 1/3.

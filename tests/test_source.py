@@ -98,3 +98,52 @@ GRID = _grid()
 """
     trees = {"a": ast.parse(a), "b": ast.parse(b)}
     assert _unreferenced(trees) == ["a._grid", "b.GRID", "b.unused"]
+
+
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+
+
+def _unread_methods(trees, readers):
+    # The non-dunder methods the classes of modules {name: tree} define that
+    # no attribute read in the trees `readers` names. Names, not types: a
+    # read of any attribute so named counts.
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{module}.{cls.name}.{item.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("__") and item.name not in read
+    )
+
+
+def test_every_method_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    assert PERFBENCH, "perfbench/ holds no module"
+    readers = [*trees.values(), *(ast.parse(p.read_text(), filename=str(p)) for p in PERFBENCH)]
+    unread = _unread_methods(trees, readers)
+    assert not unread, f"methods nothing reads: {unread}"
+
+
+def test_a_method_counts_as_read_only_by_an_attribute_load():
+    # shown is read in the other tree; stored is only assigned to and
+    # hidden only called by its bare name.
+    a = """class Net:
+    def __init__(self):
+        self.stored = 1
+
+    def shown(self):
+        return hidden()
+
+    def stored(self):
+        return 0
+
+    def hidden(self):
+        return 1
+"""
+    b = "print(Net().shown())\n"
+    trees = {"a": ast.parse(a)}
+    assert _unread_methods(trees, [trees["a"], ast.parse(b)]) == ["a.Net.hidden", "a.Net.stored"]
+    assert _unread_methods(trees, [trees["a"]]) == ["a.Net.hidden", "a.Net.shown", "a.Net.stored"]
