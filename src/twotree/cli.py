@@ -170,10 +170,10 @@ def _cmd_res(args, out):
                if args.method in (m, "all") and (m != "dy" or args.family == "straight")]
     if not methods:
         raise ValueError("--method dy only applies to --family straight")
+    if args.trace and "dy" not in methods:
+        raise ValueError("--trace needs the delta-wye method (dy or all, straight family)")
     reports = {m: METHODS[m](args, g, i, j) for m in methods}
     if args.trace:
-        if "dy" not in reports:
-            raise ValueError("--trace needs the delta-wye method (dy or all, straight family)")
         with open(args.trace, "w") as fh, _any_int_digits():
             for d in reports["dy"].trace.to_dicts():
                 fh.write(json.dumps(d) + "\n")

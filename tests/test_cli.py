@@ -158,6 +158,26 @@ def test_res_trace_without_dy_exits_two(capsys, tmp_path):
     assert code == 2 and "trace" in err
 
 
+# A --trace that no delta-wye solve can write is refused before any solve
+# runs, on the strip (where dy was left out) and on a file graph.
+@pytest.mark.parametrize("source, method", [
+    (("--family", "straight", "--n", "3000"), "det"),
+    (("--family", "straight", "--n", "3000"), "float"),
+    (("--graph", "{tmp}/strip.edges"), "all"),
+], ids=["straight-det", "straight-float", "graph-all"])
+def test_res_refuses_trace_without_dy_before_solving(capsys, monkeypatch, tmp_path, source, method):
+    solves = []
+    for name in ("resistance_det", "resistance_float"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: solves.append(name))
+    run_cli(capsys, "gen", "--family", "straight", "--n", "3000", "--out", f"{tmp_path}/strip.edges")
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run_cli(capsys, "res", *(a.format(tmp=tmp_path) for a in source),
+                             "--pair", "1", "3000", "--method", method, "--trace", str(trace))
+    assert (code, out, err) == (
+        2, "", "error: --trace needs the delta-wye method (dy or all, straight family)\n")
+    assert solves == [] and not trace.exists()
+
+
 def test_res_missing_pair_exits_two(capsys):
     code, _, _ = run_cli(capsys, "res", "--family", "straight", "--n", "6")
     assert code == 2
@@ -551,10 +571,10 @@ def test_formula_m_below_one_exits_two(capsys, which):
     (formulas, "_sum_numerator", lambda real: lambda m, j, k: real(m, j, k) + 1,
      ("formula", "--which", "forests", "--m", "7", "--j", "3", "--k", "3"),
      "forest count forms disagree at (m=7, j=3, k=3): 782 vs 781"),
-    (ranking, "_structural_groups", lambda real: lambda n: real(n)[::-1],
+    (ranking, "_closed_numerators",
+     lambda real: lambda m, k, js: [num + ((k, j) == (3, 1)) for j, num in zip(js, real(m, k, js))],
      ("rank", "--n", "5"),
-     "structural and value orders disagree for n=5: "
-     "[((1, 5),), ((1, 4), (2, 5))] vs [((1, 4), (2, 5)), ((1, 5),)]"),
+     "structural and value orders disagree for n=5 at (1, 4)"),
     (formulas, "lucas", lambda real: lambda k: real(k) + (k == 4),
      ("rank", "--n", "9"),
      "closed-form bracket not divisible by 5 at (m=7, j=1, k=4)"),

@@ -1,10 +1,11 @@
 from fractions import Fraction
 import random
+import re
 
 import pytest
 
 from laplacian_reference import minor_ratio_ref
-from twotree import engine
+from twotree import engine, ranking
 from twotree.formulas import _closed_numerator, _closed_numerators, _sum_numerator, r_closed
 from twotree.graphs import WeightedGraph, straight_linear_2tree, triangular_grid
 from twotree.ranking import (
@@ -69,11 +70,36 @@ def test_last_group_is_the_endpoint_pair():
 
 
 def test_structural_order_verified_up_to_sixty():
-    # rank_nonedges cross-checks the pattern-based order against the
-    # value sort internally, so this is a sweep for the AssertionError
+    # rank_nonedges checks each mirror tie and each rise along the
+    # structural order as it walks it, so this is a sweep for the
+    # AssertionError
     for n in range(5, 61):
         groups = rank_nonedges(n)
         assert len(groups) >= 1
+
+
+# Each way the walk's check can fail at n = 9, made by rewriting offset k's
+# row of numerators, keyed by j of (j, j + k). Offset 3 walks (3,6) & (4,7),
+# (2,5) & (5,8), (1,4) & (6,9); offset 4 starts at the centered (3,7).
+@pytest.mark.parametrize("k, edit, pair", [
+    (3, lambda row: {4: row[4] + 1}, (3, 6)),
+    (3, lambda row: {2: row[3] - 1, 5: row[3] - 1}, (2, 5)),
+    (4, lambda row: {3: 0}, (3, 7)),
+    (3, lambda row: {2: row[3], 5: row[3]}, (2, 5)),
+], ids=["mirror-untied", "below-within-offset", "below-across-offsets", "equal-groups"])
+def test_structural_order_check_refuses_a_broken_order(monkeypatch, k, edit, pair):
+    real = ranking._closed_numerators
+
+    def corrupt(m, k_row, js):
+        row = dict(zip(js, real(m, k_row, js)))
+        if k_row == k:
+            row.update(edit(row))
+        return [row[j] for j in js]
+
+    monkeypatch.setattr(ranking, "_closed_numerators", corrupt)
+    message = f"structural and value orders disagree for n=9 at {pair}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        rank_nonedges(9)
 
 
 def _fraction_groups(values):
@@ -143,6 +169,12 @@ def test_predict_links_validation():
         predict_links(9, 100)
     with pytest.raises(ValueError):
         predict_links(9, 2, tie_policy="coin-flip")
+
+
+def test_predict_links_refuses_an_unknown_policy_before_ranking(monkeypatch):
+    monkeypatch.setattr(ranking, "rank_nonedges", lambda n: pytest.fail("ranked first"))
+    with pytest.raises(ValueError, match="^unknown tie_policy 'coin-flip'$"):
+        predict_links(400, 2, "coin-flip")
 
 
 def test_graph_ranking_agrees_with_strip_ranking():
