@@ -21,7 +21,7 @@ from .engine import (
     ReductionTrace,
     ResistanceReport,
     brute_force_tree_enumeration,
-    brute_force_two_forest_count,
+    brute_force_two_forest_counts,
     reduce_straight,
     reduce_straight_all,
     replay_trace,

@@ -95,12 +95,13 @@ class _Network:
         return twin
 
     def single_edge(self, u, v):
-        rs = self.adj.get(u, {}).get(v)
-        if rs is None:
-            raise ValueError(f"no edge between {u} and {v}")
-        if len(rs) != 1:
-            raise ValueError(f"parallel edges between {u} and {v}; combine them first")
-        return rs[0]
+        try:
+            (r,) = self.adj[u][v]
+        except KeyError:
+            raise ValueError(f"no edge between {u} and {v}") from None
+        except ValueError:
+            raise ValueError(f"parallel edges between {u} and {v}; combine them first") from None
+        return r
 
     def edge_items(self):
         out = []
@@ -120,10 +121,10 @@ def _apply(net: _Network, step: ReductionStep):
     left), and each produced edge is linked; the step is then logged in
     net.steps. A step that does not apply raises ValueError and is not
     logged."""
-    kind = step.kind
+    kind, vertices, consumed, produced = step
     adj = net.adj
     if kind == "merge-rename":
-        old, new = step.vertices
+        old, new = vertices
         if new in adj:
             raise ValueError(f"vertex {new} already present")
         nbrs = adj.pop(old, None)
@@ -134,29 +135,31 @@ def _apply(net: _Network, step: ReductionStep):
             adj[nb][new] = adj[nb].pop(old)
     elif kind not in STEP_KINDS:
         raise ValueError(f"unknown step kind {kind!r}")
-    for u, v, r in step.consumed:
+    for u, v, r in consumed:
         try:
-            rs = adj[u][v]
+            nbrs_u = adj[u]
+            rs = nbrs_u[v]
             k = rs.index(r)
         except (KeyError, ValueError):
             raise ValueError(f"edge ({u},{v},{r}) not present") from None
         if len(rs) > 1:
-            adj[u][v] = adj[v][u] = rs[:k] + rs[k + 1:]
+            nbrs_u[v] = adj[v][u] = rs[:k] + rs[k + 1:]
         else:
-            del adj[u][v], adj[v][u]
+            del nbrs_u[v], adj[v][u]
     if kind == "delta-y":
-        _, _, _, star = step.vertices
+        _, _, _, star = vertices
         if star in adj:
             raise ValueError(f"star id {star} already present")
         adj[star] = {}
-        net.next_id = max(net.next_id, star + 1)
+        if star >= net.next_id:
+            net.next_id = star + 1
     elif kind == "series":
-        _, middle, _ = step.vertices
+        _, middle, _ = vertices
         _drop(adj, middle)
     elif kind == "cut-vertex":
-        for v in step.vertices[2:]:
+        for v in vertices[2:]:
             _drop(adj, v)
-    for u, v, r in step.produced:
+    for u, v, r in produced:
         try:
             nbrs_u, nbrs_v = adj[u], adj[v]
         except KeyError as exc:
@@ -208,27 +211,36 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
                        rc.numerator, rc.denominator)
     star = net.next_id
     return ReductionStep(
-        kind="delta-y",
-        vertices=(n1, n2, n3, star),
-        consumed=((min(n2, n3), max(n2, n3), ra), (min(n1, n3), max(n1, n3), rb), (min(n1, n2), max(n1, n2), rc)),
-        produced=((n1, star, r1), (n2, star, r2), (n3, star, r3)),
+        "delta-y",
+        (n1, n2, n3, star),
+        ((n2, n3, ra) if n2 < n3 else (n3, n2, ra),
+         (n1, n3, rb) if n1 < n3 else (n3, n1, rb),
+         (n1, n2, rc) if n1 < n2 else (n2, n1, rc)),
+        ((n1, star, r1), (n2, star, r2), (n3, star, r3)),
     )
 
 
 def _series(net: _Network, middle) -> ReductionStep:
-    incident = [(nb, r) for nb, rs in net.adj.get(middle, {}).items() for r in rs]
-    if len(incident) != 2:
-        raise ValueError(f"series elimination needs degree 2 at {middle}, got {len(incident)}")
-    (a, ra), (b, rb) = incident
-    if a == b:
-        raise ValueError(f"edges at {middle} are parallel (both to {a}), not series")
+    nbrs = net.adj.get(middle, {})
+    try:
+        (a, (ra,)), (b, (rb,)) = nbrs.items()
+    except ValueError:
+        # Not two neighbours with one edge each: too few or too many
+        # incident edges, or two that are parallel.
+        incident = [nb for nb, rs in nbrs.items() for _ in rs]
+        if len(incident) != 2:
+            raise ValueError(
+                f"series elimination needs degree 2 at {middle}, got {len(incident)}") from None
+        raise ValueError(
+            f"edges at {middle} are parallel (both to {incident[0]}), not series") from None
     if a > b:
         a, b, ra, rb = b, a, rb, ra
     return ReductionStep(
-        kind="series",
-        vertices=(a, middle, b),
-        consumed=((min(a, middle), max(a, middle), ra), (min(b, middle), max(b, middle), rb)),
-        produced=((a, b, ra + rb),),
+        "series",
+        (a, middle, b),
+        ((a, middle, ra) if a < middle else (middle, a, ra),
+         (b, middle, rb) if b < middle else (middle, b, rb)),
+        ((a, b, ra + rb),),
     )
 
 
@@ -259,7 +271,7 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
         # A removed vertex has only removed neighbours and the cut vertex;
         # each edge is taken once, from its smaller end or its removed end.
         consumed=tuple(sorted(
-            (min(u, v), max(u, v), r)
+            (u, v, r) if u < v else (v, u, r)
             for u in removed for v, rs in net.adj[u].items() for r in rs
             if u < v or v == cut_vertex
         )),
@@ -578,9 +590,15 @@ def brute_force_tree_enumeration(g: WeightedGraph) -> int:
     return sum(1 for _ in _acyclic_subsets(g, 1))
 
 
-def brute_force_two_forest_count(g: WeightedGraph, i, j) -> int:
-    """Count spanning 2-forests separating i from j by enumeration (n <= 10)."""
-    return sum(1 for find in _acyclic_subsets(g, 2) if find(i) != find(j))
+def brute_force_two_forest_counts(g: WeightedGraph) -> dict:
+    """Count, for every pair i < j, the spanning 2-forests separating i
+    from j, by one enumeration of edge subsets (n <= 10): a dict
+    (i, j) -> count, every pair present."""
+    counts = dict.fromkeys(itertools.combinations(range(1, g.vertex_count + 1), 2), 0)
+    for find in _acyclic_subsets(g, 2):
+        for i, j in counts:
+            counts[i, j] += find(i) != find(j)
+    return counts
 
 
 # === Float path ===

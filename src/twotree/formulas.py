@@ -5,6 +5,7 @@ pair (j, j+k) needs 1 <= j and j+k <= n. All values are exact Fractions.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .fib import fib, lucas
@@ -27,8 +28,15 @@ def _sum_term(m, j, i):
     return coeff * fib(2 * m - 2 * i - 2 * j + 5)
 
 
+def _sum_numerators(m, j, k_hi):
+    """Summation-form numerators over F_{2m+2} of the pairs (j, j+k),
+    k = 1..k_hi (k_hi >= 1): the running sums of _sum_term along j's row,
+    one term per pair."""
+    return list(accumulate(_sum_term(m, j, i) for i in range(1, k_hi + 1)))
+
+
 def _sum_numerator(m, j, k):
-    return sum(_sum_term(m, j, i) for i in range(1, k + 1))
+    return _sum_numerators(m, j, k)[-1]
 
 
 def r_sum(m: int, j: int, k: int) -> Fraction:

@@ -14,7 +14,7 @@ from . import conjectures, formulas, ranking
 from .fib import check_all_identities, fib
 from .engine import (
     brute_force_tree_enumeration,
-    brute_force_two_forest_count,
+    brute_force_two_forest_counts,
     reduce_straight_all,
     resistance_all_pairs,
     spanning_tree_count,
@@ -31,21 +31,35 @@ GOLDEN_RANKING_N9 = (
 
 def four_way_agreement(n_lo=3, n_hi=40):
     """Reduction, determinant, summation form, closed form: identical
-    exact rationals for every pair, zero tolerance."""
+    exact rationals for every pair, zero tolerance.
+
+    The determinant gives a Fraction per pair (resistance_all_pairs). The
+    two forms are read per strip as integer numerators over den = F_{2m+2}:
+    the closed form one offset row at a time (formulas._closed_numerators),
+    the summation form as running sums along each j
+    (formulas._sum_numerators). The reduction's Fraction p/q is compared
+    with the determinant's directly and with each numerator N by
+    cross-multiplication, p * den == N * q. A mismatch reports all four
+    values as Fractions."""
     pairs = 0
     for n in range(n_lo, n_hi + 1):
         dets = resistance_all_pairs(straight_linear_2tree(n))
         m = n - 2
+        den = fib(2 * m + 2)
+        # closed[k - 1][j - 1] and sums[j - 1][k - 1] are the pair (j, j + k)'s
+        closed = [formulas._closed_numerators(m, k, range(1, n - k + 1)) for k in range(1, n)]
+        sums = [formulas._sum_numerators(m, j, n - j) for j in range(1, n)]
         for report in reduce_straight_all(n):
             i, j = report.pair
             red = report.value
             det = dets[(i, j)]
-            s = formulas.r_sum(m, i, j - i)
-            c = formulas.r_closed(m, i, j - i)
-            if not (red == det == s == c):
+            s = sums[i - 1][j - i - 1]
+            c = closed[j - i - 1][i - 1]
+            p, q = red.numerator, red.denominator
+            if not (red == det and p * den == s * q and p * den == c * q):
                 return False, (
                     f"mismatch at n={n}, pair=({i},{j}): "
-                    f"reduce={red}, det={det}, sum={s}, closed={c}"
+                    f"reduce={red}, det={det}, sum={Fraction(s, den)}, closed={Fraction(c, den)}"
                 )
             pairs += 1
     return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
@@ -107,9 +121,10 @@ def forest_counts():
                 checked += 1
     for n in range(4, 9):
         g = straight_linear_2tree(n)
+        enumerated = brute_force_two_forest_counts(g)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                if brute_force_two_forest_count(g, i, j) != two_forest_count(g, i, j):
+                if enumerated[i, j] != two_forest_count(g, i, j):
                     return False, f"enumerated forest count mismatch at n={n}, ({i},{j})"
     return True, f"{checked} (m,j,k) triples match resistance * trees; enumeration agrees to n=8"
 

@@ -98,6 +98,11 @@ def _plus(x):
     return lambda value: value + x
 
 
+def _plus_at(index, x):
+    # A row of numerators with x added to its entry `index` only.
+    return lambda row: [*row[:index], row[index] + x, *row[index + 1:]]
+
+
 def _report_plus_one(report):
     return report._replace(value=report.value + 1)
 
@@ -118,8 +123,11 @@ GRID2 = triangular_grid(2)
 
 # criterion -> (module, attribute, patch), ..., and the detail it must fail with
 WRONG_ORACLES = {
+    # The 5-strip's numerators are over F_8 = 21, so adding 21 to the one
+    # entry of (1,3) moves its value by 1. The closed row is offset 2's,
+    # j = 1..3; the summation row is j = 1's, k = 1..4.
     "four-way-agreement": (
-        [(formulas, "r_closed", _wrong_at((3, 1, 2), _plus(1)))],
+        [(formulas, "_closed_numerators", _wrong_at((3, 2, range(1, 4)), _plus_at(0, 21)))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=13/21, closed=34/21"),
     "four-way-agreement-reduction": (
         [(verify, "reduce_straight_all", _report_wrong_at(5, (1, 3)))],
@@ -129,7 +137,7 @@ WRONG_ORACLES = {
             (STRIP5,), lambda dets: {**dets, (1, 3): dets[1, 3] + 1}))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=34/21, sum=13/21, closed=13/21"),
     "four-way-agreement-summation": (
-        [(formulas, "r_sum", _wrong_at((3, 1, 2), _plus(1)))],
+        [(formulas, "_sum_numerators", _wrong_at((3, 1, 4), _plus_at(1, 21)))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=34/21, closed=13/21"),
     "endpoint-forms-2": (
         [(formulas, "r_endpoints", _wrong_at((2,), _plus(1)))],

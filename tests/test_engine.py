@@ -20,7 +20,7 @@ from twotree.engine import (
     ReductionStep,
     _graph_facts,
     brute_force_tree_enumeration,
-    brute_force_two_forest_count,
+    brute_force_two_forest_counts,
     reduce_straight,
     reduce_straight_all,
     replay_trace,
@@ -114,14 +114,51 @@ def test_series_adds_resistances():
 
 def test_series_requires_degree_two():
     g = straight_linear_2tree(4)
-    with pytest.raises(ValueError, match="degree 2"):
+    with pytest.raises(ValueError, match="^series elimination needs degree 2 at 2, got 3$"):
         engine._series(engine._Network(g), 2)
 
 
 def test_series_rejects_parallel_pair():
     g = WeightedGraph(3, [(1, 2, 1), (1, 2, 1), (2, 3, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^series elimination needs degree 2 at 2, got 3$"):
         engine._series(engine._Network(g), 2)
+
+
+# The other shapes that are not two neighbours with one edge each (two
+# neighbours, one of them with parallels, is the test above), and each
+# one's exact refusal.
+@pytest.mark.parametrize("edges, middle, message", [
+    ([(1, 2, 1), (1, 2, 2)], 2, "edges at 2 are parallel (both to 1), not series"),
+    ([(2, 3, 1), (1, 2, 1), (2, 3, 1), (1, 2, 1)], 2,
+     "series elimination needs degree 2 at 2, got 4"),
+    ([(1, 2, 1), (1, 3, 1)], 2, "series elimination needs degree 2 at 2, got 1"),
+    ([(1, 2, 1)], 3, "series elimination needs degree 2 at 3, got 0"),
+], ids=["one-neighbour-parallel", "two-neighbours-both-parallel", "degree-1", "degree-0"])
+def test_series_refuses_each_shape_with_its_message(edges, middle, message):
+    g = WeightedGraph(3, edges)
+    with pytest.raises(ValueError) as refused:
+        engine._series(engine._Network(g), middle)
+    assert str(refused.value) == message
+
+
+# Two single edges, linked in either order, with the middle below, between
+# and above its neighbours: the ends come out ascending, each consumed edge
+# smaller end first, in the ends' order.
+@pytest.mark.parametrize("edges, middle, step", [
+    ([(1, 2, "1/2"), (2, 3, "3/4")], 2, ((1, 2, 3), ((1, 2, "1/2"), (2, 3, "3/4")), (1, 3))),
+    ([(2, 3, "3/4"), (1, 2, "1/2")], 2, ((1, 2, 3), ((1, 2, "1/2"), (2, 3, "3/4")), (1, 3))),
+    ([(1, 3, "3/4"), (1, 2, "1/2")], 1, ((2, 1, 3), ((1, 2, "1/2"), (1, 3, "3/4")), (2, 3))),
+    ([(1, 2, "1/2"), (1, 3, "3/4")], 1, ((2, 1, 3), ((1, 2, "1/2"), (1, 3, "3/4")), (2, 3))),
+    ([(2, 3, "3/4"), (1, 3, "1/2")], 3, ((1, 3, 2), ((1, 3, "1/2"), (2, 3, "3/4")), (1, 2))),
+    ([(1, 3, "1/2"), (2, 3, "3/4")], 3, ((1, 3, 2), ((1, 3, "1/2"), (2, 3, "3/4")), (1, 2))),
+], ids=["middle-between", "middle-between-reversed", "middle-below", "middle-below-reversed",
+        "middle-above", "middle-above-reversed"])
+def test_series_plans_one_step_whatever_the_id_order(edges, middle, step):
+    vertices, consumed, ends = step
+    expected = ReductionStep(
+        "series", vertices, tuple((u, v, Fraction(r)) for u, v, r in consumed),
+        ((*ends, Fraction(5, 4)),))
+    assert engine._series(engine._Network(WeightedGraph(3, edges)), middle) == expected
 
 
 def test_parallel_combines_all_copies():
@@ -828,7 +865,7 @@ def test_det_matches_enumeration_and_float_on_random_multigraphs(data):
     ))
     i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
     g = WeightedGraph(n, [(u, v, 1) for u, v in pairs])
-    forests = brute_force_two_forest_count(g, i, j)
+    forests = brute_force_two_forest_counts(g)[min(i, j), max(i, j)]
     assert two_forest_count(g, i, j) == forests
     _check_all_pairs(g)
     if j not in reachable(g.adjacency(), i):
@@ -923,19 +960,22 @@ def test_spanning_tree_count_on_multigraph():
 
 def test_two_forest_count_with_isolated_vertex_is_zero():
     g = WeightedGraph(4, [(1, 2, 1), (2, 3, 1)])
-    assert two_forest_count(g, 1, 3) == brute_force_two_forest_count(g, 1, 3) == 0
+    assert two_forest_count(g, 1, 3) == 0
+    # The one 2-forest is the path 1-2-3 and the isolated 4.
+    assert brute_force_two_forest_counts(g) == {
+        (1, 2): 0, (1, 3): 0, (1, 4): 1, (2, 3): 0, (2, 4): 1, (3, 4): 1}
 
 
 def test_two_forest_count_across_components_multiplies_tree_counts():
     # With i and j struck, the minor factors over the components: the two
     # of i and j give their tree counts, and any third one gives 0.
     two_edges = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
-    assert two_forest_count(two_edges, 1, 3) == brute_force_two_forest_count(two_edges, 1, 3) == 1
+    assert two_forest_count(two_edges, 1, 3) == brute_force_two_forest_counts(two_edges)[1, 3] == 1
     triangle_and_edge = WeightedGraph(5, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1)])
     assert two_forest_count(triangle_and_edge, 1, 4) == 3
-    assert brute_force_two_forest_count(triangle_and_edge, 1, 4) == 3
+    assert brute_force_two_forest_counts(triangle_and_edge)[1, 4] == 3
     three_parts = WeightedGraph(5, [(1, 2, 1), (3, 4, 1)])
-    assert two_forest_count(three_parts, 1, 3) == brute_force_two_forest_count(three_parts, 1, 3) == 0
+    assert two_forest_count(three_parts, 1, 3) == brute_force_two_forest_counts(three_parts)[1, 3] == 0
 
 
 def test_counts_read_the_pair_solve_not_the_resistance(monkeypatch):
@@ -967,7 +1007,7 @@ def test_brute_force_counters_refuse_more_than_ten_vertices():
     with pytest.raises(ValueError, match=message):
         brute_force_tree_enumeration(path)
     with pytest.raises(ValueError, match=message):
-        brute_force_two_forest_count(path, 1, 11)
+        brute_force_two_forest_counts(path)
 
 
 def test_tree_enumeration_agrees():
@@ -979,10 +1019,12 @@ def test_tree_enumeration_agrees():
 def test_two_forest_counts_and_enumeration():
     for n in range(4, 8):
         g = straight_linear_2tree(n)
+        enumerated = brute_force_two_forest_counts(g)
+        assert len(enumerated) == n * (n - 1) // 2
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 fast = two_forest_count(g, i, j)
-                slow = brute_force_two_forest_count(g, i, j)
+                slow = enumerated[i, j]
                 assert fast == slow, f"n={n} pair ({i},{j}): {fast} vs {slow}"
 
 

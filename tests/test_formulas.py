@@ -10,6 +10,8 @@ from twotree.engine import (
 from twotree.fib import fib, lucas
 from twotree.formulas import (
     _check_strip,
+    _closed_numerators,
+    _sum_numerators,
     bent_reading_evidence,
     forest_closed,
     min_resistance,
@@ -80,6 +82,28 @@ def test_sum_and_closed_agree_everywhere_small():
         for j in range(1, m + 2):
             for k in range(1, m + 3 - j):
                 assert r_sum(m, j, k) == r_closed(m, j, k), f"(m,j,k)=({m},{j},{k})"
+
+
+def test_row_readers_equal_the_per_pair_forms():
+    # The four-way gate reads both forms as rows of numerators over
+    # F_{2m+2}; the CLI serves r_closed and r_sum one pair at a time. Every
+    # pair of every strip with n <= 40 is read both ways.
+    for n in range(3, 41):
+        m, pairs = n - 2, 0
+        den = fib(2 * m + 2)
+        for k in range(1, n):
+            js = range(1, n - k + 1)
+            closed = _closed_numerators(m, k, js)
+            assert [Fraction(c, den) for c in closed] == [r_closed(m, j, k) for j in js]
+            pairs += len(closed)
+        for j in range(1, n):
+            ks = range(1, n - j + 1)
+            sums = _sum_numerators(m, j, n - j)
+            assert [Fraction(s, den) for s in sums] == [r_sum(m, j, k) for k in ks]
+            # each running sum adds one term: the step r_diff reads
+            assert [Fraction(b - a, den) for a, b in zip(sums, sums[1:])] == \
+                [r_diff(m, j, k) for k in ks[:-1]]
+        assert pairs == n * (n - 1) // 2
 
 
 def test_closed_matches_reduction():
