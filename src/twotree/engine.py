@@ -423,7 +423,8 @@ class _Component(NamedTuple):
 def _graph_facts(g: WeightedGraph):
     """Each component's factored grounded Laplacian, cached per graph.
 
-    The one exact Laplacian assembly: conductances of parallel edges add.
+    The one exact Laplacian assembly: conductances of parallel edges add,
+    and a resistance object is inverted once per run of edges sharing it.
     Each component's first vertex is grounded: the other vertices' rows,
     built without its column, form the grounded Laplacian L0. The lcm of a
     row's conductances' denominators (the diagonal is their sum) scales it
@@ -435,11 +436,13 @@ def _graph_facts(g: WeightedGraph):
     Returns (comp_of, comps): a _Component per component, and each
     vertex's index into comps.
     """
-    cond = {v: {} for v in g.vertices}
+    cond, last = {v: {} for v in g.vertices}, None
     for u, v, r in g.edges:
-        c = 1 / r
-        cond[u][v] = cond[u].get(v, 0) + c
-        cond[v][u] = cond[v].get(u, 0) + c
+        if r is not last:
+            last, c = r, 1 / r
+        nu, nv = cond[u], cond[v]
+        nu[v] = nu[v] + c if v in nu else c  # a pair's first is stored, not added to 0
+        nv[u] = nv[u] + c if u in nv else c
     comp_of = {}
     comps = []
     for start in g.vertices:
@@ -607,11 +610,12 @@ def brute_force_two_forest_counts(g: WeightedGraph) -> dict:
 def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> ResistanceReport:
     """r(i, j) in floating point: ground j, inject unit current at i.
 
-    One Python pass over the edges takes each conductance as 1.0 / float(r);
-    the rest is array work. The component of i comes from a breadth-first
-    search on the edge endpoints (scipy.sparse.csgraph), and the grounded
-    Laplacian of that component (without j) is assembled once as a sparse
-    CSC matrix and solved directly by sparse LU (scipy.sparse.linalg.splu).
+    One Python pass over the edges takes each conductance as 1.0 / float(r),
+    once per run of edges sharing one resistance object; the rest is array
+    work. The component of i comes from a breadth-first search on the edge
+    endpoints (scipy.sparse.csgraph), and the grounded Laplacian of that
+    component (without j) is assembled once as a sparse CSC matrix and
+    solved directly by sparse LU (scipy.sparse.linalg.splu).
     A grounded Laplacian that is singular in float arithmetic raises
     RuntimeError, and so does a linear-system residual above tol, which
     must be positive and finite. Every edge's conductance must be a
@@ -627,12 +631,13 @@ def resistance_float(g: WeightedGraph, i: int, j: int, tol: float = 1e-9) -> Res
     n = g.vertex_count
     _check_pair(n, i, j)
     us, vs, rs = zip(*g.edges) if g.edges else ((), (), ())
-    conductance = []
+    conductance, last = [], None
     for r in rs:
-        try:
-            c = 1.0 / float(r)
-        except (OverflowError, ZeroDivisionError):
-            c = 0.0
+        if r is not last:
+            try:
+                last, c = r, 1.0 / float(r)
+            except (OverflowError, ZeroDivisionError):
+                c = 0.0
         conductance.append(c)
     c = np.array(conductance)
     ends = np.array((us, vs), dtype=np.intp) - 1

@@ -46,10 +46,10 @@ def r_sum(m: int, j: int, k: int) -> Fraction:
 
 
 def _closed_numerators(m, k, js):
-    """Closed-form numerators over F_{2m+2} of the pairs (j, j+k), j in js
-    (a non-empty range or tuple). Only the last term depends on j, so the
-    rest is computed once per row; a bracket not divisible by 5 raises,
-    naming the row's first j."""
+    """Closed-form numerators over F_{2m+2} of the pairs (j, j+k), j in js (a
+    non-empty step-1 range). All but the last term are computed once per row;
+    its F_t, t = m - 2j - k + 3, walks down the row by F_{t-2} = 3 F_t - F_{t+2}
+    from two seeds. A bracket not divisible by 5 raises, naming the row's first j."""
     f_k, head = fib(k), fib(m + 1)
     bracket = fib(m - k) * (k * lucas(k) - f_k) + fib(m - k + 1) * (
         (k - 5) * fib(k + 1) + (2 * k + 2) * f_k
@@ -60,11 +60,15 @@ def _closed_numerators(m, k, js):
             f"closed-form bracket not divisible by 5 at (m={m}, j={js[0]}, k={k})"
         )
     base, f_k2 = head * head + fifth // 5, f_k * f_k
-    return [base + f_k2 * fib(m - 2 * j - k + 3) ** 2 for j in js]
+    f, f_up, row = fib(m - 2 * js[0] - k + 3), fib(m - 2 * js[0] - k + 5), []
+    for _ in js:
+        row.append(base + f_k2 * f * f)
+        f, f_up = 3 * f - f_up, f
+    return row
 
 
 def _closed_numerator(m, j, k):
-    return _closed_numerators(m, k, (j,))[0]
+    return _closed_numerators(m, k, range(j, j + 1))[0]
 
 
 def r_closed(m: int, j: int, k: int) -> Fraction:

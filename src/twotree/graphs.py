@@ -2,6 +2,8 @@
 
 Vertices are 1-based ints. Edges carry a positive Fraction resistance;
 parallel edges are allowed and their conductances add in the Laplacian.
+A graph checks, and the engine inverts or converts, a resistance object
+once per run of edges sharing it, as a generated graph's edges share one.
 """
 
 import sys
@@ -67,26 +69,30 @@ def _as_int(token, field):
         raise ValueError(f"{field} must be an integer, got {_clip(token)}") from None
 
 
-def _edge(vertex_count, u, v, r):
-    # One edge in canonical form (u < v), checked against the vertex range.
-    if u == v:
-        raise ValueError(f"self-loop at vertex {_clip(u)}")
-    if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-        raise ValueError(f"edge ({_clip(u)},{_clip(v)}) out of range 1..{vertex_count}")
-    return (u, v, _as_resistance(r)) if u < v else (v, u, _as_resistance(r))
-
-
 @dataclass(frozen=True)
 class WeightedGraph:
     vertex_count: int
     edges: tuple
 
     def __init__(self, vertex_count: int, edges: Iterable):
+        # An edge already canonical (plain tuple, u < v, kept resistance) is kept.
         if vertex_count < 1:
             raise ValueError(f"vertex_count must be >= 1, got {vertex_count}")
-        edges = tuple(sorted(_edge(vertex_count, *e) for e in edges))
+        kept, last = [], object()  # no token is this object
+        for e in edges:
+            u, v, r = e
+            if u == v:
+                raise ValueError(f"self-loop at vertex {_clip(u)}")
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+                raise ValueError(f"edge ({_clip(u)},{_clip(v)}) out of range 1..{vertex_count}")
+            if r is not last:
+                last, res = r, _as_resistance(r)
+            if u < v:
+                kept.append(e if res is r and type(e) is tuple else (u, v, res))
+            else:
+                kept.append((v, u, res))
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(sorted(kept)))
 
     def __hash__(self):
         # The dataclass hash of the same fields, computed on first use and
@@ -131,8 +137,8 @@ _UNIT = Fraction(1)
 
 
 def _band(n, k):
-    # The unit edges {i, j}, 0 < j - i <= k, on vertices 1..n.
-    return [(i, j, _UNIT) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)]
+    # The unit edges {i, i + d}, 0 < d <= k, on vertices 1..n, offset by offset.
+    return [(i, i + d, _UNIT) for d in range(1, k + 1) for i in range(1, n - d + 1)]
 
 
 def straight_linear_2tree(n: int) -> WeightedGraph:

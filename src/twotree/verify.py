@@ -143,13 +143,13 @@ def ranking_golden():
 def extremal_structure():
     """Within-level unimodality with exact mirror symmetry, strict level
     separation, minimizer parity positions, and the two minimum spot
-    values (n=6 exact, n=50 vs 1/sqrt(5))."""
+    values (n=6 exact, n=50 vs 1/sqrt(5)), on closed-form numerators: over
+    their one denominator F_{2m+2} they order and tie as the resistances do."""
     m_hi = 30
     for m in range(1, m_hi + 1):
         n = m + 2
-        # rows[k - 1] holds offset k; each row is read once.
-        rows = [[formulas.r_closed(m, j, k) for j in range(1, n - k + 1)]
-                for k in range(1, n - 1)]
+        # rows[k - 1] holds offset k, rows[k - 1][j - 1] the pair (j, j + k)
+        rows = [formulas._closed_numerators(m, k, range(1, n - k + 1)) for k in range(1, n - 1)]
         for k, vals in enumerate(rows, start=1):
             q = n - k
             for j in range(q // 2):

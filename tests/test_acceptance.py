@@ -86,21 +86,25 @@ def _wrong_at(at, wrong):
     return patch
 
 
-class _EqualToAll(Fraction):
-    # Orders as the Fraction it is, but compares equal to every value.
+class _EqualToAll(int):
+    # Orders as the integer it is, but compares equal to every value.
     def __eq__(self, other):
         return True
 
-    __hash__ = Fraction.__hash__
+    __hash__ = int.__hash__
 
 
 def _plus(x):
     return lambda value: value + x
 
 
+def _set_at(index, wrong):
+    # A row of numerators with wrong applied to its entry `index` only.
+    return lambda row: [*row[:index], wrong(row[index]), *row[index + 1:]]
+
+
 def _plus_at(index, x):
-    # A row of numerators with x added to its entry `index` only.
-    return lambda row: [*row[:index], row[index] + x, *row[index + 1:]]
+    return _set_at(index, _plus(x))
 
 
 def _report_plus_one(report):
@@ -175,20 +179,23 @@ WRONG_ORACLES = {
         [(ranking, "rank_nonedges", _wrong_at((9,), lambda groups: groups[:-1]))],
         "got:      " + verify.GOLDEN_RANKING_N9[:-len(", {1,9}")]
         + "\nexpected: " + verify.GOLDEN_RANKING_N9),
+    # The criterion reads each offset's row of closed-form numerators, over
+    # F_8 = 21 at m = 3: adding 21 moves a value by 1, 210 by 10.
     "extremal-structure-reflection": (
-        [(formulas, "r_closed", _wrong_at((3, 1, 1), _plus(1)))],
+        [(formulas, "_closed_numerators", _wrong_at((3, 1, range(1, 5)), _plus_at(0, 21)))],
         "reflection fails at m=3, k=1, j=1"),
     "extremal-structure-unimodality": (
-        [(formulas, "r_closed", _wrong_at((3, 2, 2), _plus(10)))],
+        [(formulas, "_closed_numerators", _wrong_at((3, 2, range(1, 4)), _plus_at(1, 210)))],
         "unimodality fails at m=3, k=2, j=1"),
     # Reflection and strict unimodality place the minimum for any total
     # order, so only a value whose equality disagrees with its order gets
     # past them to the minimizer check.
     "extremal-structure-minimizer": (
-        [(formulas, "r_closed", _wrong_at((3, 2, 2), _EqualToAll))],
+        [(formulas, "_closed_numerators", _wrong_at((3, 2, range(1, 4)), _set_at(1, _EqualToAll)))],
         "minimizer at m=3, k=2: [1, 2, 3] != [2]"),
+    # The centre of offset 3 at m = 4, made the strip's smallest value.
     "extremal-structure-separation": (
-        [(formulas, "r_closed", _wrong_at((4, 2, 3), lambda value: Fraction(1, 100)))],
+        [(formulas, "_closed_numerators", _wrong_at((4, 3, range(1, 4)), _set_at(1, lambda num: 1)))],
         "level separation fails at m=4, k=2"),
     "extremal-structure-min-6": (
         [(formulas, "min_resistance", _wrong_at((6,), lambda v: (v[0] + 1, v[1])))],

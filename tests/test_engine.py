@@ -42,7 +42,13 @@ from twotree.graphs import (
 )
 from twotree.ranking import rank_nonedges
 
-from laplacian_reference import det_ref, resistance_float_ref, scaled_laplacian_components, strike
+from laplacian_reference import (
+    det_ref,
+    minor_ratio_ref,
+    resistance_float_ref,
+    scaled_laplacian_components,
+    strike,
+)
 
 
 def _edge_value(step_edges, u, v):
@@ -1125,6 +1131,42 @@ def test_float_solve_matches_the_entry_by_entry_referee_bit_for_bit():
             tol = rng.choice((1e-9, 1e-9, 1e-17))
             got, want = _float_outcomes(g, i, j, tol)
             assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_resistance_objects_give_the_answers_of_distinct_equal_ones(data):
+    # One weighted multigraph built twice: its edges sharing a few
+    # resistance objects, in runs and apart, and each edge with an equal
+    # object of its own. A spanning tree plus more edges, one of them a
+    # parallel copy. Sharing must change no float bit, no integer of the
+    # factorization and no exact answer, and both builds match the referees.
+    n = data.draw(st.integers(2, 8))
+    pairs = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs += data.draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+                                .map(tuple), max_size=6))
+    pairs.append(pairs[data.draw(st.integers(0, n - 2))])
+    pool = data.draw(st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+                              min_size=1, max_size=3))
+    picks = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in pairs]
+    shared = WeightedGraph(n, [(u, v, r) for (u, v), r in zip(pairs, picks)])
+    distinct = WeightedGraph(n, [(u, v, Fraction(r.numerator, r.denominator))
+                                 for (u, v), r in zip(pairs, picks)])
+    assert len({id(r) for _, _, r in shared.edges}) <= len(pool)
+    assert len({id(r) for _, _, r in distinct.edges}) == len(pairs)
+    assert shared == distinct
+    # each component's verts, scales, U and tree minor
+    assert _graph_facts.__wrapped__(shared) == _graph_facts.__wrapped__(distinct)
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    answers = []
+    for g in (shared, distinct):
+        _graph_facts.cache_clear()
+        exact = resistance_det(g, i, j).value
+        assert exact == minor_ratio_ref(g, i, j)
+        got, want = _float_outcomes(g, i, j)
+        assert got == want
+        answers.append((exact, got))
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("graph, pair, message", [

@@ -106,6 +106,26 @@ def test_row_readers_equal_the_per_pair_forms():
         assert pairs == n * (n - 1) // 2
 
 
+def test_row_walk_equals_fib_at_every_index():
+    # _closed_numerators walks F_t, t = m - 2j - k + 3, down each row by a
+    # recurrence; here each entry's F_t comes from fib, negative t included,
+    # over every row of every strip with m <= 300. The base, shared by the
+    # row, is the closed form's F_{m+1}^2 + F_{m+1} * bracket / 5.
+    squares = {t: fib(t) ** 2 for t in range(-300, 303)}
+    negative = 0
+    for m in range(1, 301):
+        head = fib(m + 1)
+        for k in range(1, m + 2):
+            f_k = fib(k)
+            bracket = fib(m - k) * (k * lucas(k) - f_k) + fib(m - k + 1) * (
+                (k - 5) * fib(k + 1) + (2 * k + 2) * f_k)
+            base, f_k2, js = head * head + head * bracket // 5, f_k * f_k, range(1, m + 3 - k)
+            assert _closed_numerators(m, k, js) == \
+                [base + f_k2 * squares[m - 2 * j - k + 3] for j in js], f"(m,k)=({m},{k})"
+            negative += m - 2 * js[-1] - k + 3 < 0  # the row's last index is its least
+    assert negative > 0
+
+
 def test_closed_matches_reduction():
     for m, j, k in [(5, 2, 3), (8, 1, 9), (10, 4, 4), (12, 6, 1)]:
         n = m + 2

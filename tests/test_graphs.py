@@ -1,14 +1,18 @@
 from fractions import Fraction
 import io
 import sys
+from typing import NamedTuple
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from twotree import graphs
 from twotree.bareiss import det_int, lu_int
 from twotree.engine import _graph_facts
 from twotree.graphs import (
     WeightedGraph,
     _as_resistance,
+    _clip,
     bent_linear_2tree,
     format_resistance,
     reachable,
@@ -84,6 +88,114 @@ def test_a_plain_fraction_token_is_kept_and_others_become_one():
         with pytest.raises(ValueError) as info:
             _as_resistance(token)
         assert str(info.value) == message
+
+
+def _per_edge_referee(vertex_count, edges):
+    # The edges WeightedGraph must keep, by the rule it once applied to
+    # each edge alone: self-loop, then range, then the resistance, each
+    # edge copied to (min, max, resistance); sorted.
+    kept = []
+    for u, v, r in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {_clip(u)}")
+        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+            raise ValueError(f"edge ({_clip(u)},{_clip(v)}) out of range 1..{vertex_count}")
+        r = _as_resistance(r)
+        kept.append((u, v, r) if u < v else (v, u, r))
+    return tuple(sorted(kept))
+
+
+class _Edge(NamedTuple):
+    u: int
+    v: int
+    r: object
+
+
+_GOOD_TOKENS = (1, 3, "1", "3/2", "2/4", "0.5", Fraction(1), Fraction(3, 2))
+_BAD_TOKENS = (0, -2, "abc", "1/0", "-1", Fraction(-1, 2))
+
+
+def _copy(token):
+    # An equal token that is a distinct object (or, for a small int or a
+    # one-character str, the one Python keeps).
+    if isinstance(token, Fraction):
+        return Fraction(token.numerator, token.denominator)
+    return "".join(token) if isinstance(token, str) else token
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_check_per_resistance_object_builds_the_per_edge_graph(data):
+    # Runs of edges sharing one token object, equal tokens that are
+    # distinct objects, reversed pairs, self-loops and out-of-range ends,
+    # edges as tuples, lists and named tuples, and a bad token after good
+    # shared ones: the same edges as the per-edge rule, or its first error.
+    n = data.draw(st.integers(2, 6))
+    if data.draw(st.booleans()):  # any ends: self-loops and out-of-range ones too
+        ends = st.lists(st.integers(0, n + 1), min_size=2, max_size=2)
+    else:
+        ends = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    pool = data.draw(st.lists(st.sampled_from(_GOOD_TOKENS), min_size=1, max_size=3))
+    edges = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        u, v = data.draw(ends)
+        r = pool[data.draw(st.integers(0, len(pool) - 1))]
+        r = _copy(r) if data.draw(st.booleans()) else r
+        shape = data.draw(st.sampled_from((tuple, list, _Edge._make)))
+        edges.append(shape((u, v, r)))
+    if edges and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(edges) - 1))
+        edges[at] = (*edges[at][:2], data.draw(st.sampled_from(_BAD_TOKENS)))
+    try:
+        want = _per_edge_referee(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            WeightedGraph(n, iter(edges))
+        assert str(info.value) == str(exc)
+    else:
+        got = WeightedGraph(n, iter(edges)).edges
+        assert got == want
+        assert all(type(e) is tuple and type(e[2]) is Fraction for e in got)
+
+
+def test_a_bad_token_after_good_shared_ones_is_named():
+    half = "1/2"
+    for bad, message in (("abc", "resistance must be a positive rational, got 'abc'"),
+                         ("-1/2", "resistance must be positive, got -1/2")):
+        edges = [(1, 2, half), (2, 3, half), (3, 1, bad), (1, 2, half)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedGraph(3, edges)
+        text = "vertices 3\n" + "".join(f"{u} {v} {r}\n" for u, v, r in edges)
+        with pytest.raises(ValueError, match=f"^line 4: {message}$"):
+            read_edge_list(io.StringIO(text))
+
+
+def test_a_canonical_edge_is_kept_and_others_are_copied():
+    f = Fraction(1, 2)
+    canonical, reversed_, listed, named = (1, 2, f), (3, 2, f), [1, 3, f], _Edge(2, 3, f)
+    g = WeightedGraph(3, [canonical, reversed_, listed, named, (1, 3, "1/2")])
+    assert g.edges[0] is canonical
+    assert g.edges == ((1, 2, f), (1, 3, f), (1, 3, f), (2, 3, f), (2, 3, f))
+    assert all(type(e) is tuple for e in g.edges)
+
+
+def test_a_shared_resistance_is_checked_once(monkeypatch):
+    # Counted, not timed: a generated graph's one unit resistance costs
+    # one check however many edges carry it; each line of an edge file
+    # holds its own token object, so a file costs one check per line.
+    calls = []
+    real = graphs._as_resistance
+    monkeypatch.setattr(graphs, "_as_resistance", lambda r: calls.append(r) or real(r))
+    for build in (lambda: straight_linear_2tree(20000), lambda: bent_linear_2tree(50, 7),
+                  lambda: straight_linear_ktree(200, 5), lambda: triangular_grid(30).graph):
+        calls.clear()
+        assert len(build().edges) > 50
+        assert len(calls) == 1
+    calls.clear()
+    lines = 500
+    text = "vertices 501\n" + "".join(f"{v} {v + 1} 10\n" for v in range(1, lines + 1))
+    assert read_edge_list(io.StringIO(text)).edges[0] == (1, 2, 10)
+    assert len(calls) == lines
 
 
 def test_degree_and_neighbors_count_multiplicity():

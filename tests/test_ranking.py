@@ -129,7 +129,8 @@ def test_rank_equals_the_fraction_ranking():
 
 def test_row_reader_equals_the_single_pair_numerator():
     # Every row of every strip with m <= 40, the j with a negative index
-    # m - 2j - k + 3 included; the summation form is an independent check.
+    # m - 2j - k + 3 included. _closed_numerator reads a row of one entry,
+    # from the walk's seed alone; the summation form is an independent check.
     negative = 0
     for m in range(1, 41):
         for k in range(1, m + 2):
