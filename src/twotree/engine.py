@@ -17,9 +17,10 @@ is the independent oracle: r(i,j) equals the ratio of two Laplacian
 minors. Each component's grounded Laplacian is factored once, by a
 fraction-free LU kept with the graph's facts, and every exact answer is
 read from that factorization: resistance_det one pair by one exact solve,
-_pair_numerators every pair of a component by one solve per vertex, and
-the tree and 2-forest counts by one rule, a product over components of
-tree minors and that pair solve. All are exact.
+_pair_numerators every pair of a component by one solve per vertex (read
+by resistance_all_pairs, ranking and verify), and the tree and 2-forest
+counts by one rule, a product over components of tree minors and that
+pair solve. All are exact.
 """
 
 import itertools
@@ -494,7 +495,8 @@ def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
 
 def _pair_numerators(comp: _Component):
     """Yield ((u, v), det(M) r(u, v)) for every pair u < v of the component,
-    in (u, v) order: integers over the one denominator det(M).
+    in (u, v) order: integers over the one denominator det(M), read by
+    resistance_all_pairs, rank_nonedges_graph and verify's two gate legs.
 
     Grounding the component's first vertex leaves the grounded Laplacian
     L0, whose rows scaled to integers form M = diag(scales) L0, factored
@@ -502,8 +504,7 @@ def _pair_numerators(comp: _Component):
     and r(u, v) = X_uu + X_vv - 2 X_uv with X zero at the grounded vertex.
     X is symmetric, so one exact solve per row k, of e_k read from k
     down, gives det(M) times its column on and below the diagonal:
-    O(n^2 * bw) work per component. Computed on demand; X is not cached.
-    """
+    O(n^2 * bw) work per component, on demand: X is not cached."""
     verts, lu = comp.verts, comp.lu
     # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
     # zero at the grounded verts[0], then one solve per row k

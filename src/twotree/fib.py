@@ -72,8 +72,8 @@ def lucas(n: int) -> int:
 
 class IdentityReport(NamedTuple):
     name: str
-    checked: int = 0
-    violations: list = []
+    checked: int
+    violations: list
 
     @property
     def passed(self) -> bool:

@@ -13,10 +13,11 @@ from fractions import Fraction
 from . import conjectures, formulas, ranking
 from .fib import check_all_identities, fib
 from .engine import (
+    _graph_facts,
+    _pair_numerators,
     brute_force_tree_enumeration,
     brute_force_two_forest_counts,
     reduce_straight_all,
-    resistance_all_pairs,
     spanning_tree_count,
     two_forest_count,
 )
@@ -33,33 +34,34 @@ def four_way_agreement(n_lo=3, n_hi=40):
     """Reduction, determinant, summation form, closed form: identical
     exact rationals for every pair, zero tolerance.
 
-    The determinant gives a Fraction per pair (resistance_all_pairs). The
-    two forms are read per strip as integer numerators over den = F_{2m+2}:
-    the closed form one offset row at a time (formulas._closed_numerators),
-    the summation form as running sums along each j
-    (formulas._sum_numerators). The reduction's Fraction p/q is compared
-    with the determinant's directly and with each numerator N by
-    cross-multiplication, p * den == N * q. A mismatch reports all four
-    values as Fractions."""
+    The last three are read per strip as integer numerators over
+    den = F_{2m+2}: the determinant's over the strip's tree minor, checked
+    to equal den (engine._pair_numerators), the closed form one offset row
+    at a time (formulas._closed_numerators), the summation form as running
+    sums along each j (formulas._sum_numerators). They must be equal, and
+    the reduction's Fraction p/q must meet them: p * den == N * q. A
+    mismatch reports all four values as Fractions."""
     pairs = 0
     for n in range(n_lo, n_hi + 1):
-        dets = resistance_all_pairs(straight_linear_2tree(n))
+        (comp,) = _graph_facts(straight_linear_2tree(n))[1]
         m = n - 2
         den = fib(2 * m + 2)
+        if comp.tree_minor != den:
+            return False, f"n={n}: tree minor {comp.tree_minor} != F_{2 * m + 2} = {den}"
+        dets = dict(_pair_numerators(comp))
         # closed[k - 1][j - 1] and sums[j - 1][k - 1] are the pair (j, j + k)'s
         closed = [formulas._closed_numerators(m, k, range(1, n - k + 1)) for k in range(1, n)]
         sums = [formulas._sum_numerators(m, j, n - j) for j in range(1, n)]
         for report in reduce_straight_all(n):
             i, j = report.pair
             red = report.value
-            det = dets[(i, j)]
+            d = dets[(i, j)]
             s = sums[i - 1][j - i - 1]
             c = closed[j - i - 1][i - 1]
-            p, q = red.numerator, red.denominator
-            if not (red == det and p * den == s * q and p * den == c * q):
+            if not (red.numerator * den == d * red.denominator and d == s == c):
                 return False, (
-                    f"mismatch at n={n}, pair=({i},{j}): "
-                    f"reduce={red}, det={det}, sum={Fraction(s, den)}, closed={Fraction(c, den)}"
+                    f"mismatch at n={n}, pair=({i},{j}): reduce={red}, det={Fraction(d, den)}, "
+                    f"sum={Fraction(s, den)}, closed={Fraction(c, den)}"
                 )
             pairs += 1
     return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
@@ -105,20 +107,17 @@ def tree_counts():
 
 
 def forest_counts():
-    """Two-forest closed count equals the strip's Laplacian resistance times
-    its tree count exactly for all (j,k), m <= 20; both printed forms
-    agree; enumeration to n=8."""
+    """Two-forest closed count equals r * trees exactly for all (j,k),
+    m <= 20: the unit strip's _pair_numerators, as every scale is 1; both
+    printed forms agree; enumeration to n=8."""
     checked = 0
     for m in range(1, 21):
-        g = straight_linear_2tree(m + 2)
-        dets, trees = resistance_all_pairs(g), spanning_tree_count(g)
-        for j in range(1, m + 2):
-            for k in range(1, m + 3 - j):
-                forests = formulas.forest_closed(m, j, k)  # asserts both forms
-                expect = dets[(j, j + k)] * trees
-                if forests != expect:
-                    return False, f"(m={m},j={j},k={k}): {forests} != r*trees = {expect}"
-                checked += 1
+        (comp,) = _graph_facts(straight_linear_2tree(m + 2))[1]
+        for (j, v), expect in _pair_numerators(comp):
+            forests = formulas.forest_closed(m, j, v - j)  # asserts both forms
+            if forests != expect:
+                return False, f"(m={m},j={j},k={v - j}): {forests} != r*trees = {expect}"
+            checked += 1
     for n in range(4, 9):
         g = straight_linear_2tree(n)
         enumerated = brute_force_two_forest_counts(g)

@@ -107,6 +107,11 @@ def _plus_at(index, x):
     return _set_at(index, _plus(x))
 
 
+def _pair_plus(pair, x):
+    # A stream of (pair, numerator) with x added to `pair`'s numerator only.
+    return lambda nums: [(p, num + x * (p == pair)) for p, num in nums]
+
+
 def _report_plus_one(report):
     return report._replace(value=report.value + 1)
 
@@ -123,6 +128,8 @@ def _report_wrong_at(n, pair):
 
 
 STRIP5 = straight_linear_2tree(5)
+(COMP4,) = engine._graph_facts(straight_linear_2tree(4))[1]
+(COMP5,) = engine._graph_facts(STRIP5)[1]
 GRID2 = triangular_grid(2)
 
 # criterion -> (module, attribute, patch), ..., and the detail it must fail with
@@ -137,9 +144,12 @@ WRONG_ORACLES = {
         [(verify, "reduce_straight_all", _report_wrong_at(5, (1, 3)))],
         "mismatch at n=5, pair=(1,3): reduce=34/21, det=13/21, sum=13/21, closed=13/21"),
     "four-way-agreement-determinant": (
-        [(verify, "resistance_all_pairs", _wrong_at(
-            (STRIP5,), lambda dets: {**dets, (1, 3): dets[1, 3] + 1}))],
+        [(verify, "_pair_numerators", _wrong_at((COMP5,), _pair_plus((1, 3), 21)))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=34/21, sum=13/21, closed=13/21"),
+    "four-way-agreement-tree-minor": (
+        [(verify, "_graph_facts", _wrong_at(
+            (STRIP5,), lambda facts: (facts[0], (facts[1][0]._replace(tree_minor=22),))))],
+        "n=5: tree minor 22 != F_8 = 21"),
     "four-way-agreement-summation": (
         [(formulas, "_sum_numerators", _wrong_at((3, 1, 4), _plus_at(1, 21)))],
         "mismatch at n=5, pair=(1,3): reduce=13/21, det=13/21, sum=34/21, closed=13/21"),
@@ -172,6 +182,10 @@ WRONG_ORACLES = {
         [(formulas, "_closed_numerator", _wrong_at((2, 1, 1), _plus(1))),
          (formulas, "_sum_numerator", _wrong_at((2, 1, 1), _plus(1)))],
         "(m=2,j=1,k=1): 6 != r*trees = 5"),
+    # Over the unit 4-strip's tree minor F_6 = 8 the numerator is r * trees.
+    "forest-counts-determinant": (
+        [(verify, "_pair_numerators", _wrong_at((COMP4,), _pair_plus((1, 2), 1)))],
+        "(m=2,j=1,k=1): 5 != r*trees = 6"),
     "forest-counts-enumeration": (
         [(verify, "two_forest_count", _wrong_at((STRIP5, 1, 3), _plus(1)))],
         "enumerated forest count mismatch at n=5, (1,3)"),

@@ -37,6 +37,23 @@ def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
     assert "1 failed, 1 passed" in run.stdout, run.stdout
 
 
+def test_each_kind_of_benchmark_op_runs_and_passes_its_check(monkeypatch):
+    # perfbench/ reads the package's names (WeightedGraph.adjacency,
+    # engine._graph_facts.cache_clear, fib._local); a change that breaks one
+    # fails here, not first as wrong outputs in a benchmark run. The first
+    # op of each kind (its name without trailing digits) of each workload
+    # runs once and must pass its check.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        workloads.reset_caches()
+        firsts = {}
+        for op in workload(61).ops:
+            firsts.setdefault(op.name.rstrip("0123456789"), op)
+        for op in firsts.values():
+            assert op.check(op.run()) is None, f"{name}: {op.name}"
+
+
 def test_a_traced_pass_sees_each_factorization(monkeypatch):
     # perfbench/ spans the package's functions by name and clears its caches
     # between passes; this runs one traced pass the way run.py --trace 1 does.
