@@ -1,4 +1,4 @@
-"""Exact determinants and solves from one fraction-free LU.
+"""Exact determinants and inverse readings from one fraction-free LU.
 
 The banded Bareiss elimination (Bareiss 1968) divides exactly at every
 step, so results are exact integers no matter how large the entries grow.
@@ -16,9 +16,8 @@ of the L factor is an entry of U times scales[r] / scales[k]. So lu_int,
 the one elimination, keeps only the fraction-free U (Zhou & Jeffrey 2008),
 each pivot row from its diagonal on: that tuple is the factorization.
 det_int reads its determinant, the last pivot, and runs no elimination.
-solve_int is the one solve: it replays the multipliers, read from U's
-columns, on one sparse vector c and back-substitutes for adj(M) diag(scales)
-c, which is det(M) S^-1 c, from c's first nonzero down, in O(n * bw) work.
+quad_int reads one pair by a forward pass alone, inverse_int all of
+adj(M) diag(scales) = det(M) S^-1 by back substitution alone.
 """
 
 
@@ -38,7 +37,7 @@ def _bandwidth(rows):
 def lu_int(rows, scales):
     """The fraction-free U of M = diag(scales) S, S symmetric positive
     definite, given as dict rows column -> value: a tuple of pivot rows,
-    the factorization solve_int reads.
+    the factorization quad_int and inverse_int read.
 
     Pivot row k is a dict over columns k..k + bw: its value at k is pivot k,
     the leading minor of order k + 1, so the last pivot is the determinant,
@@ -84,37 +83,54 @@ def det_int(lu) -> int:
     return lu[-1][len(lu) - 1] if lu else 1
 
 
-def solve_int(lu, scales, c):
-    """adj(M) diag(scales) c, which is det(M) S^-1 c, at rows min(c)..n-1,
-    in order, for the factorization lu of M = diag(scales) S and a sparse
-    int vector c (dict position -> int); [] for an empty c.
+def quad_int(lu, scales, c) -> int:
+    """c^T adj(M) diag(scales) c = det(M) c^T S^-1 c for the factorization
+    lu of M = diag(scales) S and a sparse int vector c (dict position ->
+    int): det(M) r(i, j) for c = e_i - e_j, 0 for an empty c.
 
-    The forward pass replays the elimination on diag(scales) c from c's
-    first nonzero on (above it the result is zero), divided by the scales
-    row by row: step t's multiplier on row i is then U's lu[t][i], and by
-    S's symmetry every value is an integer. Back substitution applies
-    scales[i] once per row, from the last row down to c's first nonzero.
-    Every division is exact: O(n * bw) integer work.
-    """
+    The forward pass replays the elimination on diag(scales) c, each row
+    divided by its scale, from c's first nonzero on: step t's multiplier on
+    row i is then U's lu[t][i]. By the bordered-minor identity, the form A
+    of c's leading t + 1 entries against adj(M_t) diag(scales), an integer,
+    grows as (p_t A + scales[t] y_t^2) / p_{t-1}: each division is exact.
+    O(n * bw) work, and no back substitution."""
     n = len(lu)
     pivots = [1] + [row[k] for k, row in enumerate(lu)]  # entry k is prev at step k
-    det = pivots[-1]
     bw = max(lu[0]) if lu else 0  # pivot row 0 spans columns 0..bw
     first = min(c, default=n)
     y = [0] * n
     for i, x in c.items():
-        # Row i enters the window at step i - bw; before that step, or
-        # before c's first nonzero, each step only scales y_i by piv/prev.
+        # Until step max(i - bw, first) each step only scales y_i by piv/prev.
         y[i] = x * pivots[max(i - bw, first)]
+    a = 0
     for t in range(first, n):
         row, yt, piv, prev = lu[t], y[t], pivots[t + 1], pivots[t]
         for i in range(t + 1, min(n, t + bw + 1)):
             y[i] = (y[i] * piv - row[i] * yt) // prev
-    # Back substitution in place: y[col] is the solve at col once col > i.
-    for i in range(n - 1, first - 1, -1):
+        a = (piv * a + scales[t] * yt * yt) // prev
+    return a
+
+
+def inverse_int(lu, scales) -> list:
+    """Rows w[i][j - i] = det(M) X_ij, j >= i, of X = S^-1 = adj(M)
+    diag(scales) / det(M) for the factorization lu of M = diag(scales) S.
+
+    By the symmetric-inverse recurrence (Takahashi, Fagan & Chin 1973),
+    back substitution against U, with X_kj read as X_jk below the diagonal,
+    gives det X_ij = (delta_ij det scales[i] p_{i-1} - sum U_ik det X_kj) / U_ii
+    over i < k <= i + bw, filled from the last row up and each row from
+    j = n - 1 down to its diagonal. Each division is one the back
+    substitution makes, so exact: O(n^2 * bw) integer work, no solve."""
+    n = len(lu)
+    det, w = det_int(lu), [None] * n
+    for i in range(n - 1, -1, -1):
         row = lu[i]
-        acc = det * scales[i] * y[i]
-        for col in range(i + 1, min(n, i + bw + 1)):
-            acc -= row[col] * y[col]
-        y[i] = acc // row[i]
-    return y[first:]
+        band = [(k, u, w[k]) for k, u in row.items() if k > i and u]
+        diag = det * scales[i] * (lu[i - 1][i - 1] if i else 1)
+        wi = w[i] = [0] * (n - i)
+        for j in range(n - 1, i - 1, -1):
+            acc = diag if j == i else 0
+            for k, u, wk in band:
+                acc -= u * (wk[j - k] if k <= j else w[j][k - j])
+            wi[j - i] = acc // row[i]
+    return w

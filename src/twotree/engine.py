@@ -16,11 +16,11 @@ running the schedule's shared phases once per call. The determinant path
 is the independent oracle: r(i,j) equals the ratio of two Laplacian
 minors. Each component's grounded Laplacian is factored once, by a
 fraction-free LU kept with the graph's facts, and every exact answer is
-read from that factorization: resistance_det one pair by one exact solve,
-_pair_numerators every pair of a component by one solve per vertex (read
-by resistance_all_pairs, ranking and verify), and the tree and 2-forest
-counts by one rule, a product over components of tree minors and that
-pair solve. All are exact.
+read from that factorization: resistance_det one pair by one forward
+pass, _pair_numerators every pair of a component by the symmetric-inverse
+recurrence, with no solve (read by resistance_all_pairs, ranking and
+verify), and the tree and 2-forest counts by one rule, a product over
+components of tree minors and that pair reading. All are exact.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import NamedTuple, Optional
 
-from .bareiss import det_int, lu_int, solve_int
+from .bareiss import det_int, inverse_int, lu_int, quad_int
 from .graphs import WeightedGraph, format_resistance, reachable, straight_linear_2tree
 
 STEP_KINDS = ("series", "parallel", "delta-y", "cut-vertex", "merge-rename")
@@ -467,14 +467,11 @@ def _graph_facts(g: WeightedGraph):
 
 
 def _forest_minor(comp: _Component, i, j) -> int:
-    """det(M) r(i, j) as w_i - w_j. With M = diag(scales) L0,
-    L0^-1 = adj(M) diag(scales) / det(M), so one exact solve against U
-    gives w = adj(M) diag(scales) c from c's first row down, for c = e_i - e_j
-    over the pair's rows (the grounded vertex has none, and w is zero there)."""
+    """det(M) r(i, j) = c^T adj(M) diag(scales) c, read by quad_int in one
+    forward pass over U, for c = e_i - e_j over the pair's rows (the grounded
+    vertex has none): L0^-1 = adj(M) diag(scales) / det(M), M = diag(scales) L0."""
     ki, kj = bisect_left(comp.verts, i) - 1, bisect_left(comp.verts, j) - 1
-    c = {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0}
-    w, first = solve_int(comp.lu, comp.scales, c), min(c)
-    return sum(s * w[k - first] for k, s in c.items())
+    return quad_int(comp.lu, comp.scales, {k: s for k, s in ((ki, 1), (kj, -1)) if k >= 0})
 
 
 def resistance_det(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
@@ -502,14 +499,12 @@ def _pair_numerators(comp: _Component):
     L0, whose rows scaled to integers form M = diag(scales) L0, factored
     once by _graph_facts. Then X = L0^-1 = adj(M) diag(scales) / det(M),
     and r(u, v) = X_uu + X_vv - 2 X_uv with X zero at the grounded vertex.
-    X is symmetric, so one exact solve per row k, of e_k read from k
-    down, gives det(M) times its column on and below the diagonal:
-    O(n^2 * bw) work per component, on demand: X is not cached."""
-    verts, lu = comp.verts, comp.lu
-    # cols[p][q - p] = X_pq * det between verts[p] and verts[q], q >= p:
-    # zero at the grounded verts[0], then one solve per row k
-    cols = [[0] * len(verts)]
-    cols += [solve_int(lu, comp.scales, {k: 1}) for k in range(len(lu))]
+    inverse_int reads det(M) X on and above the diagonal from U by the
+    symmetric-inverse recurrence, with no solve: O(n^2 * bw) work per
+    component, on demand: X is not cached."""
+    verts = comp.verts
+    # cols[p][q - p] = det X_pq, q >= p, of verts[p] and verts[q]: 0 at verts[0]
+    cols = [[0] * len(verts)] + inverse_int(comp.lu, comp.scales)
     for p, u in enumerate(verts):
         col = cols[p]
         for q in range(p + 1, len(verts)):
@@ -530,9 +525,13 @@ def _struck_minor(g: WeightedGraph, struck, what) -> int:
     theorem), 0 at the first holding no struck vertex (a singular block),
     the tree minor for one holding one and _forest_minor's pair reading
     for one holding two. Every scale is 1: det(M) is the tree count and
-    the pair reading the 2-forest count."""
-    if any(r != 1 for _, _, r in g.edges):
-        raise ValueError(f"{what} counting needs unit resistances")
+    the pair reading the 2-forest count. A resistance object shared by a
+    run of edges is compared with 1 once."""
+    last = None
+    for _, _, r in g.edges:
+        if r is not last and r != 1:
+            raise ValueError(f"{what} counting needs unit resistances")
+        last = r
     if len(struck) == 2:
         _check_pair(g.vertex_count, *struck)
     comp_of, comps = _graph_facts(g)

@@ -95,7 +95,7 @@ def predict_links(n: int, count: int, tie_policy: str = "lowest-index"):
 def rank_nonedges_graph(g: WeightedGraph):
     """Resistance ranking of non-edges of an arbitrary connected graph.
 
-    Exact values from _pair_numerators, one exact solve per vertex: integers
+    Exact values from _pair_numerators, read from U with no solve: integers
     over the one tree minor, so ties are exact. Returns TieGroups; ties are
     grouped by equal value, ordered by (value, pair). A disconnected graph
     raises ValueError("vertices 1 and v are disconnected"), v the smallest

@@ -1,12 +1,12 @@
-"""Determinant and solve kernel checks.
+"""Determinant and exact-reader kernel checks.
 
 The banded elimination is the workhorse behind every resistance and
 count in the package, so it gets an independent referee: det_ref, a
 dense fraction-free elimination with row pivoting that works for any
-square matrix, plus a handful of determinants known in closed form. The exact
-solve adj(M) diag(scales) c, and the adjugate times diag(scales) it
-gives column by column, are refereed by the signed cofactors that
-reference gives. lu_int takes only M = diag(scales) S with S symmetric
+square matrix, plus a handful of determinants known in closed form. The
+pair reading c^T adj(M) diag(scales) c, and the adjugate times
+diag(scales) read row by row from U, are refereed by the signed cofactors
+that reference gives. lu_int takes only M = diag(scales) S with S symmetric
 positive definite, so it is fed minors of row-scaled Laplacians and
 symmetric strictly diagonally dominant matrices times positive row
 scales, and must refuse any pivot <= 0 on symmetric ones; det_int reads
@@ -20,7 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotree.bareiss import det_int, lu_int, solve_int
+from twotree.bareiss import det_int, inverse_int, lu_int, quad_int
 
 from laplacian_reference import det_ref, strike
 
@@ -49,19 +49,19 @@ def _adj_ref(rows):
     return [[_cofactor(rows, p, q) for q in range(n)] for p in range(n)]
 
 
-def _solve_ref(rows, scales, c):
-    """adj(M) diag(scales) c by signed cofactors at rows min(c)..n-1, the
-    rows solve_int returns, with only the cofactors those rows need."""
-    return [sum(_cofactor(rows, p, q) * scales[q] * x for q, x in c.items())
-            for p in range(min(c), len(rows))]
+def _quad_ref(rows, scales, c):
+    """c^T adj(M) diag(scales) c by signed cofactors, with only the
+    cofactors c's nonzeros need."""
+    return sum(y * _cofactor(rows, p, q) * scales[q] * x
+               for p, y in c.items() for q, x in c.items())
 
 
-def _adj_by_solves(lu, scales):
+def _adj_by_inverse(lu, scales):
     """adj(M) diag(scales) of the factored matrix, which is symmetric:
-    entry (p, q) is read from the solve of e_min(p,q), which starts there."""
+    entry (p, q) is inverse_int's row min(p, q) at offset |p - q|."""
     n = len(lu)
-    tails = [solve_int(lu, scales, {q: 1}) for q in range(n)]
-    return [[tails[min(p, q)][abs(p - q)] for q in range(n)] for p in range(n)]
+    w = inverse_int(lu, scales)
+    return [[w[min(p, q)][abs(p - q)] for q in range(n)] for p in range(n)]
 
 
 def _scaled(adj, scales):
@@ -69,9 +69,9 @@ def _scaled(adj, scales):
     return [[x * s for x, s in zip(row, scales)] for row in adj]
 
 
-def _apply(adj, c):
-    """adj * c for a list-of-lists matrix and a sparse dict vector."""
-    return [sum(row[q] * x for q, x in c.items()) for row in adj]
+def _form(adj, c):
+    """c^T adj c for a list-of-lists matrix and a sparse dict vector."""
+    return sum(y * adj[p][q] * x for p, y in c.items() for q, x in c.items())
 
 
 def _vectors(randint, n):
@@ -234,9 +234,9 @@ def test_banded_agrees_with_dense(data):
     rows, scales = make(lambda lo, hi: data.draw(st.integers(lo, hi)), n, bw)
     assert det_int(lu_int(rows, scales)) == det_ref(rows)
     lu, adj = lu_int(rows, scales), _scaled(_adj_ref(rows), scales)
-    assert _adj_by_solves(lu, scales) == adj
+    assert _adj_by_inverse(lu, scales) == adj
     for c in _vectors(lambda lo, hi: data.draw(st.integers(lo, hi)), n):
-        assert solve_int(lu, scales, c) == _apply(adj, c)[min(c):]
+        assert quad_int(lu, scales, c) == _form(adj, c)
 
 
 # === Adjugate ===
@@ -244,10 +244,11 @@ def test_banded_agrees_with_dense(data):
 
 def test_adjugate_of_empty_and_one_by_one():
     assert lu_int([], ()) == ()
-    assert solve_int((), (), {}) == []
-    assert _adj_by_solves(lu_int([], ()), ()) == []
-    assert solve_int(lu_int([{0: 7}], (1,)), (1,), {0: 3}) == [3]
-    assert _adj_by_solves(lu_int([{0: 7}], (1,)), (1,)) == [[1]]
+    assert quad_int((), (), {}) == 0
+    assert inverse_int((), ()) == []
+    assert quad_int(lu_int([{0: 7}], (1,)), (1,), {0: 3}) == 9
+    assert inverse_int(lu_int([{0: 7}], (2,)), (2,)) == [[2]]
+    assert _adj_by_inverse(lu_int([{0: 7}], (1,)), (1,)) == [[1]]
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3])
@@ -256,29 +257,29 @@ def test_adjugate_agrees_with_cofactors_seeded(bw):
     for _ in range(30):
         rows, scales = _laplacian_minor(rng.randint, rng.randint(1, 7), bw)
         assert det_int(lu_int(rows, scales)) == det_ref(rows), f"bw={bw} determinant differs on {rows}"
-        assert _adj_by_solves(lu_int(rows, scales), scales) == _scaled(_adj_ref(rows), scales), \
+        assert _adj_by_inverse(lu_int(rows, scales), scales) == _scaled(_adj_ref(rows), scales), \
             f"bw={bw} adjugate differs on {rows}"
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 3])
 def test_solve_agrees_with_cofactors_seeded(bw):
-    # adj(M) diag(scales) c for c with one nonzero, two and dense, at rows
-    # min(c)..n-1 only: the cofactors' n - min(c) entries there.
+    # c^T adj(M) diag(scales) c for c with one nonzero, two and dense: the
+    # forward pass from c's first nonzero and the bordered minors beside it.
     rng = random.Random(4000 + bw)
     for _ in range(30):
         n = rng.randint(1, 7)
         rows, scales = _laplacian_minor(rng.randint, n, bw)
         lu, adj = lu_int(rows, scales), _scaled(_adj_ref(rows), scales)
         for c in _vectors(rng.randint, n):
-            assert solve_int(lu, scales, c) == _apply(adj, c)[min(c):], \
-                f"bw={bw} solve differs on {rows}, {c}"
+            assert quad_int(lu, scales, c) == _form(adj, c), \
+                f"bw={bw} pair reading differs on {rows}, {c}"
 
 
 def test_solve_on_long_matrices_from_the_last_rows():
-    # c's first nonzero near the end: the forward and back passes cover
-    # only the last rows, and must still give the cofactors' entries
-    # there. From row 0 on, the solve is all of w, which has
-    # M * w == det * diag(scales) * c.
+    # c's first nonzero near the end: the forward pass covers only the
+    # last rows, and must still give the cofactors' form. From row 0 on,
+    # it crosses every row, and must equal the form read from
+    # inverse_int's rows, whose product with M is det * diag(scales).
     rng = random.Random(5000)
     for bw in (1, 2, 5):
         n = 40
@@ -286,11 +287,12 @@ def test_solve_on_long_matrices_from_the_last_rows():
         lu = lu_int(rows, scales)
         det = det_int(lu)
         for c in ({n - 1: 1}, {n - 3: 2, n - 1: -5}):
-            assert solve_int(lu, scales, c) == _solve_ref(rows, scales, c)
+            assert quad_int(lu, scales, c) == _quad_ref(rows, scales, c)
+        adj = _adj_by_inverse(lu, scales)
+        assert _times(rows, adj) == [[det * scales[p] * (p == q) for q in range(n)]
+                                     for p in range(n)]
         c = {0: 1, n - 1: -1}
-        w = solve_int(lu, scales, c)
-        assert [sum(x * w[q] for q, x in row.items()) for row in rows] == \
-            [det * scales[p] * c.get(p, 0) for p in range(n)]
+        assert quad_int(lu, scales, c) == _form(adj, c)
 
 
 @pytest.mark.parametrize("bw", [0, 1, 2, 5])
@@ -300,7 +302,7 @@ def test_adjugate_on_long_matrices_inverts_times_det(bw):
     for t in range(6):
         n = rng.randint(20, 40)
         rows, scales = (_laplacian_minor, _dominant)[t % 2](rng.randint, n, bw)
-        det, adj = det_int(lu_int(rows, scales)), _adj_by_solves(lu_int(rows, scales), scales)
+        det, adj = det_int(lu_int(rows, scales)), _adj_by_inverse(lu_int(rows, scales), scales)
         assert det == det_ref(rows)
         assert _times(rows, adj) == [[det * scales[p] * (p == q) for q in range(n)]
                                      for p in range(n)]
@@ -323,7 +325,7 @@ def test_adjugate_on_a_band_of_zero_one_and_two():
     ], (0,))
     for rows, want in ((diagonal, 30), (continuant, 6), (strip, 144)):
         n = len(rows)
-        det, adj = det_int(lu_int(rows, _ones(n))), _adj_by_solves(lu_int(rows, _ones(n)), _ones(n))
+        det, adj = det_int(lu_int(rows, _ones(n))), _adj_by_inverse(lu_int(rows, _ones(n)), _ones(n))
         assert det == want and adj == _adj_ref(rows)
         assert _times(rows, adj) == [[det * (p == q) for q in range(n)] for p in range(n)]
 

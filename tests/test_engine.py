@@ -986,7 +986,7 @@ def test_two_forest_count_across_components_multiplies_tree_counts():
 
 def test_counts_read_the_pair_solve_not_the_resistance(monkeypatch):
     # Both counts are the struck minor rule; the 2-forest count reads the
-    # same pair solve as resistance_det, w_i - w_j = det(M) r(i, j).
+    # same pair reading as resistance_det, det(M) r(i, j).
     g = straight_linear_2tree(9)
     want = {(i, j): resistance_det(g, i, j).value * fib(16)
             for i in range(1, 10) for j in range(i + 1, 10)}
@@ -1005,6 +1005,21 @@ def test_count_checks_run_in_order():
         two_forest_count(straight_linear_2tree(3), 1, 7)
     with pytest.raises(ValueError, match="^terminals must be distinct$"):
         two_forest_count(straight_linear_2tree(3), 2, 2)
+
+
+def test_count_checks_every_resistance_after_a_shared_unit():
+    # A run of edges sharing one unit object is compared once; an edge
+    # after it with a resistance other than 1 is still refused, wherever
+    # it stands in the edge order.
+    one = Fraction(1)
+    shared = [(1, 2, one), (1, 3, one), (2, 3, one)]
+    for odd in ((3, 4, Fraction(2)), (1, 4, Fraction(1, 2)), (1, 2, Fraction(1, 3))):
+        g = WeightedGraph(4, shared + [odd])
+        assert sum(r is one for _, _, r in g.edges) == 3
+        with pytest.raises(ValueError, match="^spanning tree counting needs unit resistances$"):
+            spanning_tree_count(g)
+        with pytest.raises(ValueError, match="^two-forest counting needs unit resistances$"):
+            two_forest_count(g, 1, 4)
 
 
 def test_brute_force_counters_refuse_more_than_ten_vertices():

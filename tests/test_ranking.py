@@ -229,27 +229,26 @@ def test_graph_ranking_refuses_a_disconnected_graph_and_ranks_one_vertex_to_noth
 
 def test_graph_ranking_makes_one_adjugate_per_component_and_no_minor(monkeypatch):
     # With the Laplacian facts warm, ranking reads every value from one
-    # adjugate per component, one solve per vertex of the kept
-    # factorization; no pair and no solve pays an elimination of its own.
-    eliminations, solves = [], []
-    real_elim, real_solve = engine.lu_int, engine.solve_int
+    # adjugate per component, inverse_int's rows of the kept factorization;
+    # no pair and no read pays an elimination of its own.
+    eliminations, reads = [], []
+    real_elim, real_read = engine.lu_int, engine.inverse_int
     monkeypatch.setattr(engine, "lu_int", lambda rows, scales:
                         eliminations.append(len(rows)) or real_elim(rows, scales))
-    monkeypatch.setattr(engine, "solve_int", lambda lu, scales, c:
-                        solves.append(len(lu)) or real_solve(lu, scales, c))
+    monkeypatch.setattr(engine, "inverse_int", lambda lu, scales:
+                        reads.append(len(lu)) or real_read(lu, scales))
     grid = triangular_grid(6).graph
     split = WeightedGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1)])
     for g in (grid, split):
         engine._graph_facts(g)
     eliminations.clear()
     rank_nonedges_graph(grid)
-    n = grid.vertex_count
-    assert (eliminations, solves) == ([], [n - 1] * (n - 1))
-    solves.clear()
-    # With its facts warm, a disconnected graph is refused before any solve.
+    assert (eliminations, reads) == ([], [grid.vertex_count - 1])
+    reads.clear()
+    # With its facts warm, a disconnected graph is refused before any read.
     with pytest.raises(ValueError, match="vertices 1 and 4 are disconnected"):
         rank_nonedges_graph(split)
-    assert (eliminations, solves) == ([], [])
+    assert (eliminations, reads) == ([], [])
 
 
 def test_graph_ranking_groups_are_tie_groups():
