@@ -12,12 +12,13 @@ as ValueError, by _Network's reads or by _apply, not by the planners. A
 fork of the reduction is one copy of its network, steps included.
 reduce_straight reduces one pair of a straight strip;
 reduce_straight_all yields the same reports for every pair of one strip,
-running the schedule's shared phases once per call. The determinant path
-is the independent oracle: r(i,j) equals the ratio of two Laplacian
-minors. Each component's grounded Laplacian is factored once, by a
-fraction-free LU kept with the graph's facts, and every exact answer is
-read from that factorization: resistance_det one pair by one forward
-pass, _pair_numerators every pair of a component by the symmetric-inverse
+with one left sweep for the strip and one right sweep per left terminal,
+each forked where the schedule parts. The determinant path is the
+independent oracle: r(i,j) equals the ratio of two Laplacian minors.
+Each component's grounded Laplacian is factored once, by a fraction-free
+LU kept with the graph's facts, and every exact answer is read from that
+factorization: resistance_det one pair by one forward pass,
+_pair_numerators every pair of a component by the symmetric-inverse
 recurrence, with no solve (read by resistance_all_pairs, ranking and
 verify), and the tree and 2-forest counts by one rule, a product over
 components of tree minors and that pair reading. All are exact.
@@ -103,6 +104,30 @@ class _Network:
         except ValueError:
             raise ValueError(f"parallel edges between {u} and {v}; combine them first") from None
         return r
+
+    def cut_off(self, cut_vertex, keep):
+        """The vertices cut off from keep at cut_vertex, sorted: each search
+        from a neighbour of cut_vertex, not entering it, either meets keep's
+        side and stops, or ends having found a side to cut off."""
+        adj = self.adj
+        for v in (cut_vertex, keep):
+            if v not in adj:
+                raise ValueError(f"vertex {v} not in graph")
+        kept, removed = {keep}, set()
+        for start in adj[cut_vertex]:
+            if start in kept or start in removed:
+                continue
+            seen, stack, met = {start}, [start], False
+            while stack and not met:
+                for nb in adj[stack.pop()]:
+                    if nb in kept:
+                        met = True
+                        break
+                    if nb != cut_vertex and nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+            (kept if met else removed).update(seen)
+        return sorted(removed)
 
     def edge_items(self):
         out = []
@@ -252,18 +277,22 @@ def _parallel(net: _Network, u, v) -> ReductionStep:
     if len(rs) < 2:
         raise ValueError(f"no parallel edges between {u} and {v}")
     resistances = sorted(rs)
-    combined = 1 / sum(1 / r for r in resistances)
+    # 1 / sum(1 / r) as one integer fold, p/q || a/b = pa / (pb + qa), from
+    # p/q = 1/0, an open circuit
+    p, q = 1, 0
+    for r in resistances:
+        a, b = r.numerator, r.denominator
+        p, q = p * a, p * b + q * a
     return ReductionStep(
         kind="parallel",
         vertices=(u, v),
         consumed=tuple((u, v, r) for r in resistances),
-        produced=((u, v, combined),),
+        produced=((u, v, Fraction(p, q)),),
     )
 
 
 def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
-    keep_side = reachable(net.adj, keep, skip=cut_vertex)
-    removed = sorted(v for v in net.adj if v != cut_vertex and v not in keep_side)
+    removed = net.cut_off(cut_vertex, keep)
     if not removed:
         raise ValueError(f"nothing to cut away at {cut_vertex}")
     return ReductionStep(
@@ -271,11 +300,11 @@ def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
         vertices=(cut_vertex, keep) + tuple(removed),
         # A removed vertex has only removed neighbours and the cut vertex;
         # each edge is taken once, from its smaller end or its removed end.
-        consumed=tuple(sorted(
+        consumed=tuple(sorted([
             (u, v, r) if u < v else (v, u, r)
             for u in removed for v, rs in net.adj[u].items() for r in rs
             if u < v or v == cut_vertex
-        )),
+        ])),
         produced=(),
     )
 
@@ -325,18 +354,16 @@ def _cleanup(net, a, b):
         raise AssertionError("reduction did not converge to one edge between the terminals")
 
 
-def _reduce_from(g, a, bs):
-    # The reduction schedule of the strip g for terminals a < b, for each b
+def _reduce_from(net, n, a, bs):
+    # The reduction schedule of the n-strip for terminals a < b, for each b
     # of bs in descending order (b = n only with a = 1): yields (b, steps,
-    # value). Left of a: eliminate 1..a-1, folding into the edge {a, a+1}.
-    # Right of b: eliminate b+1..n in n-1-b triangles (none for b = n),
-    # folding into {b, b+1}; the sweep for b is the one for b+1 run one
-    # triangle further, so one running sweep serves every b. Each b then
-    # finishes on a copy of the network, which carries the steps so far:
-    # the right fold, the sweep between the terminals and the endgame.
-    n = g.vertex_count
-    net = _Network(g)
-    _sweep(net, 1, 1, 0, a - 1)
+    # value). net is the strip after the left sweep, a - 1 triangles from
+    # vertex 1, and is rewritten: left of a, it folds into the edge
+    # {a, a+1}. Right of b: eliminate b+1..n in n-1-b triangles (none for
+    # b = n), folding into {b, b+1}; the sweep for b is the one for b+1 run
+    # one triangle further, so one running sweep serves every b. Each b
+    # then finishes on a copy of the network, which carries the steps so
+    # far: the right fold, the sweep between the terminals and the endgame.
     if a > 1:
         _fold(net, a)
     swept = 0
@@ -371,7 +398,9 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     a, b = min(i, j), max(i, j)
     if b == n and a > 1:
         a, b = 1, n - a + 1
-    (_, steps, value), = _reduce_from(g, a, (b,))
+    net = _Network(g)
+    _sweep(net, 1, 1, 0, a - 1)
+    (_, steps, value), = _reduce_from(net, n, a, (b,))
     return _report(g, (i, j), (a, b), steps, value)
 
 
@@ -379,15 +408,20 @@ def reduce_straight_all(n: int):
     """Yield reduce_straight(n, i, j) for every pair i < j of the n-strip,
     each once: the same reports, traces included.
 
-    The work is shared within the call, and nothing is kept after it: per
-    i the left phase runs once and one running right sweep serves every j
+    The work is shared within the call, and nothing is kept after it: one
+    left sweep serves every i, one triangle further per i, each i working
+    on a copy of it, and per i one running right sweep serves every j
     from n down. The pairs come in that order, i ascending and j
     descending, except that each pair (i, n) with i > 1 comes right after
     its reflection (1, n-i+1), whose steps it takes.
     """
     g = straight_linear_2tree(n)
+    left = _Network(g)
     for a in range(1, n - 1):
-        for b, steps, value in _reduce_from(g, a, range(n if a == 1 else n - 1, a, -1)):
+        if a > 1:
+            _sweep(left, 1, 1, a - 2, a - 1)
+        for b, steps, value in _reduce_from(left.copy(), n, a,
+                                            range(n if a == 1 else n - 1, a, -1)):
             yield _report(g, (a, b), (a, b), steps, value)
             if a == 1 and b < n:
                 yield _report(g, (n - b + 1, n), (1, b), steps, value)
@@ -597,10 +631,12 @@ def brute_force_two_forest_counts(g: WeightedGraph) -> dict:
     """Count, for every pair i < j, the spanning 2-forests separating i
     from j, by one enumeration of edge subsets (n <= 10): a dict
     (i, j) -> count, every pair present."""
-    counts = dict.fromkeys(itertools.combinations(range(1, g.vertex_count + 1), 2), 0)
+    vertices = range(g.vertex_count + 1)
+    counts = dict.fromkeys(itertools.combinations(vertices[1:], 2), 0)
     for find in _acyclic_subsets(g, 2):
+        root = list(map(find, vertices))  # each vertex's root, read once per forest
         for i, j in counts:
-            counts[i, j] += find(i) != find(j)
+            counts[i, j] += root[i] != root[j]
     return counts
 
 

@@ -185,7 +185,9 @@ def test_parallel_requires_multiple_edges():
 @pytest.mark.parametrize("plan,message", [
     (lambda net: engine._delta_y(net, 1, 2, 9), "^no edge between 2 and 9$"),
     (lambda net: engine._series(net, 9), "^series elimination needs degree 2 at 9, got 0$"),
-], ids=["delta-y", "series"])
+    (lambda net: engine._cut(net, 2, 99), "^vertex 99 not in graph$"),
+    (lambda net: engine._cut(net, 99, 2), "^vertex 99 not in graph$"),
+], ids=["delta-y", "series", "cut-keep", "cut-vertex"])
 def test_planners_reject_a_missing_vertex(plan, message):
     with pytest.raises(ValueError, match=message):
         plan(engine._Network(straight_linear_2tree(4)))
@@ -194,11 +196,11 @@ def test_planners_reject_a_missing_vertex(plan, message):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_planners_refuse_only_with_value_error(data):
-    # Midway through a strip's reduction, plan a delta-y or a series step
-    # on ids present, absent (never used, or dropped) and repeated. The
-    # planners keep no checks of their own: each bad input must still be
-    # refused as a ValueError by the network, and each step they do plan
-    # must apply.
+    # Midway through a strip's reduction, plan a delta-y, series, parallel
+    # or cut-vertex step on ids present, absent (never used, or dropped)
+    # and repeated. The planners keep no checks of their own: each bad
+    # input must still be refused as a ValueError by the network, and each
+    # step they do plan must apply.
     n = data.draw(st.integers(3, 10))
     i = data.draw(st.integers(1, n - 1))
     j = data.draw(st.integers(i + 1, n))
@@ -208,12 +210,13 @@ def test_planners_refuse_only_with_value_error(data):
         engine._apply(net, step)
     ids = st.one_of(st.sampled_from(sorted(net.adj)), st.integers(-1, net.next_id + 1))
     for _ in range(8):
-        if data.draw(st.booleans()):
-            first = data.draw(ids)
-            rest = data.draw(st.lists(st.one_of(st.just(first), ids), min_size=2, max_size=2))
-            plan, args = engine._delta_y, (first, *rest)
-        else:
-            plan, args = engine._series, (data.draw(ids),)
+        plan = data.draw(st.sampled_from(
+            (engine._delta_y, engine._series, engine._parallel, engine._cut)))
+        first = data.draw(ids)
+        arity = {engine._delta_y: 3, engine._series: 1}.get(plan, 2)
+        rest = data.draw(st.lists(st.one_of(st.just(first), ids),
+                                  min_size=arity - 1, max_size=arity - 1))
+        args = (first, *rest)
         try:
             step = plan(net, *args)
         except ValueError:
@@ -224,6 +227,66 @@ def test_planners_refuse_only_with_value_error(data):
 def test_parallel_gives_the_same_step_with_its_ends_reversed():
     net = engine._Network(WeightedGraph(3, [(1, 2, 2), (1, 2, 1), (2, 3, 1)]))
     assert engine._parallel(net, 2, 1) == engine._parallel(net, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rs=st.lists(st.fractions(min_value=Fraction(1, 50), max_value=50), min_size=2, max_size=4),
+       data=st.data())
+def test_parallel_is_one_over_the_sum_of_conductances(rs, data):
+    # Repeats allowed; the step must not depend on the order the edges
+    # were linked in, which is the order the network's tuple holds.
+    order = data.draw(st.permutations(rs))
+    step = engine._parallel(engine._Network(WeightedGraph(2, [(1, 2, r) for r in order])), 1, 2)
+    expected = 1 / sum(1 / r for r in rs)
+    assert step == ReductionStep(
+        "parallel", (1, 2), tuple((1, 2, r) for r in sorted(rs)), ((1, 2, expected),))
+
+
+def _cut_referee(net, cut_vertex, keep):
+    # The cut-vertex step by its definition: every vertex other than the
+    # cut vertex that a breadth-first search from keep, not entering the
+    # cut vertex, leaves unseen is removed, with each edge touching it.
+    seen, frontier = {keep}, [keep]
+    while frontier:
+        frontier = [v for u in frontier for v in net.adj[u] if v != cut_vertex and v not in seen]
+        seen.update(frontier)
+    removed = sorted(set(net.adj) - seen - {cut_vertex})
+    consumed = [e for e in net.edge_items() if e[0] in removed or e[1] in removed]
+    return ReductionStep("cut-vertex", (cut_vertex, keep, *removed), tuple(consumed), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cut_matches_the_keep_side_referee_in_strip_reductions(data):
+    n = data.draw(st.integers(4, 14))
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    trace = reduce_straight(n, i, j).trace
+    net = engine._Network(trace.initial)
+    cuts = 0
+    for step in trace.steps:
+        if step.kind == "cut-vertex":
+            cut_vertex, keep = step.vertices[:2]
+            assert engine._cut(net, cut_vertex, keep) == _cut_referee(net, cut_vertex, keep) == step
+            cuts += 1
+        engine._apply(net, step)
+    a, b = trace.terminals
+    assert cuts == (a > 1) + (b < n - 1)  # a left fold, a right fold
+
+
+@pytest.mark.parametrize("keep, removed", [(2, (4, 5, 6)), (3, (4, 5, 6)), (4, (2, 3, 6)),
+                                           (6, (2, 3, 4, 5))])
+def test_cut_removes_every_side_but_the_kept_one(keep, removed):
+    # Cut vertex 1 joins three sides: the triangle {1, 2, 3}, the cycle
+    # {1, 4, 5} and vertex 6 by two parallel edges.
+    g = WeightedGraph(6, [(1, 2, 1), (2, 3, 2), (1, 3, 3), (1, 4, 2), (4, 5, 3), (1, 5, 1),
+                          (1, 6, 1), (1, 6, 2)])
+    net = engine._Network(g)
+    step = engine._cut(net, 1, keep)
+    assert step == _cut_referee(net, 1, keep)
+    assert step.vertices == (1, keep) + removed
+    engine._apply(net, step)
+    assert sorted(net.adj) == sorted({1, 2, 3, 4, 5, 6} - set(removed))
 
 
 def test_cut_with_nothing_to_cut_away():
@@ -353,6 +416,22 @@ def test_reduce_straight_all_equals_single_pairs(n):
     ]
     for report in reports:
         assert report == reduce_straight(n, *report.pair)
+
+
+def test_reduce_straight_all_shares_the_left_sweep(monkeypatch):
+    # _apply calls per strip: one left sweep grows by one triangle per i,
+    # where rebuilding it for each i costs 1104 calls at n = 12, not 1012.
+    calls = []
+    apply = engine._apply
+    monkeypatch.setattr(engine, "_apply", lambda net, step: (calls.append(1), apply(net, step)))
+    counts = {}
+    for n in range(3, 13):
+        calls.clear()
+        for _ in reduce_straight_all(n):
+            pass
+        counts[n] = len(calls)
+    assert counts == {3: 4, 4: 20, 5: 53, 6: 104, 7: 177, 8: 276, 9: 405, 10: 568,
+                      11: 769, 12: 1012}
 
 
 def test_trace_step_kinds_and_terminal_edge():
