@@ -14,6 +14,8 @@ Every subcommand exits with the same codes, and any error is one
      reported as "error: out of memory");
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
+The one exit with no "error:" line is 1 when the reader closes the output
+early (BrokenPipeError, as when it is piped into head): no one is left to read.
 
 FORMULAS, FAMILIES and PROBES name each entry once; its signature, read
 at import, declares its parameters. The parser's choices and entry flags
@@ -24,6 +26,7 @@ may be left unset.
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -343,6 +346,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args, sys.stdout)
+    except BrokenPipeError:  # the reader closed the output: no one is left to tell
+        # The interpreter flushes stdout at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

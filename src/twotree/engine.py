@@ -79,6 +79,10 @@ class _Network:
     next_id is one past the largest id seen, the id the next delta-y star
     takes. steps lists the steps _apply carried out since the network was
     built. Only _apply rewrites a network.
+
+    The planners read single_edge, the one edge between u and v, and
+    keep_side, the vertices keep reaches without entering cut_vertex (one
+    graphs.reachable); each refuses a missing edge or vertex with ValueError.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -105,29 +109,11 @@ class _Network:
             raise ValueError(f"parallel edges between {u} and {v}; combine them first") from None
         return r
 
-    def cut_off(self, cut_vertex, keep):
-        """The vertices cut off from keep at cut_vertex, sorted: each search
-        from a neighbour of cut_vertex, not entering it, either meets keep's
-        side and stops, or ends having found a side to cut off."""
-        adj = self.adj
+    def keep_side(self, cut_vertex, keep):
         for v in (cut_vertex, keep):
-            if v not in adj:
+            if v not in self.adj:
                 raise ValueError(f"vertex {v} not in graph")
-        kept, removed = {keep}, set()
-        for start in adj[cut_vertex]:
-            if start in kept or start in removed:
-                continue
-            seen, stack, met = {start}, [start], False
-            while stack and not met:
-                for nb in adj[stack.pop()]:
-                    if nb in kept:
-                        met = True
-                        break
-                    if nb != cut_vertex and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            (kept if met else removed).update(seen)
-        return sorted(removed)
+        return reachable(self.adj, keep, skip=cut_vertex)
 
     def edge_items(self):
         out = []
@@ -292,14 +278,16 @@ def _parallel(net: _Network, u, v) -> ReductionStep:
 
 
 def _cut(net: _Network, cut_vertex, keep) -> ReductionStep:
-    removed = net.cut_off(cut_vertex, keep)
+    # Every vertex off keep's side but the cut vertex goes, even in a part
+    # not joined to it. A removed vertex has only removed neighbours and the
+    # cut vertex: each edge is taken once, from its smaller or removed end.
+    keep_side = net.keep_side(cut_vertex, keep)
+    removed = sorted(v for v in net.adj if v != cut_vertex and v not in keep_side)
     if not removed:
         raise ValueError(f"nothing to cut away at {cut_vertex}")
     return ReductionStep(
         kind="cut-vertex",
         vertices=(cut_vertex, keep) + tuple(removed),
-        # A removed vertex has only removed neighbours and the cut vertex;
-        # each edge is taken once, from its smaller end or its removed end.
         consumed=tuple(sorted([
             (u, v, r) if u < v else (v, u, r)
             for u in removed for v, rs in net.adj[u].items() for r in rs

@@ -1185,3 +1185,16 @@ def test_module_entry_passes_the_exit_code_to_the_shell(argv, code):
     else:
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr():
+    # As `twotree rank --n 400 | head -1` does: the 79 004 lines are far
+    # more than a pipe holds, so the close meets the command mid-write.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "twotree.cli", "rank", "--n", "400"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as done:
+        assert done.stdout.readline() == b"rank,group_id,u,v,value_num,value_den\n"
+        done.stdout.close()
+        err = done.stderr.read()
+        code = done.wait(timeout=120)
+    assert (code, err) == (1, b"")

@@ -289,6 +289,34 @@ def test_cut_removes_every_side_but_the_kept_one(keep, removed):
     assert sorted(net.adj) == sorted({1, 2, 3, 4, 5, 6} - set(removed))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_matches_the_keep_side_referee_on_random_multigraphs(data):
+    # Two parts with no edge between them, 1..m and m+1..n-1, each with
+    # random edges (a repeated pair is a parallel edge), and vertex n with
+    # none; the cut vertex and keep are any two vertices, or one twice.
+    m = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(m + 3, m + 6))
+    edges = []
+    for lo, hi in ((1, m), (m + 1, n - 1)):
+        ends = st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True)
+        edges += data.draw(st.lists(st.tuples(ends, st.sampled_from(["1", "2", "1/3"])),
+                                    max_size=3 * (hi - lo + 1)))
+    net = engine._Network(WeightedGraph(n, [(u, v, r) for (u, v), r in edges]))
+    cut_vertex, keep = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2))
+    before, expected = net.edge_items(), _cut_referee(net, cut_vertex, keep)
+    if expected.vertices == (cut_vertex, keep):  # the referee removes nothing
+        with pytest.raises(ValueError, match=f"^nothing to cut away at {cut_vertex}$"):
+            engine._cut(net, cut_vertex, keep)
+        return
+    step = engine._cut(net, cut_vertex, keep)
+    assert step == expected
+    removed = set(step.vertices[2:])
+    engine._apply(net, step)
+    assert sorted(net.adj) == sorted(set(range(1, n + 1)) - removed)
+    assert net.edge_items() == [e for e in before if not removed & set(e[:2])]
+
+
 def test_cut_with_nothing_to_cut_away():
     net = engine._Network(straight_linear_2tree(3))
     with pytest.raises(ValueError, match="^nothing to cut away at 2$"):
