@@ -31,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from inspect import Parameter, signature
-from math import inf
+from math import gcd, inf
 
 from . import conjectures, formulas, ranking, verify
 from .engine import (
@@ -208,24 +208,29 @@ def _cmd_rank(args, out):
     if args.top is not None and args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     if args.graph:
-        groups = ranking.rank_nonedges_graph(_load_graph(args))
+        groups = ((g.value.numerator, g.value.denominator, g.pairs)
+                  for g in ranking.rank_nonedges_graph(_load_graph(args)))
     elif args.n is None:
         raise ValueError("rank needs --n or --graph FILE")
     else:
-        groups = ranking.rank_nonedges(args.n)
+        den, walk = ranking.strip_numerators(args.n)
+        groups = ((num, den, pairs) for num, pairs in walk)
     # Every field is an int, so no CSV field needs quoting: each row is one
-    # f-string, and each group's value tail is rendered once.
-    out.write("rank,group_id,u,v,value_num,value_den\n")
-    rank = 0
+    # f-string, and each group's value tail is reduced and rendered once.
+    # Past --top the walk still runs to its end, as it checks every group,
+    # and every row is rendered before any is written: a failed check
+    # prints nothing.
+    top = sys.maxsize if args.top is None else args.top
+    rows, rank = ["rank,group_id,u,v,value_num,value_den\n"], 0
     with _any_int_digits():
-        for gid, group in enumerate(groups, start=1):
-            tail = f",{group.value.numerator},{group.value.denominator}\n"
-            pairs = group.pairs if args.top is None else group.pairs[:args.top - rank]
-            for r, (u, v) in enumerate(pairs, start=rank + 1):
-                out.write(f"{r},{gid},{u},{v}{tail}")
-            rank += len(pairs)
-            if rank == args.top:
-                break
+        for gid, (num, den, pairs) in enumerate(groups, start=1):
+            if rank < top:
+                d = gcd(num, den)
+                tail = f",{num // d},{den // d}\n"
+                for u, v in pairs[:top - rank]:
+                    rank += 1
+                    rows.append(f"{rank},{gid},{u},{v}{tail}")
+    out.writelines(rows)
     return 0
 
 

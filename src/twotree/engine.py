@@ -200,7 +200,9 @@ def _check_pair(n, i, j):
 # === Rewrite steps ===
 #
 # The four rewrite ops only read the network: each plans one rewrite and
-# returns its step, which _apply then carries out.
+# returns its step, which _apply then carries out. The steps a strip
+# reduction makes most (delta-y, series, merge-rename) are built by
+# tuple.__new__, which skips the named tuple's generated __new__.
 
 
 @lru_cache(maxsize=1024)
@@ -222,14 +224,14 @@ def _delta_y(net: _Network, n1, n2, n3) -> ReductionStep:
     r1, r2, r3 = _star(ra.numerator, ra.denominator, rb.numerator, rb.denominator,
                        rc.numerator, rc.denominator)
     star = net.next_id
-    return ReductionStep(
+    return tuple.__new__(ReductionStep, (
         "delta-y",
         (n1, n2, n3, star),
         ((n2, n3, ra) if n2 < n3 else (n3, n2, ra),
          (n1, n3, rb) if n1 < n3 else (n3, n1, rb),
          (n1, n2, rc) if n1 < n2 else (n2, n1, rc)),
         ((n1, star, r1), (n2, star, r2), (n3, star, r3)),
-    )
+    ))
 
 
 def _series(net: _Network, middle) -> ReductionStep:
@@ -247,13 +249,14 @@ def _series(net: _Network, middle) -> ReductionStep:
             f"edges at {middle} are parallel (both to {incident[0]}), not series") from None
     if a > b:
         a, b, ra, rb = b, a, rb, ra
-    return ReductionStep(
+    xn, xd, yn, yd = ra.numerator, ra.denominator, rb.numerator, rb.denominator
+    return tuple.__new__(ReductionStep, (
         "series",
         (a, middle, b),
         ((a, middle, ra) if a < middle else (middle, a, ra),
          (b, middle, rb) if b < middle else (middle, b, rb)),
-        ((a, b, ra + rb),),
-    )
+        ((a, b, Fraction(xn * yd + yn * xd, xd * yd)),),
+    ))
 
 
 def _parallel(net: _Network, u, v) -> ReductionStep:
@@ -310,7 +313,7 @@ def _sweep(net, start, d, t0, t1):
         c = start + d * t
         if t:
             _apply(net, _series(net, c))
-            _apply(net, ReductionStep("merge-rename", (net.next_id - 1, c), (), ()))
+            _apply(net, tuple.__new__(ReductionStep, ("merge-rename", (net.next_id - 1, c), (), ())))
         _apply(net, _delta_y(net, c + 2 * d, c + d, c))
 
 
@@ -446,12 +449,14 @@ class _Component(NamedTuple):
 def _graph_facts(g: WeightedGraph):
     """Each component's factored grounded Laplacian, cached per graph.
 
-    The one exact Laplacian assembly: conductances of parallel edges add,
-    and a resistance object is inverted once per run of edges sharing it.
-    Each component's first vertex is grounded: the other vertices' rows,
-    built without its column, form the grounded Laplacian L0. The lcm of a
-    row's conductances' denominators (the diagonal is their sum) scales it
-    to integers, giving M = diag(scales) L0, which lu_int factors once,
+    The one exact Laplacian assembly, in plain integers: a resistance
+    object is read once per run of edges sharing it, as its conductance
+    p / q = (r.denominator, r.numerator), already reduced, and parallel
+    edges' conductances add. Each component's first vertex is grounded:
+    the other vertices' rows, built without its column, form the grounded
+    Laplacian L0. The lcm of a row's q (1 when every q is) scales it to
+    integers, -p * (scale // q) off the diagonal and their negated sum on
+    it, giving M = diag(scales) L0, which lu_int factors once,
     given the scales, into its fraction-free U: every exact answer of the
     component is read from U. Its last pivot det(M) is the tree minor: by
     the matrix-tree theorem, the product of the scales times the weighted
@@ -462,10 +467,13 @@ def _graph_facts(g: WeightedGraph):
     cond, last = {v: {} for v in g.vertices}, None
     for u, v, r in g.edges:
         if r is not last:
-            last, c = r, 1 / r
-        nu, nv = cond[u], cond[v]
-        nu[v] = nu[v] + c if v in nu else c  # a pair's first is stored, not added to 0
-        nv[u] = nv[u] + c if u in nv else c
+            last, c = r, (r.denominator, r.numerator)
+        nu = cond[u]
+        if v in nu:  # a parallel edge, which is rare: add as Fractions
+            s = Fraction(*nu[v]) + Fraction(*c)
+            nu[v] = cond[v][u] = s.numerator, s.denominator
+        else:
+            nu[v] = cond[v][u] = c
     comp_of = {}
     comps = []
     for start in g.vertices:
@@ -473,14 +481,17 @@ def _graph_facts(g: WeightedGraph):
             continue
         verts = tuple(sorted(reachable(cond, start)))
         comp_of.update(dict.fromkeys(verts, len(comps)))
-        row_of = {v: k for k, v in enumerate(verts[1:])}  # the ground has no row
+        row_of = dict(zip(verts, range(-1, len(verts) - 1)))  # the ground's column is -1
         scales, rows = [], []
         for v in verts[1:]:
             nbrs = cond[v]
-            scale = lcm(*(c.denominator for c in nbrs.values()))
-            scaled = {nb: c.numerator * (scale // c.denominator) for nb, c in nbrs.items()}
-            row = {row_of[nb]: -x for nb, x in scaled.items() if nb in row_of}
-            row[row_of[v]] = sum(scaled.values())
+            scale = 1
+            for _, q in nbrs.values():
+                if scale % q:
+                    scale = lcm(scale, q)
+            row = {row_of[nb]: -p * (scale // q) for nb, (p, q) in nbrs.items()}
+            row[row_of[v]] = -sum(row.values())
+            row.pop(-1, None)  # the ground has no column
             scales.append(scale)
             rows.append(row)
         lu = lu_int(rows, scales)

@@ -3,14 +3,16 @@
 Lower resistance means a more likely link. On the straight strip the order
 is fully structural: smaller offset k first, and within an offset the
 centered pairs first, moving outward, with mirror pairs exactly tied.
-rank_nonedges walks that order once and checks the exact values along it:
-each pair ties its mirror, and each group is strictly above the one
+strip_numerators walks that order once and checks the exact values along
+it: each pair ties its mirror, and each group is strictly above the one
 before. That holds exactly when sorting by (value, pair) and grouping
 equal values gives the structural order, so the walk refuses to answer
 whenever the two orders would disagree. rank_nonedges_graph ranks any
 connected graph by that sort. Either way every value shares one
 denominator, F_{2m+2} on the strip and the tree minor on a graph, so both
-compare integer numerators and make one Fraction per tie group.
+compare integer numerators. rank_nonedges and rank_nonedges_graph make one
+Fraction per tie group; the CLI's `rank --n` reads strip_numerators'
+integers itself and makes none.
 """
 
 from fractions import Fraction
@@ -30,21 +32,26 @@ class TieGroup(NamedTuple):
     pairs: tuple
 
 
-def rank_nonedges(n: int):
-    """Tie groups of non-edges of the straight strip, most likely link first.
+def strip_numerators(n: int):
+    """The strip's tie groups as integers: (F_{2m+2}, groups), the one
+    denominator and a generator of (numerator, pairs) per tie group, most
+    likely link first, in the structural order.
 
-    Walks the structural order: per offset k, the pair (j, j + k) with its
-    mirror (n - k + 1 - j, n + 1 - j), from the center outward; a centered
-    pair is its own mirror. Each offset's closed-form numerators over the
-    one denominator F_{2m+2} are read at once. A mirror whose numerator
-    differs, or a group not strictly above the one before, raises
-    AssertionError naming n and the group's first pair. Returns a list of
-    TieGroup, each value a reduced Fraction.
+    n < 5 raises ValueError here, before F_{2m+2} is read. The walk, per
+    offset k, takes the pair (j, j + k) with its mirror (n - k + 1 - j,
+    n + 1 - j), from the center outward; a centered pair is its own mirror.
+    Each offset's closed-form numerators are read at once. A mirror whose
+    numerator differs, or a group not strictly above the one before, raises
+    AssertionError naming n and the group's first pair, when the walk
+    reaches it.
     """
     if n < 5:
         raise ValueError(f"ranking needs n >= 5, got {n}")
-    m = n - 2
-    den, groups, last = fib(2 * m + 2), [], -inf
+    return fib(2 * n - 2), _checked_walk(n)
+
+
+def _checked_walk(n):
+    m, last = n - 2, -inf
     for k in range(3, n):
         row = _closed_numerators(m, k, range(1, n - k + 1))  # row[j - 1] is (j, j + k)
         for j in range((n - k + 1) // 2, 0, -1):
@@ -53,9 +60,15 @@ def rank_nonedges(n: int):
                 raise AssertionError(
                     f"structural and value orders disagree for n={n} at {(j, j + k)}")
             last = num
-            pairs = ((j, j + k),) if mirror[0] == j else ((j, j + k), mirror)
-            groups.append(TieGroup(Fraction(num, den), pairs))
-    return groups
+            yield num, ((j, j + k),) if mirror[0] == j else ((j, j + k), mirror)
+
+
+def rank_nonedges(n: int):
+    """Tie groups of non-edges of the straight strip, most likely link first:
+    strip_numerators' walk, run to its end, as a list of TieGroup, each
+    value a reduced Fraction."""
+    den, groups = strip_numerators(n)
+    return [TieGroup(Fraction(num, den), pairs) for num, pairs in groups]
 
 
 def render_ranking(groups) -> str:

@@ -671,6 +671,27 @@ def test_rank_top_truncates(capsys, tmp_path):
             assert run_cli(capsys, "rank", *source, "--top", str(top)) == (0, "".join(lines[:top + 1]), "")
 
 
+def test_rank_rows_equal_the_fraction_ranking(capsys):
+    # `rank --n` renders the walk's integer numerators itself, each reduced
+    # against F_{2m+2}: its rows must be rank_nonedges' Fraction values
+    # rendered, for every n in 5..60, whole and under two --top cuts, one
+    # of them between the two pairs of a tie group.
+    for n in range(5, 61):
+        groups = ranking.rank_nonedges(n)
+        rows = ["rank,group_id,u,v,value_num,value_den\n"]
+        for gid, g in enumerate(groups, start=1):
+            for u, v in g.pairs:
+                rows.append(f"{len(rows)},{gid},{u},{v},{g.value.numerator},{g.value.denominator}\n")
+        tied = next(sum(len(g.pairs) for g in groups[:t]) for t, g in enumerate(groups)
+                    if len(g.pairs) == 2)
+        for top in (None, tied + 1, len(rows) // 2):
+            argv = ("rank", "--n", str(n)) + (() if top is None else ("--top", str(top)))
+            want = rows if top is None else rows[:top + 1]
+            assert run_cli(capsys, *argv) == (0, "".join(want), ""), f"n={n}, top={top}"
+        # the cut at tied + 1 keeps one pair of the group's two
+        assert rows[tied + 1].split(",")[1] == rows[tied + 2].split(",")[1]
+
+
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_rank_top_below_one_exits_two(capsys, top):
     code, out, err = run_cli(capsys, "rank", "--n", "9", "--top", top)

@@ -919,6 +919,59 @@ def test_facts_equal_the_referee_factorization_seeded():
     assert shapes == {"one-vertex", "larger", "several", "one", "parallel"}
 
 
+# The spread file: resistances 10^-11 .. 10^9 on one component, with three
+# parallel edges between 3 and 5.
+SPREAD = WeightedGraph(5, [(1, 2, 1), (1, 3, "100000000"), (2, 3, "1/10000000"),
+                           (2, 4, "100000"), (3, 5, "1/100000000000"), (3, 5, "10000000"),
+                           (3, 5, "1000000000")])
+
+
+def _wide_graph(rng):
+    # A random multigraph on up to 10 vertices, its resistances 10^k with
+    # |k| <= 30 or p/q with large coprime parts, drawn from a small pool so
+    # that edges share objects. Each parallel edge either reuses its
+    # partner's object or is a distinct one.
+    pool = [Fraction(10) ** rng.randint(-30, 30) for _ in range(3)]
+    pool += [Fraction(rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)) for _ in range(3)]
+    n = rng.randint(1, 10)
+    edges = [(rng.randint(1, v - 1), v, rng.choice(pool)) for v in range(2, n + 1)
+             if rng.random() < 0.9]
+    edges += [(*rng.sample(range(1, n + 1), 2), rng.choice(pool)) for _ in range(rng.randint(0, n))
+              if n > 1]
+    for u, v, r in rng.sample(edges, min(len(edges), 3)):
+        edges.append((v, u, r if rng.random() < 0.5 else rng.choice(pool)))
+    return WeightedGraph(n, edges)
+
+
+def test_facts_equal_the_referee_on_wide_resistances():
+    # Each row's scale is the lcm of up to 10^40-sized denominators, and
+    # parallel conductances add before scaling; the engine's integer
+    # assembly must give the referee's verts, scales, U and tree minor.
+    # U is checked against lu_int of the referee's rows, which the seeded
+    # test above checks entry by entry against dense minors.
+    rng = random.Random(39)
+    seen = set()
+    for g in [SPREAD, *(_wide_graph(rng) for _ in range(120))]:
+        comp_of, comps = _graph_facts.__wrapped__(g)
+        ref = scaled_laplacian_components(g)
+        assert [comp.verts for comp in comps] == [verts for verts, _, _ in ref]
+        for comp, (verts, rows, scales) in zip(comps, ref):
+            grounded = strike(rows, (0,))
+            assert comp.scales == scales[1:]
+            assert comp.lu == lu_int(grounded, scales[1:])
+            assert comp.tree_minor == det_ref(grounded)
+            assert {comp_of[v] for v in verts} == {comps.index(comp)}
+        by_pair = {}
+        for u, v, r in g.edges:
+            by_pair.setdefault((u, v), []).append(r)
+        for rs in by_pair.values():
+            if len(rs) > 1:
+                seen.add("shared" if len({id(r) for r in rs}) < len(rs) else "distinct")
+        if any(max(comp.scales, default=1) > 10 ** 30 for comp in comps):
+            seen.add("wide")
+    assert seen == {"shared", "distinct", "wide"}
+
+
 def _minor_ratio(g, i, j):
     # The referee: r(i, j) as the ratio of two Laplacian minors, each from
     # an elimination of its own on the test-local assembly, the way
