@@ -10,8 +10,9 @@ Every subcommand exits with the same codes, and any error is one
   0  success;
   1  a check failed: a verify criterion, an internal cross-check
      (AssertionError), or a float solve whose residual exceeds --tol
-     (RuntimeError); or the process ran out of memory (MemoryError,
-     reported as "error: out of memory");
+     (RuntimeError); or a forked four-way-agreement worker ended without
+     a result (RuntimeError); or the process ran out of memory
+     (MemoryError, reported as "error: out of memory");
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
 The one exit with no "error:" line is 1 when the reader closes the output

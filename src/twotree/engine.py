@@ -13,7 +13,10 @@ fork of the reduction is one copy of its network, steps included.
 reduce_straight reduces one pair of a straight strip;
 reduce_straight_all yields the same reports for every pair of one strip,
 with one left sweep for the strip and one right sweep per left terminal,
-each forked where the schedule parts. The determinant path is the
+each forked where the schedule parts. One shard of it yields those of
+every parts-th left terminal, so that shards can run apart: together they
+are the strip's reports, and _shard_positions places a shard's reports in
+the whole strip's order. The determinant path is the
 independent oracle: r(i,j) equals the ratio of two Laplacian minors.
 Each component's grounded Laplacian is factored once, by a fraction-free
 LU kept with the graph's facts, and every exact answer is read from that
@@ -395,7 +398,7 @@ def reduce_straight(n: int, i: int, j: int) -> ResistanceReport:
     return _report(g, (i, j), (a, b), steps, value)
 
 
-def reduce_straight_all(n: int):
+def reduce_straight_all(n: int, part: int = 0, parts: int = 1):
     """Yield reduce_straight(n, i, j) for every pair i < j of the n-strip,
     each once: the same reports, traces included.
 
@@ -405,17 +408,36 @@ def reduce_straight_all(n: int):
     from n down. The pairs come in that order, i ascending and j
     descending, except that each pair (i, n) with i > 1 comes right after
     its reflection (1, n-i+1), whose steps it takes.
+
+    Shard `part` of `parts` (0 <= part < parts) yields only the reports of
+    the left terminals a with (a - 1) % parts == part, in the same order,
+    the reflected pairs (i, n) with a = 1; its left sweep stops at its last
+    a. The shards of one strip partition the reports of the whole.
     """
+    if not 0 <= part < parts:
+        raise ValueError(f"part {part} out of range for {parts} parts")
     g = straight_linear_2tree(n)
     left = _Network(g)
-    for a in range(1, n - 1):
-        if a > 1:
-            _sweep(left, 1, 1, a - 2, a - 1)
+    swept = 0
+    for a in range(1 + part, n - 1, parts):
+        _sweep(left, 1, 1, swept, swept := a - 1)
         for b, steps, value in _reduce_from(left.copy(), n, a,
                                             range(n if a == 1 else n - 1, a, -1)):
             yield _report(g, (a, b), (a, b), steps, value)
             if a == 1 and b < n:
                 yield _report(g, (n - b + 1, n), (1, b), steps, value)
+
+
+def _shard_positions(n, part, parts):
+    """The position in reduce_straight_all(n)'s order of each report of
+    reduce_straight_all(n, part, parts), in turn: 2n - 3 reports for a = 1,
+    the reflected pairs included, and n - 1 - a for each a > 1."""
+    start = 0
+    for a in range(1, n - 1):
+        count = 2 * n - 3 if a == 1 else n - 1 - a
+        if (a - 1) % parts == part:
+            yield from range(start, start + count)
+        start += count
 
 
 def replay_trace(trace: ReductionTrace) -> WeightedGraph:

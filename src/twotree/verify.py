@@ -4,10 +4,13 @@ Each criterion function returns (ok, detail); one whose internal
 cross-check raises AssertionError fails with its message. run_all prints one
 PASS/FAIL line per criterion (a passing bent-reading detail goes on with its
 evidence table) and returns a process exit code: 0 all pass, 1 otherwise.
-Everything is deterministic.
+Everything is deterministic: four_way_agreement may check a strip in forked
+workers, but reports what checking it in one process would.
 """
 
 import math
+import os
+import pickle
 from fractions import Fraction
 
 from . import conjectures, formulas, ranking
@@ -15,6 +18,7 @@ from .fib import check_all_identities, fib
 from .engine import (
     _graph_facts,
     _pair_numerators,
+    _shard_positions,
     brute_force_tree_enumeration,
     brute_force_two_forest_counts,
     reduce_straight_all,
@@ -30,6 +34,15 @@ GOLDEN_RANKING_N9 = (
 )
 
 
+# A strip forks one worker per PAIRS_PER_WORKER of its pairs at most. A
+# fork and the child's exit cost about 2 ms in a process with numpy and
+# scipy loaded. On a 2-CPU host, splitting a strip in two came out about
+# even from n = 13 to 16 (78 to 120 pairs) and was faster from n = 18
+# (153 pairs) on, in at least 30 of 31 interleaved runs; 45 splits from
+# n = 14 (91 pairs).
+PAIRS_PER_WORKER = 45
+
+
 def four_way_agreement(n_lo=3, n_hi=40):
     """Reduction, determinant, summation form, closed form: identical
     exact rationals for every pair, zero tolerance.
@@ -40,7 +53,14 @@ def four_way_agreement(n_lo=3, n_hi=40):
     at a time (formulas._closed_numerators), the summation form as running
     sums along each j (formulas._sum_numerators). They must be equal, and
     the reduction's Fraction p/q must meet them: p * den == N * q. A
-    mismatch reports all four values as Fractions."""
+    mismatch reports all four values as Fractions.
+
+    The reduction leg runs in shards of the strip's left terminals
+    (_check_strip), one per CPU the process may use, as long as each holds
+    PAIRS_PER_WORKER pairs and the process runs one thread; otherwise in
+    this process alone. Either way the result, or the exception re-raised,
+    is the first failure in the serial pair order."""
+    cpus = _cpus()
     pairs = 0
     for n in range(n_lo, n_hi + 1):
         (comp,) = _graph_facts(straight_linear_2tree(n))[1]
@@ -52,19 +72,108 @@ def four_way_agreement(n_lo=3, n_hi=40):
         # closed[k - 1][j - 1] and sums[j - 1][k - 1] are the pair (j, j + k)'s
         closed = [formulas._closed_numerators(m, k, range(1, n - k + 1)) for k in range(1, n)]
         sums = [formulas._sum_numerators(m, j, n - j) for j in range(1, n)]
-        for report in reduce_straight_all(n):
+        parts = max(1, min(cpus, n - 2, n * (n - 1) // 2 // PAIRS_PER_WORKER))
+        checked, failure = _check_strip(n, (den, dets, sums, closed), parts)
+        if failure is not None:
+            if isinstance(failure, str):
+                return False, failure
+            raise failure
+        pairs += checked
+    return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
+
+
+def _cpus():
+    # The CPUs this process may run workers on, or 1 where it cannot tell
+    # or runs a second thread: forking copies only the calling thread, and a
+    # lock another thread held stays locked in the child.
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _check_shard(n, rows, part, parts):
+    """Check the pairs of reduce_straight_all(n, part, parts) against the
+    strip's rows (den, dets, sums, closed). Returns (pairs checked, first
+    failure), the failure None or (its position in the serial pair order,
+    the mismatch detail or the exception raised there); never raises."""
+    den, dets, sums, closed = rows
+    end = n * (n - 1) // 2
+    positions = _shard_positions(n, part, parts)
+    position = next(positions, end)  # that of the pair being reduced or checked
+    checked = 0
+    try:
+        for report in reduce_straight_all(n, part, parts):
             i, j = report.pair
             red = report.value
             d = dets[(i, j)]
             s = sums[i - 1][j - i - 1]
             c = closed[j - i - 1][i - 1]
             if not (red.numerator * den == d * red.denominator and d == s == c):
-                return False, (
+                return checked, (position, (
                     f"mismatch at n={n}, pair=({i},{j}): reduce={red}, det={Fraction(d, den)}, "
                     f"sum={Fraction(s, den)}, closed={Fraction(c, den)}"
-                )
-            pairs += 1
-    return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
+                ))
+            checked += 1
+            position = next(positions, end)
+    except Exception as exc:  # where the serial loop would have raised it
+        return checked, (position, exc)
+    return checked, None
+
+
+def _check_strip(n, rows, parts):
+    """Check every pair of the n-strip in `parts` shards: part 0 in this
+    process, each other in a forked worker that sends back only
+    _check_shard's result, pickled, through its own pipe. Returns the
+    pairs checked and the first failure in the serial order, as
+    (count, detail or exception or None). Every pipe is read to its end
+    and every worker waited for before this returns or raises; a worker
+    that ends without a result raises RuntimeError."""
+    pipes, pids = [], []
+    try:
+        for part in range(1, parts):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _shard_worker(w, n, rows, part, parts)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [_check_shard(n, rows, 0, parts)]
+    finally:
+        try:
+            sent = []
+            for r in pipes:
+                with open(r, "rb") as pipe:
+                    sent.append(pipe.read())
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for data, status in zip(sent, statuses):
+        if status or not data:
+            raise RuntimeError(f"four-way worker for n={n} ended without a result "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        results.append(pickle.loads(data))  # written by this process's own worker
+    failures = [failure for _, failure in results if failure is not None]
+    first = min(failures, key=lambda failure: failure[0])[1] if failures else None
+    return sum(checked for checked, _ in results), first
+
+
+def _shard_worker(w, n, rows, part, parts):
+    # In a forked child: check one shard, write its result to the pipe's
+    # write end w, and leave by os._exit, so that nothing of the caller's
+    # stack runs here and no inherited buffer is flushed.
+    code = 1
+    try:
+        with open(w, "wb") as pipe:
+            pickle.dump(_check_shard(n, rows, part, parts), pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def endpoint_forms():

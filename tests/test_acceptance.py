@@ -7,6 +7,11 @@ gated either through pytest or through the CLI.
 
 from fractions import Fraction
 import hashlib
+import os
+from pathlib import Path
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -118,10 +123,10 @@ def _report_plus_one(report):
 
 def _report_wrong_at(n, pair):
     """A patch for reduce_straight_all: the real reports, but the one for
-    `pair` of the n-strip off by one."""
+    `pair` of the n-strip off by one, in each shard."""
     def patch(real):
-        def reports(m):
-            for report in real(m):
+        def reports(m, part=0, parts=1):
+            for report in real(m, part, parts):
                 yield _report_plus_one(report) if (m, report.pair) == (n, pair) else report
         return reports
     return patch
@@ -283,3 +288,135 @@ def test_a_raising_cross_check_fails_its_criterion_and_the_rest_still_run(capsys
     assert cli.main(["verify"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and out == "".join(line + "\n" for line in lines)
+
+
+# === the forked gate ===
+#
+# Strips of at least 2 * PAIRS_PER_WORKER pairs are checked in shards,
+# part 0 in the calling process and one forked worker per other part, when
+# the process runs one OS thread. These tests run the gate in a child
+# interpreter under -X dev -W error, with BLAS held to one thread.
+
+FOUR_WAY_LINE = "PASS  four-way-agreement: 10659 pairs agree exactly across all four methods (n in [3,40])\n"
+ONE_THREAD = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1]),
+              **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+# A script's start: the process may use two CPUs, whatever the host has,
+# and `forks` lists the workers forked.
+TWO_CPUS = """
+import functools, os, sys, threading
+from twotree import cli, verify
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+fork = os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+"""
+
+
+def _run_child(*argv):
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *argv],
+                          capture_output=True, text=True, env=ONE_THREAD, timeout=120)
+
+
+def test_the_gate_prints_the_same_bytes_in_workers():
+    # The line is the in-process run's: its detail is the one DETAIL_SHA256 pins.
+    detail = FOUR_WAY_LINE.removeprefix("PASS  four-way-agreement: ").removesuffix("\n")
+    assert hashlib.sha256(detail.encode()).hexdigest() == DETAIL_SHA256["four-way-agreement"]
+    done = _run_child("-m", "twotree.cli", "verify", "--only", "four-way-agreement")
+    assert (done.returncode, done.stdout, done.stderr) == (0, FOUR_WAY_LINE, "")
+
+
+def test_no_worker_outlives_the_gate():
+    done = _run_child("-c", TWO_CPUS + """
+detail = "10440 pairs agree exactly across all four methods (n in [12,40])"
+assert verify.four_way_agreement(12, 40) == (True, detail)
+split = [n for n in range(12, 41) if n * (n - 1) // 2 // verify.PAIRS_PER_WORKER >= 2]
+assert split and len(forks) == len(split), (forks, split)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+""")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "no child left\n", "")
+
+
+# The 20-strip in two shards: part 0 holds a = 1, 3, ..., the worker
+# a = 2, 4, ... The reduction's value is made wrong at the pairs WRONG, and
+# it raises at STUCK as a stuck reduction does. The first failure in the
+# serial order is reported, forked or in process.
+GO_WRONG = """
+real = verify.reduce_straight_all
+def reports(n, part=0, parts=1):
+    for report in real(n, part, parts):
+        if report.pair == STUCK:
+            raise AssertionError(f"reduction stuck: planted at {STUCK}")
+        yield report._replace(value=report.value + 1) if report.pair in WRONG else report
+verify.reduce_straight_all = reports
+verify.CRITERIA = (("four-way-agreement", functools.partial(verify.four_way_agreement, 20, 20)),)
+verify.run_all()
+print(len(forks))
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+verify.run_all()
+stop.set()
+thread.join(timeout=10)
+print(len(forks), thread.is_alive())
+"""
+# Over F_38 = 39088169, the 20-strip's tree count.
+MISMATCH_AT = {
+    (1, 5): "mismatch at n=20, pair=(1,5): reduce=80551065/39088169, det=41462896/39088169, "
+            "sum=41462896/39088169, closed=41462896/39088169",
+    (2, 10): "mismatch at n=20, pair=(2,10): reduce=109127995/39088169, det=70039826/39088169, "
+             "sum=70039826/39088169, closed=70039826/39088169",
+}
+
+
+@pytest.mark.parametrize("wrong, stuck, detail", [
+    # early in the worker's shard, and later in the parent's
+    ({(2, 10), (3, 7)}, None, MISMATCH_AT[2, 10]),
+    ({(3, 7)}, (2, 10), "reduction stuck: planted at (2, 10)"),
+    # an exception in the worker after a mismatch early in the parent's shard
+    ({(1, 5)}, (2, 10), MISMATCH_AT[1, 5]),
+], ids=["two-mismatches", "stuck-in-the-worker", "stuck-after-a-mismatch"])
+def test_the_first_failure_in_the_serial_order_is_reported(wrong, stuck, detail):
+    done = _run_child("-c", TWO_CPUS + f"WRONG, STUCK = {wrong!r}, {stuck!r}\n" + GO_WRONG)
+    line = f"FAIL  four-way-agreement: {detail}"
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{line}\n1\n{line}\n1 False\n", "")
+
+
+def test_a_worker_that_dies_is_one_error_line():
+    done = _run_child("-c", TWO_CPUS + """
+real = verify.reduce_straight_all
+def reports(n, part=0, parts=1):
+    if part:
+        os._exit(3)
+    return real(n, part, parts)
+verify.reduce_straight_all = reports
+sys.exit(cli.main(["verify", "--only", "four-way-agreement"]))
+""")
+    n = min(n for n in range(3, 41) if n * (n - 1) // 2 // verify.PAIRS_PER_WORKER >= 2)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: four-way worker for n={n} ended without a result (exit status 3)\n")
+
+
+def test_a_second_thread_keeps_the_gate_in_one_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = verify.four_way_agreement(20, 20)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == (True, "190 pairs agree exactly across all four methods (n in [20,20])")

@@ -446,6 +446,32 @@ def test_reduce_straight_all_equals_single_pairs(n):
         assert report == reduce_straight(n, *report.pair)
 
 
+@pytest.mark.parametrize("n", range(3, 21))
+def test_reduce_straight_all_shards_partition_the_strip(n):
+    # Shard `part` of `parts` holds the left terminals a with
+    # (a - 1) % parts == part, the reflected pairs (i, n) going with a = 1;
+    # each report is the full run's, trace included, in the full run's order,
+    # at the positions _shard_positions gives.
+    full = list(reduce_straight_all(n))
+    position = {report.pair: k for k, report in enumerate(full)}
+    for parts in range(1, 5):
+        dealt = []
+        for part in range(parts):
+            shard = list(reduce_straight_all(n, part, parts))
+            at = [position[report.pair] for report in shard]
+            assert at == sorted(at) == list(engine._shard_positions(n, part, parts))
+            assert shard == [full[k] for k in at]
+            assert all((report.trace.terminals[0] - 1) % parts == part for report in shard)
+            dealt += at
+        assert sorted(dealt) == list(range(len(full)))
+
+
+@pytest.mark.parametrize("part, parts", [(-1, 2), (2, 2), (0, 0), (1, 1)])
+def test_reduce_straight_all_refuses_a_shard_out_of_range(part, parts):
+    with pytest.raises(ValueError, match=f"part {part} out of range for {parts} parts"):
+        next(reduce_straight_all(6, part, parts))
+
+
 def test_reduce_straight_all_shares_the_left_sweep(monkeypatch):
     # _apply calls per strip: one left sweep grows by one triangle per i,
     # where rebuilding it for each i costs 1104 calls at n = 12, not 1012.
