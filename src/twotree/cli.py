@@ -9,10 +9,11 @@ Every subcommand exits with the same codes, and any error is one
 "error: ..." line on stderr, never a traceback:
   0  success;
   1  a check failed: a verify criterion, an internal cross-check
-     (AssertionError), or a float solve whose residual exceeds --tol
-     (RuntimeError); or a forked four-way-agreement worker ended without
-     a result (RuntimeError); or the process ran out of memory
-     (MemoryError, reported as "error: out of memory");
+     (AssertionError), res methods that disagree (AssertionError, see
+     _check_agreement), or a float solve whose residual exceeds --tol
+     (RuntimeError); or a forked four-way-agreement worker ended other
+     than by exit status 0 or 1 (RuntimeError); or the process ran out
+     of memory (MemoryError, reported as "error: out of memory");
   2  usage error or bad input: bad arguments, an invalid graph, family or
      pair, an unreadable file (ValueError, OSError).
 The one exit with no "error:" line is 1 when the reader closes the output
@@ -32,7 +33,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from inspect import Parameter, signature
-from math import gcd, inf
+from math import gcd, inf, isfinite
 
 from . import conjectures, formulas, ranking, verify
 from .engine import (
@@ -59,6 +60,9 @@ METHODS = {
     "det": lambda args, g, i, j: resistance_det(g, i, j),
     "float": lambda args, g, i, j: resistance_float(g, i, j, tol=args.tol),
 }
+# res with more than one method: the exact answers must be equal, and the
+# float within this relative bound of them.
+FLOAT_REL_BOUND = Fraction(1, 10**9)
 
 
 def _entries(namespace, **funcs):
@@ -177,6 +181,7 @@ def _cmd_res(args, out):
     if args.trace and "dy" not in methods:
         raise ValueError("--trace needs the delta-wye method (dy or all, straight family)")
     reports = {m: METHODS[m](args, g, i, j) for m in methods}
+    _check_agreement(list(reports.values()))
     if args.trace:
         with open(args.trace, "w") as fh, _any_int_digits():
             for d in reports["dy"].trace.to_dicts():
@@ -188,6 +193,24 @@ def _cmd_res(args, out):
         doc["n"] = args.n
     _emit_json(doc, out)
     return 0
+
+
+def _check_agreement(reports):
+    """Raise AssertionError, naming both values, unless every report after
+    the first, which is exact as METHODS puts float last, agrees with it:
+    an exact one equal, a float within FLOAT_REL_BOUND, compared as
+    rationals so that no value overflows."""
+    first, *rest = reports
+    for r in rest:
+        if r.method == "float":
+            agree = isfinite(r.value) and (
+                abs(Fraction(r.value) - first.value) <= first.value * FLOAT_REL_BOUND)
+        else:
+            agree = r.value == first.value
+        if not agree:
+            with _any_int_digits():
+                raise AssertionError(f"methods disagree on {r.pair}: "
+                                     f"{first.method} {first.value}, {r.method} {r.value}")
 
 
 def _cmd_formula(args, out):

@@ -15,11 +15,10 @@ reduce_straight_all yields the same reports for every pair of one strip,
 with one left sweep for the strip and one right sweep per left terminal,
 each forked where the schedule parts. One shard of it yields those of
 every parts-th left terminal, so that shards can run apart: together they
-are the strip's reports, and _shard_positions places a shard's reports in
-the whole strip's order. The determinant path is the
-independent oracle: r(i,j) equals the ratio of two Laplacian minors.
-Each component's grounded Laplacian is factored once, by a fraction-free
-LU kept with the graph's facts, and every exact answer is read from that
+are the strip's reports. The determinant path is the independent
+oracle: r(i,j) equals the ratio of two Laplacian minors. Each
+component's grounded Laplacian is factored once, by a fraction-free LU
+kept with the graph's facts, and every exact answer is read from that
 factorization: resistance_det one pair by one forward pass,
 _pair_numerators every pair of a component by the symmetric-inverse
 recurrence, with no solve (read by resistance_all_pairs, ranking and
@@ -426,18 +425,6 @@ def reduce_straight_all(n: int, part: int = 0, parts: int = 1):
             yield _report(g, (a, b), (a, b), steps, value)
             if a == 1 and b < n:
                 yield _report(g, (n - b + 1, n), (1, b), steps, value)
-
-
-def _shard_positions(n, part, parts):
-    """The position in reduce_straight_all(n)'s order of each report of
-    reduce_straight_all(n, part, parts), in turn: 2n - 3 reports for a = 1,
-    the reflected pairs included, and n - 1 - a for each a > 1."""
-    start = 0
-    for a in range(1, n - 1):
-        count = 2 * n - 3 if a == 1 else n - 1 - a
-        if (a - 1) % parts == part:
-            yield from range(start, start + count)
-        start += count
 
 
 def replay_trace(trace: ReductionTrace) -> WeightedGraph:

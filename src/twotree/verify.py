@@ -10,7 +10,6 @@ workers, but reports what checking it in one process would.
 
 import math
 import os
-import pickle
 from fractions import Fraction
 
 from . import conjectures, formulas, ranking
@@ -18,7 +17,6 @@ from .fib import check_all_identities, fib
 from .engine import (
     _graph_facts,
     _pair_numerators,
-    _shard_positions,
     brute_force_tree_enumeration,
     brute_force_two_forest_counts,
     reduce_straight_all,
@@ -55,11 +53,12 @@ def four_way_agreement(n_lo=3, n_hi=40):
     the reduction's Fraction p/q must meet them: p * den == N * q. A
     mismatch reports all four values as Fractions.
 
-    The reduction leg runs in shards of the strip's left terminals
-    (_check_strip), one per CPU the process may use, as long as each holds
-    PAIRS_PER_WORKER pairs and the process runs one thread; otherwise in
-    this process alone. Either way the result, or the exception re-raised,
-    is the first failure in the serial pair order."""
+    The reduction leg runs in shards of the strip's left terminals, one per
+    CPU the process may use, as long as each holds PAIRS_PER_WORKER pairs
+    and the process runs one thread (_shards_pass): they only answer pass
+    or fail. A strip that does not pass, or one not split at all, is
+    checked by _check_shard in this process, so the detail returned or the
+    exception raised is the serial check's."""
     cpus = _cpus()
     pairs = 0
     for n in range(n_lo, n_hi + 1):
@@ -72,13 +71,13 @@ def four_way_agreement(n_lo=3, n_hi=40):
         # closed[k - 1][j - 1] and sums[j - 1][k - 1] are the pair (j, j + k)'s
         closed = [formulas._closed_numerators(m, k, range(1, n - k + 1)) for k in range(1, n)]
         sums = [formulas._sum_numerators(m, j, n - j) for j in range(1, n)]
+        rows = (den, dets, sums, closed)
         parts = max(1, min(cpus, n - 2, n * (n - 1) // 2 // PAIRS_PER_WORKER))
-        checked, failure = _check_strip(n, (den, dets, sums, closed), parts)
-        if failure is not None:
-            if isinstance(failure, str):
+        if parts == 1 or not _shards_pass(n, rows, parts):
+            failure = _check_shard(n, rows)
+            if failure is not None:
                 return False, failure
-            raise failure
-        pairs += checked
+        pairs += n * (n - 1) // 2
     return True, f"{pairs} pairs agree exactly across all four methods (n in [{n_lo},{n_hi}])"
 
 
@@ -95,85 +94,53 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if threads == 1 else 1
 
 
-def _check_shard(n, rows, part, parts):
+def _check_shard(n, rows, part=0, parts=1):
     """Check the pairs of reduce_straight_all(n, part, parts) against the
-    strip's rows (den, dets, sums, closed). Returns (pairs checked, first
-    failure), the failure None or (its position in the serial pair order,
-    the mismatch detail or the exception raised there); never raises."""
+    strip's rows (den, dets, sums, closed), in its order. Returns the first
+    mismatch's detail, or None; an exception raised there goes on up."""
     den, dets, sums, closed = rows
-    end = n * (n - 1) // 2
-    positions = _shard_positions(n, part, parts)
-    position = next(positions, end)  # that of the pair being reduced or checked
-    checked = 0
-    try:
-        for report in reduce_straight_all(n, part, parts):
-            i, j = report.pair
-            red = report.value
-            d = dets[(i, j)]
-            s = sums[i - 1][j - i - 1]
-            c = closed[j - i - 1][i - 1]
-            if not (red.numerator * den == d * red.denominator and d == s == c):
-                return checked, (position, (
-                    f"mismatch at n={n}, pair=({i},{j}): reduce={red}, det={Fraction(d, den)}, "
-                    f"sum={Fraction(s, den)}, closed={Fraction(c, den)}"
-                ))
-            checked += 1
-            position = next(positions, end)
-    except Exception as exc:  # where the serial loop would have raised it
-        return checked, (position, exc)
-    return checked, None
+    for report in reduce_straight_all(n, part, parts):
+        i, j = report.pair
+        red = report.value
+        d = dets[(i, j)]
+        s = sums[i - 1][j - i - 1]
+        c = closed[j - i - 1][i - 1]
+        if not (red.numerator * den == d * red.denominator and d == s == c):
+            return (f"mismatch at n={n}, pair=({i},{j}): reduce={red}, det={Fraction(d, den)}, "
+                    f"sum={Fraction(s, den)}, closed={Fraction(c, den)}")
+    return None
 
 
-def _check_strip(n, rows, parts):
-    """Check every pair of the n-strip in `parts` shards: part 0 in this
-    process, each other in a forked worker that sends back only
-    _check_shard's result, pickled, through its own pipe. Returns the
-    pairs checked and the first failure in the serial order, as
-    (count, detail or exception or None). Every pipe is read to its end
-    and every worker waited for before this returns or raises; a worker
-    that ends without a result raises RuntimeError."""
-    pipes, pids = [], []
+def _shards_pass(n, rows, parts):
+    """Whether every pair of the n-strip passes _check_shard in `parts`
+    shards: part 0 in this process, each other in a forked worker that
+    answers by its exit status alone, 0 for pass and 1 for fail or any
+    exception. Every worker is waited for before this returns or raises;
+    one that ends any other way raises RuntimeError."""
+    pids = []
     try:
         for part in range(1, parts):
-            r, w = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _shard_worker(w, n, rows, part, parts)
-            finally:
-                os.close(w)
+            pid = os.fork()
+            if pid == 0:
+                # In the child: leave by os._exit, so that nothing of the
+                # caller's stack runs here and no inherited buffer is flushed.
+                code = 1
+                try:
+                    code = 0 if _check_shard(n, rows, part, parts) is None else 1
+                finally:
+                    os._exit(code)
             pids.append(pid)
-        results = [_check_shard(n, rows, 0, parts)]
-    finally:
         try:
-            sent = []
-            for r in pipes:
-                with open(r, "rb") as pipe:
-                    sent.append(pipe.read())
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for data, status in zip(sent, statuses):
-        if status or not data:
-            raise RuntimeError(f"four-way worker for n={n} ended without a result "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-        results.append(pickle.loads(data))  # written by this process's own worker
-    failures = [failure for _, failure in results if failure is not None]
-    first = min(failures, key=lambda failure: failure[0])[1] if failures else None
-    return sum(checked for checked, _ in results), first
-
-
-def _shard_worker(w, n, rows, part, parts):
-    # In a forked child: check one shard, write its result to the pipe's
-    # write end w, and leave by os._exit, so that nothing of the caller's
-    # stack runs here and no inherited buffer is flushed.
-    code = 1
-    try:
-        with open(w, "wb") as pipe:
-            pickle.dump(_check_shard(n, rows, part, parts), pipe)
-        code = 0
+            passed = _check_shard(n, rows, 0, parts) is None
+        except Exception:  # the serial check of the strip raises it again
+            passed = False
     finally:
-        os._exit(code)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code in codes:
+        if code not in (0, 1):
+            raise RuntimeError(f"four-way worker for n={n} ended without a result "
+                               f"(exit status {code})")
+    return passed and not any(codes)
 
 
 def endpoint_forms():

@@ -389,6 +389,27 @@ def test_the_first_failure_in_the_serial_order_is_reported(wrong, stuck, detail)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{line}\n1\n{line}\n1 False\n", "")
 
 
+def test_a_failure_that_does_not_pickle_is_the_serial_one():
+    # An exception holding a lock is raised at (2, 10), in the worker's
+    # shard: the strip is checked again in process and the line is that
+    # run's, the lock's repr included, forked as in one process.
+    done = _run_child("-c", TWO_CPUS + """
+WRONG, STUCK = set(), None
+LOCK = threading.Lock()
+real_all = verify.reduce_straight_all
+def stuck(n, part=0, parts=1):
+    for report in real_all(n, part, parts):
+        if report.pair == (2, 10):
+            raise AssertionError("stuck", LOCK)
+        yield report
+verify.reduce_straight_all = stuck
+""" + GO_WRONG)
+    assert (done.returncode, done.stderr) == (0, "")
+    forked, one, serial, last = done.stdout.splitlines()
+    assert (one, last) == ("1", "1 False") and forked == serial
+    assert forked.startswith("FAIL  four-way-agreement: ('stuck', <unlocked _thread.lock object at ")
+
+
 def test_a_worker_that_dies_is_one_error_line():
     done = _run_child("-c", TWO_CPUS + """
 real = verify.reduce_straight_all

@@ -358,6 +358,43 @@ def test_float_solve_singular_in_floats_exits_one_and_det_still_answers(capsys, 
     assert (result["value_num"], result["value_den"]) == (10 ** 40 + 1, 10 ** 20)
 
 
+def test_res_all_exits_one_when_the_float_misses_the_exact_value(capsys, tmp_path):
+    # Resistances spanning 21 decades: the float solve meets --tol but
+    # answers 65536.0 where the exact value is about 100000.0000001.
+    path = _edge_file(tmp_path, "1 2 1", "1 3 100000000", "2 3 1/10000000", "2 4 100000",
+                      "3 5 1/100000000000", "3 5 10000000", "3 5 1000000000",
+                      header="vertices 5")
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "5", "4")
+    exact = Fraction(1111111122223334556688890011223456677789, 11111111222222233344555555667777789)
+    assert (code, out, err) == (
+        1, "", f"error: methods disagree on (5, 4): determinant {exact}, float 65536.0\n")
+    code, out, err = run_cli(capsys, "res", "--graph", path, "--pair", "5", "4", "--method", "det")
+    assert (code, err) == (0, "")
+    result, = json.loads(out)["results"]
+    assert Fraction(result["value_num"], result["value_den"]) == exact
+
+
+@pytest.mark.parametrize("scale, code", [
+    (1 + 0.9e-9, 0), (1 - 0.9e-9, 0), (1 + 1.1e-9, 1), (1 - 1.1e-9, 1), (float("nan"), 1),
+])
+def test_res_all_holds_the_float_to_the_relative_bound(capsys, monkeypatch, scale, code):
+    # r(2, 5) = 9/11 on the 6-strip; the float report is moved by `scale`.
+    float_report = engine.ResistanceReport(pair=(2, 5), value=9 / 11 * scale, method="float")
+    monkeypatch.setattr(cli, "resistance_float", lambda *args, **kwargs: float_report)
+    got, out, err = run_cli(capsys, "res", "--family", "straight", "--n", "6", "--pair", "2", "5")
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"error: methods disagree on (2, 5): delta-y 9/11, "
+                                  f"float {9 / 11 * scale}\n")
+
+
+def test_res_all_exits_one_when_the_exact_methods_differ(capsys, monkeypatch):
+    wrong = engine.ResistanceReport(pair=(2, 5), value=Fraction(10, 11), method="determinant")
+    monkeypatch.setattr(cli, "resistance_det", lambda *args: wrong)
+    assert run_cli(capsys, "res", "--family", "straight", "--n", "6", "--pair", "2", "5") == (
+        1, "", "error: methods disagree on (2, 5): delta-y 9/11, determinant 10/11\n")
+
+
 def test_failed_cross_check_exits_one_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "two_forest_count", _raises(AssertionError("minor is not positive definite: pivot 2 of 4 is 0"))

@@ -446,24 +446,37 @@ def test_reduce_straight_all_equals_single_pairs(n):
         assert report == reduce_straight(n, *report.pair)
 
 
-@pytest.mark.parametrize("n", range(3, 21))
-def test_reduce_straight_all_shards_partition_the_strip(n):
+def _check_shards(n, parts, full):
     # Shard `part` of `parts` holds the left terminals a with
     # (a - 1) % parts == part, the reflected pairs (i, n) going with a = 1;
     # each report is the full run's, trace included, in the full run's order,
-    # at the positions _shard_positions gives.
-    full = list(reduce_straight_all(n))
+    # and the shards together hold every report once.
     position = {report.pair: k for k, report in enumerate(full)}
+    dealt = []
+    for part in range(parts):
+        shard = list(reduce_straight_all(n, part, parts))
+        at = [position[report.pair] for report in shard]
+        assert at == sorted(at)
+        assert shard == [full[k] for k in at]
+        assert all((report.trace.terminals[0] - 1) % parts == part for report in shard)
+        dealt += at
+    assert sorted(dealt) == list(range(len(full)))
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_reduce_straight_all_shards_partition_the_strip(n):
+    full = list(reduce_straight_all(n))
     for parts in range(1, 5):
-        dealt = []
-        for part in range(parts):
-            shard = list(reduce_straight_all(n, part, parts))
-            at = [position[report.pair] for report in shard]
-            assert at == sorted(at) == list(engine._shard_positions(n, part, parts))
-            assert shard == [full[k] for k in at]
-            assert all((report.trace.terminals[0] - 1) % parts == part for report in shard)
-            dealt += at
-        assert sorted(dealt) == list(range(len(full)))
+        _check_shards(n, parts, full)
+
+
+def test_every_shard_count_the_gate_may_choose_partitions_the_strip():
+    # four_way_agreement splits the n-strip in at most n - 2 parts, one per
+    # left terminal; its pair count is the whole strip's, n(n-1)/2.
+    full = list(reduce_straight_all(20))
+    assert len(full) == 190
+    for parts in range(1, 19):
+        _check_shards(20, parts, full)
 
 
 @pytest.mark.parametrize("part, parts", [(-1, 2), (2, 2), (0, 0), (1, 1)])

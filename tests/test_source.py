@@ -28,6 +28,33 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _imported_modules(tree):
+    # The modules a tree imports anywhere, by their first name; a relative
+    # import names the sibling, `from . import formulas` as `from .formulas`.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_the_engine_imports_neither_os_nor_formulas():
+    # The engine runs no processes, and the closed forms it is checked
+    # against stay independent of it.
+    engine = Path(twotree.__file__).parent / "engine.py"
+    imported = set(_imported_modules(ast.parse(engine.read_text(), filename=str(engine))))
+    assert imported and not imported & {"os", "formulas"}, sorted(imported)
+
+
+def test_imported_modules_reads_every_form_of_import():
+    tree = ast.parse("import os.path\nfrom . import formulas as f\nfrom .graphs import x\n"
+                     "def g():\n    from subprocess import run\n")
+    assert sorted(_imported_modules(tree)) == ["formulas", "graphs", "os", "subprocess"]
+
+
 PACKAGE = sorted(Path(twotree.__file__).parent.glob("*.py"))
 
 
