@@ -27,33 +27,35 @@ def _fib_pair(n):
     return a, b
 
 
-def _nonneg_fib(n):
-    # The closed-form sweeps read the same small indices over and over (a
-    # ranked strip reads one F per pair, the rest of its row once per
-    # offset), so values are cached; a miss costs O(log n) doubling steps.
-    # The cache is per-thread so concurrent callers never share mutable state.
-    cache = getattr(_local, "fib_cache", None)
-    if cache is None:
-        cache = _local.fib_cache = {0: 0, 1: 1}
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
-    value = _fib_pair(n)[0]
-    if len(cache) < 4096:
-        cache[n] = value
-    return value
-
-
 def fib(n: int) -> int:
     """F_n for any integer n with |n| <= MAX_INDEX."""
+    # The identity suite and the closed-form rows read the same small
+    # indices over and over, so values are cached, keyed by signed n; a
+    # plain int already there costs one read. Anything else, a first read
+    # included, takes the checked path, and a miss costs O(log |n|)
+    # doubling steps. The cache is per-thread so concurrent callers never
+    # share mutable state, holds at most 4096 entries, and never holds an
+    # index out of range.
+    if n.__class__ is int:
+        try:
+            return _local.fib_cache[n]
+        except (AttributeError, KeyError):
+            pass
     if not isinstance(n, int):
         raise TypeError(f"index must be an int, got {type(n).__name__}")
     if abs(n) > MAX_INDEX:
         raise ValueError(f"index {n} exceeds bound {MAX_INDEX}")
-    if n >= 0:
-        return _nonneg_fib(n)
-    value = _nonneg_fib(-n)
-    return value if (-n) % 2 == 1 else -value
+    cache = getattr(_local, "fib_cache", None)
+    if cache is None:
+        cache = _local.fib_cache = {0: 0, 1: 1}
+    value = cache.get(n)
+    if value is None:
+        value = _fib_pair(abs(n))[0]
+        if n < 0 and n % 2 == 0:
+            value = -value
+        if len(cache) < 4096:
+            cache[n] = value
+    return value
 
 
 def lucas(n: int) -> int:
@@ -64,10 +66,23 @@ def lucas(n: int) -> int:
 # === Identity suite ===
 #
 # IDENTITIES maps each identity's name to (cases, evaluate): cases() yields
-# the index tuples the identity is checked at, lazily, and evaluate(*case)
-# returns both sides exactly. The comment on each row states the identity.
+# the index tuples the identity is checked at, lazily, and
+# evaluate(F, L, *case) returns both sides exactly, reading F_k as F[k] and
+# L_k as L[k]. The comment on each row states the identity.
 # check_identity() reports every violation rather than failing fast, so a
 # report is useful even when something breaks.
+
+
+class _Table(dict):
+    """k -> of(k), read through `of` once per distinct k; one per check."""
+
+    def __init__(self, of):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, k):
+        value = self[k] = self.of(k)
+        return value
 
 
 class IdentityReport(NamedTuple):
@@ -114,107 +129,103 @@ def _mk_cases():
             yield (m, k)
 
 
-def _bracket_a(m, j, k):
-    lhs = fib(k + 1) * fib(m - 2 * j - k + 2) ** 2 + fib(m + 1) * fib(m - k + 1)
-    rhs = fib(2 * m - 2 * j - 2 * k + 3) * fib(2 * j + k - 1) + fib(k) * fib(
-        m - 2 * j - k + 2
-    ) * fib(m - 2 * j - k + 3)
+def _bracket_a(F, L, m, j, k):
+    lhs = F[k + 1] * F[m - 2 * j - k + 2] ** 2 + F[m + 1] * F[m - k + 1]
+    rhs = (F[2 * m - 2 * j - 2 * k + 3] * F[2 * j + k - 1]
+           + F[k] * F[m - 2 * j - k + 2] * F[m - 2 * j - k + 3])
     return lhs, rhs
 
 
-def _bracket_b(m, j, k):
-    lhs = fib(k) * fib(m - 2 * j - k + 3) ** 2 + fib(m + 1) * fib(m - k)
-    rhs = fib(2 * j + k - 2) * fib(2 * m - 2 * j - 2 * k + 3) + fib(k + 1) * fib(
-        m - 2 * j - k + 3
-    ) * fib(m - 2 * j - k + 2)
+def _bracket_b(F, L, m, j, k):
+    lhs = F[k] * F[m - 2 * j - k + 3] ** 2 + F[m + 1] * F[m - k]
+    rhs = (F[2 * j + k - 2] * F[2 * m - 2 * j - 2 * k + 3]
+           + F[k + 1] * F[m - 2 * j - k + 3] * F[m - 2 * j - k + 2])
     return lhs, rhs
 
 
-def _bracket_collapse(m, k):
+def _bracket_collapse(F, L, m, k):
     inner = (
-        fib(m - k - 1) * ((k + 1) * lucas(k + 1) - fib(k + 1))
-        + fib(m - k) * ((k - 4) * fib(k + 2) + (2 * k + 4) * fib(k + 1))
-        - fib(m - k) * (k * lucas(k) - fib(k))
-        - fib(m - k + 1) * ((k - 5) * fib(k + 1) + (2 * k + 2) * fib(k))
+        F[m - k - 1] * ((k + 1) * L[k + 1] - F[k + 1])
+        + F[m - k] * ((k - 4) * F[k + 2] + (2 * k + 4) * F[k + 1])
+        - F[m - k] * (k * L[k] - F[k])
+        - F[m - k + 1] * ((k - 5) * F[k + 1] + (2 * k + 2) * F[k])
     )
-    lhs = Fraction(fib(m + 1), 5) * inner
-    rhs = fib(m + 1) * (fib(m - k + 1) * fib(k + 1) - fib(k) * fib(m - k))
+    lhs = Fraction(F[m + 1], 5) * inner
+    rhs = F[m + 1] * (F[m - k + 1] * F[k + 1] - F[k] * F[m - k])
     return lhs, rhs
 
 
-def _partial_tail_sum(m):
+def _partial_tail_sum(F, L, m):
     total = Fraction(0)
     for i in range(1, m + 1):
-        total += Fraction(fib(i) * fib(i + 1), lucas(i) * lucas(i + 1))
-    closed = Fraction((m + 1) * lucas(m + 1) - fib(m + 1), 5 * lucas(m + 1))
+        total += Fraction(F[i] * F[i + 1], L[i] * L[i + 1])
+    closed = Fraction((m + 1) * L[m + 1] - F[m + 1], 5 * L[m + 1])
     return total, closed
 
 
-def _endpoint_forms(m):
-    lhs = Fraction(2 * fib(m + 1) ** 2, lucas(m) * lucas(m + 1)) + Fraction(
-        m * lucas(m) - fib(m), 5 * lucas(m)
-    )
-    rhs = Fraction(m + 1, 5) + Fraction(4 * fib(m + 1), 5 * lucas(m + 1))
+def _endpoint_forms(F, L, m):
+    lhs = Fraction(2 * F[m + 1] ** 2, L[m] * L[m + 1]) + Fraction(m * L[m] - F[m], 5 * L[m])
+    rhs = Fraction(m + 1, 5) + Fraction(4 * F[m + 1], 5 * L[m + 1])
     return lhs, rhs
 
 
-def _even_sum(n):
-    lhs = fib(2 * n + 2)
-    rhs = 2 * fib(2 * n) + sum(fib(2 * i) for i in range(1, n)) + 1
+def _even_sum(F, L, n):
+    lhs = F[2 * n + 2]
+    rhs = 2 * F[2 * n] + sum(F[2 * i] for i in range(1, n)) + 1
     return lhs, rhs
 
 
 IDENTITIES = {
     # F_{-n} = (-1)^(n+1) F_n
-    "negation": (_ints(0, 200), lambda n: (fib(-n), (-1) ** (n + 1) * fib(n))),
+    "negation": (_ints(0, 200), lambda F, L, n: (F[-n], (-1) ** (n + 1) * F[n])),
     # F_n^2 + F_{n+1}^2 = F_{2n+1}
-    "sum-of-squares": (_ints(0, 150), lambda n: (fib(n) ** 2 + fib(n + 1) ** 2, fib(2 * n + 1))),
+    "sum-of-squares": (_ints(0, 150), lambda F, L, n: (F[n] ** 2 + F[n + 1] ** 2, F[2 * n + 1])),
     # F_{2m} = L_m F_m
-    "double-index": (_ints(0, 150), lambda m: (fib(2 * m), lucas(m) * fib(m))),
+    "double-index": (_ints(0, 150), lambda F, L, m: (F[2 * m], L[m] * F[m])),
     # F_{k+m} = F_{k+1} F_m + F_k F_{m-1}
     "addition": (
         _grid(0, 60),
-        lambda k, m: (fib(k + m), fib(k + 1) * fib(m) + fib(k) * fib(m - 1)),
+        lambda F, L, k, m: (F[k + m], F[k + 1] * F[m] + F[k] * F[m - 1]),
     ),
     # F_{2m} = F_{m+1} F_m + F_m F_{m-1}
     "double-split": (
         _ints(0, 150),
-        lambda m: (fib(2 * m), fib(m + 1) * fib(m) + fib(m) * fib(m - 1)),
+        lambda F, L, m: (F[2 * m], F[m + 1] * F[m] + F[m] * F[m - 1]),
     ),
     # F_{n+m} = F_{n+1} F_{m+1} - F_{n-1} F_{m-1}
     "addition-alt": (
         _grid(0, 60),
-        lambda n, m: (fib(n + m), fib(n + 1) * fib(m + 1) - fib(n - 1) * fib(m - 1)),
+        lambda F, L, n, m: (F[n + m], F[n + 1] * F[m + 1] - F[n - 1] * F[m - 1]),
     ),
     # F_n^2 - F_{n+r} F_{n-r} = (-1)^(n-r) F_r^2
     "catalan": (
         _catalan_cases,
-        lambda n, r: (fib(n) ** 2 - fib(n + r) * fib(n - r), (-1) ** (n - r) * fib(r) ** 2),
+        lambda F, L, n, r: (F[n] ** 2 - F[n + r] * F[n - r], (-1) ** (n - r) * F[r] ** 2),
     ),
     # F_n F_{m+1} - F_m F_{n+1} = (-1)^m F_{n-m}
     "docagne": (
         _grid(0, 60),
-        lambda n, m: (fib(n) * fib(m + 1) - fib(m) * fib(n + 1), (-1) ** m * fib(n - m)),
+        lambda F, L, n, m: (F[n] * F[m + 1] - F[m] * F[n + 1], (-1) ** m * F[n - m]),
     ),
     # 2 F_{m+1} = F_m + L_m
-    "twice-next": (_ints(0, 200), lambda m: (2 * fib(m + 1), fib(m) + lucas(m))),
+    "twice-next": (_ints(0, 200), lambda F, L, m: (2 * F[m + 1], F[m] + L[m])),
     # L_m = F_{m+1} + F_{m-1}
-    "lucas-split": (_ints(0, 200), lambda m: (lucas(m), fib(m + 1) + fib(m - 1))),
+    "lucas-split": (_ints(0, 200), lambda F, L, m: (L[m], F[m + 1] + F[m - 1])),
     # L_{m+1} = 2 F_m + F_{m+1}
-    "lucas-next": (_ints(0, 200), lambda m: (lucas(m + 1), 2 * fib(m) + fib(m + 1))),
+    "lucas-next": (_ints(0, 200), lambda F, L, m: (L[m + 1], 2 * F[m] + F[m + 1])),
     # 5 F_n^2 - L_n^2 = 4 (-1)^(n+1)
-    "five-diff": (_ints(0, 100), lambda n: (5 * fib(n) ** 2 - lucas(n) ** 2, 4 * (-1) ** (n + 1))),
+    "five-diff": (_ints(0, 100), lambda F, L, n: (5 * F[n] ** 2 - L[n] ** 2, 4 * (-1) ** (n + 1))),
     # 5 F_m = L_{m-1} + L_{m+1}
-    "fib-from-lucas": (_ints(0, 200), lambda m: (5 * fib(m), lucas(m - 1) + lucas(m + 1))),
+    "fib-from-lucas": (_ints(0, 200), lambda F, L, m: (5 * F[m], L[m - 1] + L[m + 1])),
     # F_{2n+2} = 2 F_{2n} + F_{2n-2} + ... + F_2 + 1
     "even-sum": (_ints(1, 100), _even_sum),
     # F_i F_{i+2p} + F_{i+1} F_{i+2p+1} = F_{2i+2p+1}
     "s-plus-b": (
         _offset_pairs,
-        lambda i, p: (
-            Fraction(fib(i) * fib(i + 2 * p), fib(2 * i + 2 * p + 2))
-            + Fraction(fib(i + 1) * fib(i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
-            Fraction(fib(2 * i + 2 * p + 1), fib(2 * i + 2 * p + 2)),
+        lambda F, L, i, p: (
+            Fraction(F[i] * F[i + 2 * p], F[2 * i + 2 * p + 2])
+            + Fraction(F[i + 1] * F[i + 2 * p + 1], F[2 * i + 2 * p + 2]),
+            Fraction(F[2 * i + 2 * p + 1], F[2 * i + 2 * p + 2]),
         ),
     ),
     # sum_{i<=m} F_i F_{i+1} / (L_i L_{i+1}) = ((m+1) L_{m+1} - F_{m+1}) / (5 L_{m+1})
@@ -240,15 +251,18 @@ def identity_names():
 def check_identity(name: str) -> IdentityReport:
     """Check one identity of IDENTITIES exactly at every case its row yields.
 
-    Unknown names raise KeyError.
+    The check reads F and L through one table each, local to the call, so
+    each distinct index goes through fib (or lucas) once. Unknown names
+    raise KeyError.
     """
     row = IDENTITIES.get(name)
     if row is None:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
     cases, evaluate = row
+    F, L = _Table(fib), _Table(lucas)
     checked, violations = 0, []
     for indices in cases():
-        lhs, rhs = evaluate(*indices)
+        lhs, rhs = evaluate(F, L, *indices)
         checked += 1
         if lhs != rhs:
             violations.append((indices, lhs, rhs))

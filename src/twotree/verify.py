@@ -116,7 +116,12 @@ def _shards_pass(n, rows, parts):
     shards: part 0 in this process, each other in a forked worker that
     answers by its exit status alone, 0 for pass and 1 for fail or any
     exception. Every worker is waited for before this returns or raises;
-    one that ends any other way raises RuntimeError."""
+    one that ends any other way raises RuntimeError.
+
+    Part 0 holds a = 1 and is the heaviest shard, and it stays here on
+    purpose: a worker starts about 1 ms after the fork and is reaped about
+    1 ms after its last pair, so the strip waits on the worker unless this
+    process has the larger share."""
     pids = []
     try:
         for part in range(1, parts):

@@ -1,5 +1,8 @@
 import importlib
 import threading
+import weakref
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +19,15 @@ from twotree.fib import (
 )
 
 FIRST_FIBS = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+# The package re-exports the function fib under the submodule's name.
+FIB = importlib.import_module("twotree.fib")
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    # This test's own per-thread state, so no value it caches outlives it.
+    monkeypatch.setattr(FIB, "_local", threading.local())
+    return FIB._local
 
 
 @pytest.mark.parametrize("n,expected", list(enumerate(FIRST_FIBS)))
@@ -78,6 +90,44 @@ def test_lucas_refuses_an_out_of_range_index_before_any_work(monkeypatch):
         lucas(MAX_INDEX)
     with pytest.raises(ValueError, match="exceeds bound"):
         lucas(-MAX_INDEX)
+
+
+def test_a_cached_index_still_refuses_a_non_int(fresh_cache):
+    assert fib(2) == 1 and fresh_cache.fib_cache[2] == 1
+    with pytest.raises(TypeError, match="got float"):
+        fib(2.0)
+    with pytest.raises(TypeError, match="got Fraction"):
+        fib(Fraction(2))
+    assert fib(True) == 1 and fib(False) == 0
+
+
+def test_negative_indices_keep_their_sign_on_a_miss_and_a_hit(fresh_cache, monkeypatch):
+    assert (fib(-4), fib(-5)) == (-3, 5)
+    assert {-4: -3, -5: 5}.items() <= fresh_cache.fib_cache.items()
+
+    def no_work(n):
+        raise RuntimeError(f"F_{n} computed again")
+
+    monkeypatch.setattr(FIB, "_fib_pair", no_work)
+    assert (fib(-4), fib(-5)) == (-3, 5)
+
+
+def test_an_index_out_of_range_is_never_cached(fresh_cache):
+    fib(10)
+    before = dict(fresh_cache.fib_cache)
+    for n in (MAX_INDEX + 1, -MAX_INDEX - 1):
+        with pytest.raises(ValueError, match="exceeds bound"):
+            fib(n)
+    assert fresh_cache.fib_cache == before
+
+
+def test_a_dropped_cache_is_computed_again(fresh_cache, monkeypatch):
+    assert fib(30) == 832040
+    vars(fresh_cache).pop("fib_cache")
+    computed = []
+    real = FIB._fib_pair
+    monkeypatch.setattr(FIB, "_fib_pair", lambda n: (computed.append(n), real(n))[1])
+    assert fib(30) == 832040 and computed == [30]
 
 
 def test_rejects_non_int():
@@ -159,7 +209,7 @@ def test_every_identity_checks_its_frozen_case_count():
 
 
 def test_a_false_identity_fails_the_suite(monkeypatch):
-    false_at_two = (lambda: ((n,) for n in range(4)), lambda n: (n, 7 if n == 2 else n))
+    false_at_two = (lambda: ((n,) for n in range(4)), lambda F, L, n: (n, 7 if n == 2 else n))
     monkeypatch.setitem(IDENTITIES, "false-at-two", false_at_two)
     report = check_identity("false-at-two")
     assert report.checked == 4
@@ -169,7 +219,40 @@ def test_a_false_identity_fails_the_suite(monkeypatch):
 
 
 def test_an_identity_with_no_cases_does_not_pass(monkeypatch):
-    monkeypatch.setitem(IDENTITIES, "no-cases", (lambda: iter(()), lambda n: (n, n)))
+    monkeypatch.setitem(IDENTITIES, "no-cases", (lambda: iter(()), lambda F, L, n: (n, n)))
     report = check_identity("no-cases")
     assert report.checked == 0 and report.violations == []
     assert not report.passed
+
+
+def test_an_identity_reads_f_through_fib(fresh_cache, monkeypatch):
+    # F_10 is made 56: every case of "addition" that reads index 10 on one
+    # side only fails, and only such cases.
+    real = FIB._fib_pair
+    monkeypatch.setattr(FIB, "_fib_pair", lambda n: (real(n)[0] + (n == 10), real(n)[1]))
+    report = check_identity("addition")
+    assert report.checked == CASE_COUNTS["addition"] and report.violations
+    assert all(10 in (k + m, k + 1, m, k, m - 1) for (k, m), _, _ in report.violations)
+
+
+def test_a_check_reads_each_index_through_fib_once(monkeypatch):
+    calls = Counter()
+    real = FIB.fib
+    monkeypatch.setattr(FIB, "fib", lambda n: (calls.update((n,)), real(n))[1])
+    assert check_identity("addition").passed
+    assert calls == Counter(range(-1, 121))
+
+
+def test_no_table_outlives_its_check(monkeypatch):
+    refs = []
+
+    def evaluate(F, L, n):
+        if refs:
+            assert refs[0]() is F and refs[1]() is L, "one table each per check"
+        else:
+            refs.extend((weakref.ref(F), weakref.ref(L)))
+        return F[n] + L[n], fib(n) + lucas(n)
+
+    monkeypatch.setitem(IDENTITIES, "tables", (lambda: ((n,) for n in range(5)), evaluate))
+    assert check_identity("tables").passed
+    assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
